@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -27,22 +28,14 @@ def _is_punct_token(tok: str) -> bool:
     return all(_is_punct_char(c) for c in tok)
 
 
+# A token is a maximal run of alphanumerics ([^\W_]) or of punctuation: any
+# other non-whitespace character, `_` included, as in `_is_punct_char`.
+_TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
+
+
 def tokenize(text: str) -> list[str]:
     """Split on whitespace; each maximal run of punctuation becomes its own token."""
-    tokens: list[str] = []
-    for chunk in text.split():
-        run = ""
-        run_punct = False
-        for c in chunk:
-            p = _is_punct_char(c)
-            if run and p != run_punct:
-                tokens.append(run)
-                run = ""
-            run += c
-            run_punct = p
-        if run:
-            tokens.append(run)
-    return tokens
+    return _TOKEN.findall(text)
 
 
 def detokenize(tokens: Sequence[str]) -> str:

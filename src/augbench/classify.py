@@ -7,7 +7,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -21,22 +21,37 @@ class ClassifyError(Exception):
     pass
 
 
-def _hash_ngram(ngram: str, bits: int) -> int:
-    digest = hashlib.blake2b(ngram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % (1 << bits)
-
-
 def featurize(text: str, bits: int = 18) -> dict[int, int]:
-    """Hashed counts of lowercased 1-grams and 2-grams of the token sequence."""
+    """Hashed counts of lowercased 1-grams and 2-grams of the token sequence.
+
+    An n-gram's index is the first 8 bytes of its blake2b digest, big-endian,
+    masked to `bits` bits.  Keys are inserted in a fixed order, unigram i and
+    then bigram (i, i+1); scores sum in that order, so model bytes depend on it.
+    """
+    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    mask = (1 << bits) - 1
     tokens = [t.lower() for t in tokenize(text)]
+    grams: list[str] = []
+    for tok, nxt in zip(tokens, tokens[1:]):
+        grams.append(tok)
+        grams.append(tok + " " + nxt)
+    grams += tokens[-1:]  # the last token has no bigram
     counts: dict[int, int] = {}
-    for i, tok in enumerate(tokens):
-        idx = _hash_ngram(tok, bits)
-        counts[idx] = counts.get(idx, 0) + 1
-        if i + 1 < len(tokens):
-            idx = _hash_ngram(tok + " " + tokens[i + 1], bits)
-            counts[idx] = counts.get(idx, 0) + 1
+    get = counts.get
+    for gram in grams:
+        idx = from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") & mask
+        counts[idx] = get(idx, 0) + 1
     return counts
+
+
+FeatureRow = tuple[np.ndarray, np.ndarray]
+
+
+def feature_row(text: str, bits: int) -> FeatureRow:
+    """`featurize` as (int64 indices, float64 counts) arrays in its key order."""
+    f = featurize(text, bits)
+    return (np.fromiter(f.keys(), dtype=np.int64, count=len(f)),
+            np.fromiter(f.values(), dtype=np.float64, count=len(f)))
 
 
 @dataclass
@@ -89,12 +104,10 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def train(corpus: Corpus, config: Optional[TrainConfig] = None,
-          features: Optional[dict[str, dict[int, int]]] = None) -> LinearModel:
+def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     """Fit logistic regression by seeded single-threaded SGD with lazy L2 decay.
 
-    Byte-identical weights for identical (corpus, config).  `features` may
-    carry precomputed featurize() output keyed by doc id.
+    Byte-identical weights for identical (corpus, config).
     """
     config = config or TrainConfig()
     docs = [d for d in corpus.split_docs("train") if d.label in ("pos", "neg")]
@@ -102,15 +115,8 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None,
     if len(docs) < 2 or labels != {"pos", "neg"}:
         raise ClassifyError("training needs at least 2 documents covering both labels")
 
-    feats = []
-    ys = []
-    for d in docs:
-        f = features.get(d.id) if features else None
-        if f is None:
-            f = featurize(d.text, config.bits)
-        feats.append((np.fromiter(f.keys(), dtype=np.int64, count=len(f)),
-                      np.fromiter(f.values(), dtype=np.float64, count=len(f))))
-        ys.append(1.0 if d.label == "pos" else 0.0)
+    feats = [feature_row(d.text, config.bits) for d in docs]
+    ys = [1.0 if d.label == "pos" else 0.0 for d in docs]
 
     dim = 1 << config.bits
     w = np.zeros(dim, dtype=np.float64)
@@ -138,16 +144,26 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None,
             if lr > 0.0:
                 w[idx] -= lr * g * vals / scale
                 bias -= lr * g
-    return LinearModel(weights=w * scale, bias=bias, config=config)
+    w *= scale  # in place: no second dense copy at the end of training
+    return LinearModel(weights=w, bias=bias, config=config)
+
+
+def _score(model: LinearModel, row: FeatureRow) -> float:
+    """Sigmoid of bias + w[i]*count summed left to right in row order.
+
+    `np.add.accumulate` adds sequentially; a pairwise sum (`np.sum`), a dot
+    product or a sparse matvec would round differently.
+    """
+    idx, vals = row
+    terms = np.empty(len(idx) + 1)
+    terms[0] = model.bias
+    np.multiply(model.weights[idx], vals, out=terms[1:])
+    return _sigmoid(np.add.accumulate(terms)[-1])
 
 
 def predict(model: LinearModel, text: str) -> float:
     """P(positive) for a single text: sigmoid of the linear score."""
-    f = featurize(text, model.config.bits)
-    score = model.bias
-    for idx, cnt in f.items():
-        score += model.weights[idx] * cnt
-    return _sigmoid(score)
+    return _score(model, feature_row(text, model.config.bits))
 
 
 def predictor(model: LinearModel) -> Callable[[str], float]:
@@ -204,21 +220,48 @@ class PredictionTable:
         return len(self._rows)
 
     def to_csv(self, path: str | Path, source_id: str) -> None:
-        """One source to `doc_id,p_positive` CSV; full-precision probabilities."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("doc_id,p_positive\n")
+        """One source to `doc_id,p_positive` CSV; full-precision probabilities.
+
+        Ids are quoted where CSV needs it, so any id reads back unchanged
+        through `import_predictions`.
+        """
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            # csv quotes only the line breaks of its own terminator, and a bare
+            # "\r" ends a row on reading, so ids holding one are quoted here.
+            quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+            writer.writerow(("doc_id", "p_positive"))
             for d in self.doc_ids(source_id):
-                fh.write(f"{d},{self._rows[(d, source_id)]!r}\n")
+                (quoting if "\r" in d else writer).writerow((d, self._rows[(d, source_id)]))
+
+
+def feature_rows(texts: Iterable[str], bits: int) -> dict[str, FeatureRow]:
+    """`feature_row` of each distinct text, keyed by text."""
+    rows: dict[str, FeatureRow] = {}
+    for text in texts:
+        if text not in rows:
+            rows[text] = feature_row(text, bits)
+    return rows
 
 
 def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,
                    splits: Iterable[str] = ("test",),
-                   table: Optional[PredictionTable] = None) -> PredictionTable:
+                   table: Optional[PredictionTable] = None,
+                   rows: Optional[Mapping[str, FeatureRow]] = None) -> PredictionTable:
+    """Score every document in `splits`.
+
+    `rows` may hold feature rows built with `model.config.bits` and keyed by
+    text (see `feature_rows`); a text without one is featurized here.
+    """
     table = table if table is not None else PredictionTable()
+    rows = rows if rows is not None else {}
     wanted = set(splits)
     for d in corpus:
         if d.split in wanted:
-            table.add(d.id, source_id, predict(model, d.text))
+            row = rows.get(d.text)
+            if row is None:
+                row = feature_row(d.text, model.config.bits)
+            table.add(d.id, source_id, _score(model, row))
     return table
 
 

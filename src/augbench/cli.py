@@ -312,7 +312,10 @@ def analyze_probe(model_path, template, out_path):
 @click.option("--max-retries", type=int, default=3, show_default=True)
 @click.option("--cache", "cache_path", type=click.Path(dir_okay=False))
 def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cache_path):
-    """Run a low-resource sweep described by a YAML experiment config."""
+    """Run a low-resource sweep described by a YAML experiment config.
+
+    Exits with status 1, after writing the report, if any run failed.
+    """
     config = _experiment.ExperimentConfig.from_yaml(config_path)
     corp = _corpus.ingest_jsonl(in_path)
     translator = cache = None
@@ -326,10 +329,11 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "report.csv")
     report.write_timings(out / "timings.csv")
-    if report.failures:
-        for tag, reason in report.failures:
-            click.echo(f"FAILED {tag}: {reason}", err=True)
+    for tag, reason in report.failures:
+        click.echo(f"FAILED {tag}: {reason}", err=True)
     click.echo(f"wrote {len(report.all_rows())} report rows to {out / 'report.csv'}")
+    if report.failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -8,14 +8,14 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import yaml
 
 from .augment import AugmentSpec, AugTechnique, Thesaurus, bundled_thesaurus, derive_seed
-from .classify import (LinearModel, PredictionTable, TrainConfig, predict,
-                       predict_corpus, train)
+from .classify import (FeatureRow, LinearModel, PredictionTable, TrainConfig,
+                       feature_rows, predict, predict_corpus, train)
 from .corpus import Corpus, CorpusError, carve_validation, subsample_balanced
 from .ensemble import (CalibrationReport, SimplexWeights, calibration_report,
                        combine, fit_weights, log_loss, tta_generate,
@@ -156,6 +156,11 @@ def _arm_fields(spec: Optional[AugmentSpec]) -> tuple[str, str, int]:
     return spec.technique.value, langs, k
 
 
+def _test_rows(corpus: Corpus, config: ExperimentConfig) -> dict[str, FeatureRow]:
+    """Feature rows of the test split that every run of a sweep is scored on."""
+    return feature_rows((d.text for d in corpus.split_docs("test")), config.classifier.bits)
+
+
 def run_single(
     subsampled: Corpus,
     n: int,
@@ -165,8 +170,13 @@ def run_single(
     thesaurus: Optional[Thesaurus] = None,
     provider=None,
     cache=None,
+    test_rows: Optional[Mapping[str, FeatureRow]] = None,
 ) -> ReportRow:
-    """Train and evaluate one (N, augmentation arm, seed) run on a prepared subsample."""
+    """Train and evaluate one (N, augmentation arm, seed) run on a prepared subsample.
+
+    `test_rows` are feature rows of the test split keyed by text, built once
+    per sweep with the classifier's bits (`feature_rows`) and shared by its runs.
+    """
     from .augment import augment_dataset
 
     sub_hash = _subsample_hash(subsampled)
@@ -186,7 +196,7 @@ def run_single(
 
     clf_config = dataclasses.replace(config.classifier, seed=derive_seed(config.classifier.seed, "train", seed))
     model = train(prepared, clf_config)
-    preds = predict_corpus(model, prepared, "baseline", splits=("test",))
+    preds = predict_corpus(model, prepared, "baseline", splits=("test",), rows=test_rows)
     labels = {d.id: d.label for d in prepared.split_docs("test")}
     rep = calibration_report(preds, "baseline", labels)
     technique, langs, k = _arm_fields(aug_spec)
@@ -207,6 +217,7 @@ def run_low_resource_sweep(
 ) -> ExperimentReport:
     """The paper protocol: subsample, optionally augment, train, test; median over seeds."""
     report = ExperimentReport()
+    test_rows = _test_rows(corpus, config)
     for n in config.train_sizes:
         for seed in config.seeds:
             tag = f"n={n},seed={seed}"
@@ -214,7 +225,8 @@ def run_low_resource_sweep(
             try:
                 sub = subsample_balanced(corpus, n, seed)
                 row = run_single(sub, n, seed, config.augment, config,
-                                 thesaurus=thesaurus, provider=provider, cache=cache)
+                                 thesaurus=thesaurus, provider=provider, cache=cache,
+                                 test_rows=test_rows)
                 report.rows.append(row)
             except (CorpusError, ExperimentError, _translate.TranslationError) as e:
                 log.error("run %s failed: %s", tag, e)
@@ -237,6 +249,7 @@ def run_language_study(
     else:
         base_aug = config.augment
     report = ExperimentReport()
+    test_rows = _test_rows(corpus, config)
     for seed in config.seeds:
         sub = subsample_balanced(corpus, base_n, seed)
         for langs in language_sets:
@@ -245,7 +258,7 @@ def run_language_study(
             try:
                 arm = dataclasses.replace(base_aug, languages=tuple(langs))
                 row = run_single(sub, base_n, seed, arm, config,
-                                 provider=provider, cache=cache)
+                                 provider=provider, cache=cache, test_rows=test_rows)
                 report.rows.append(row)
             except (CorpusError, ExperimentError, _translate.TranslationError) as e:
                 log.error("run %s failed: %s", tag, e)

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from augbench.corpus import Corpus, Document
 from augbench.synth import make_review_corpus
+
+# Properties draw the same examples on every run, so a Tier-1 result does not
+# depend on the run; `database=None` keeps nothing between runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def build_imdb_tree(root, train_pos=2, train_neg=2, test_pos=1, test_neg=1, unsup=0):

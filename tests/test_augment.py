@@ -15,7 +15,40 @@ TABLE1 = "A sad human comedy played out on the back roads of life."
 STOP = bundled_stopwords()
 
 
+def _reference_tokenize(text):
+    """The original per-character tokenizer that `tokenize` must equal."""
+    tokens = []
+    for chunk in text.split():
+        run = ""
+        run_punct = False
+        for c in chunk:
+            p = not c.isalnum() and not c.isspace()
+            if run and p != run_punct:
+                tokens.append(run)
+                run = ""
+            run += c
+            run_punct = p
+        if run:
+            tokens.append(run)
+    return tokens
+
+
 class TestTokenize:
+    @given(st.text())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_reference_char_loop(self, text):
+        assert tokenize(text) == _reference_tokenize(text)
+
+    @pytest.mark.parametrize("text", [
+        "snake_case_word", "__init__", "a_", "_", "a _ b",  # `_` is punctuation
+        "cafe\u0301 ok", "\u0301a", "a\u0301\u0301!",      # combining acute accent
+        "\u0130stanbul \u0130", "\u0130\u0307",                # dotted capital I
+        "\u0663\u0664 \u0967\u0968 \uff11\uff12 \u00b2\u00bd",     # non-ASCII digits, numerics
+        "x\u00a0y\u2003z\u3000w", "tab\tnew\nline\x1fsep",   # Unicode whitespace, US separator
+    ])
+    def test_explicit_cases_equal_reference(self, text):
+        assert tokenize(text) == _reference_tokenize(text)
+
     def test_sentence(self):
         assert tokenize("A sad human comedy.") == ["A", "sad", "human", "comedy", "."]
 

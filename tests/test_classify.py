@@ -1,11 +1,24 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from augbench.augment import AugmentSpec
 from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
-                               TrainConfig, evaluate, featurize, import_predictions,
+                               TrainConfig, _sigmoid, evaluate, feature_row,
+                               feature_rows, featurize, import_predictions,
                                predict, predict_corpus, train)
 from augbench.corpus import Corpus, Document
+from augbench.experiment import ExperimentConfig, run_low_resource_sweep
 from augbench.synth import make_review_corpus
+
+# Recorded before featurization and scoring were rewritten; they pin the
+# hashing, the feature order, the SGD updates and the summation order.
+SWEEP_REPORT_SHA256 = "4f461dbfdf89a9e3f6ee892a1c7a31db9dd841c5444b966ce797c5f1b3196332"
+TRAIN_WEIGHTS_SHA256 = "80447136852c589440a23158f9285016fc6c01fdf6a499b17888f0a3bf3df9e8"
 
 
 def _toy_corpus(n=20):
@@ -35,12 +48,21 @@ class TestFeaturize:
         f = featurize("some longer text with more tokens", bits=10)
         assert all(0 <= i < 1024 for i in f)
 
+    def test_hash_and_emission_order_fixed(self):
+        def index(gram, bits=18):
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+            return int.from_bytes(digest, "big") % (1 << bits)
+
+        grams = ["the", "the film", "film", "film ,", ",", ", the", "the", "the end", "end"]
+        f = featurize("The film, the END")
+        assert list(f) == list(dict.fromkeys(index(g) for g in grams))
+        assert f[index("the")] == 2
+
     def test_collision_rate_near_birthday_bound(self):
         # ~100k distinct types into 2^18 buckets: expected distinct buckets
         # n_buckets * (1 - (1 - 1/n_buckets)^n_types)
         bits, n_types = 18, 100_000
-        from augbench.classify import _hash_ngram
-        buckets = {_hash_ngram(f"type{i}", bits) for i in range(n_types)}
+        buckets = {i for k in range(n_types) for i in featurize(f"type{k}", bits)}
         n_buckets = 1 << bits
         expected = n_buckets * (1 - (1 - 1 / n_buckets) ** n_types)
         assert abs(len(buckets) - expected) / expected < 0.01
@@ -114,6 +136,64 @@ class TestPredict:
         assert predict(model, "some fixed text") == predict(model, "some fixed text")
 
 
+def _reference_predict(model, text):
+    """The original scalar loop: bias, then each w[i]*count left to right."""
+    score = model.bias
+    for idx, cnt in featurize(text, model.config.bits).items():
+        score += model.weights[idx] * cnt
+    return _sigmoid(score)
+
+
+class TestBitExactness:
+    @pytest.fixture
+    def random_model(self):
+        # Magnitudes from 1e-8 to 1 keep scores off the saturated ends of the
+        # sigmoid while making any change in summation order show in the last
+        # bits of most probabilities.
+        bits = 12
+        rng = np.random.default_rng(7)
+        weights = rng.standard_normal(1 << bits) * 10.0 ** rng.integers(-8, 1, 1 << bits)
+        return LinearModel(weights=weights, bias=float(rng.standard_normal()),
+                           config=TrainConfig(bits=bits))
+
+    def test_predict_equals_scalar_loop(self, random_model, micro_corpus):
+        texts = [d.text for d in micro_corpus] + ["", "a", "good good good bad"]
+        for text in texts:
+            assert predict(random_model, text) == _reference_predict(random_model, text)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_predict_corpus_equals_scalar_loop(self, random_model, micro_corpus, shared):
+        docs = micro_corpus.split_docs("test")
+        rows = (feature_rows((d.text for d in docs), random_model.config.bits)
+                if shared else None)
+        table = predict_corpus(random_model, micro_corpus, "s", rows=rows)
+        assert len(table) == len(docs)
+        for d in docs:
+            assert table.get(d.id, "s") == _reference_predict(random_model, d.text)
+
+    def test_feature_row_follows_featurize_order(self):
+        text = "one two three two one"
+        idx, vals = feature_row(text, 10)
+        f = featurize(text, 10)
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        assert idx.tolist() == list(f) and vals.tolist() == list(f.values())
+
+    def test_train_weights_match_recorded_digest(self, micro_corpus):
+        model = train(micro_corpus, TrainConfig(bits=14))
+        assert hashlib.sha256(model.weights.tobytes()).hexdigest() == TRAIN_WEIGHTS_SHA256
+        assert model.bias == -0.0559042355159757
+
+    def test_sweep_report_matches_recorded_digest(self, micro_corpus, tmp_path):
+        config = ExperimentConfig(
+            train_sizes=[40, 100], seeds=[0, 1],
+            augment=AugmentSpec(technique="sr", alpha=0.1, copies_per_original=2))
+        report = run_low_resource_sweep(config, micro_corpus)
+        assert not report.failures
+        report.write_csv(tmp_path / "report.csv")
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == SWEEP_REPORT_SHA256
+
+
 class TestPredictionTable:
     def test_out_of_range_rejected(self):
         t = PredictionTable()
@@ -135,6 +215,33 @@ class TestPredictionTable:
         back = import_predictions(path, "s")
         assert back.get("a", "s") == 1 / 3
         assert back.get("b", "s") == 0.1234567890123456
+
+
+    def test_plain_ids_written_unquoted(self, tmp_path):
+        t = PredictionTable()
+        t.add("test/pos/1.txt", "s", 0.25)
+        t.to_csv(tmp_path / "p.csv", "s")
+        assert (tmp_path / "p.csv").read_bytes() == b"doc_id,p_positive\ntest/pos/1.txt,0.25\n"
+
+    def test_predict_corpus_csv_round_trip(self, tmp_path):
+        corp = make_review_corpus(n_train=20, n_test=6, seed=0)
+        table = predict_corpus(train(corp, TrainConfig(bits=10)), corp, "s")
+        table.to_csv(tmp_path / "p.csv", "s")
+        back = import_predictions(tmp_path / "p.csv", "s")
+        assert [(d, back.get(d, "s")) for d in back.doc_ids()] == \
+            [(d, table.get(d, "s")) for d in table.doc_ids()]
+
+    @given(st.dictionaries(st.text(), st.floats(min_value=0.0, max_value=1.0), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_round_trip_any_ids(self, rows):
+        t = PredictionTable()
+        for doc_id, p in rows.items():
+            t.add(doc_id, "s", p)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            t.to_csv(path, "s")
+            back = import_predictions(path, "s")
+        assert [(d, back.get(d, "s")) for d in back.doc_ids()] == list(rows.items())
 
 
 class TestImportPredictions:

@@ -151,3 +151,18 @@ class TestRunCommand:
         assert report[0].startswith("n,technique,languages,k,seed")
         assert len(report) == 1 + 3 + 1  # header + 3 runs + 1 median
         assert (out_dir / "timings.csv").exists()
+
+    def test_failed_runs_exit_nonzero_after_writing_report(self, runner, tmp_path):
+        corp_path = tmp_path / "corpus.jsonl"
+        export_jsonl(make_review_corpus(n_train=10, n_test=4, seed=0), corp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("train_sizes: [50]\nseeds: [0, 1]\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--in", str(corp_path),
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert "FAILED n=50,seed=0" in result.output
+        assert "FAILED n=50,seed=1" in result.output
+        report = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert report == ["n,technique,languages,k,seed,subsample,accuracy,error,"
+                          "frac_confident,pred_std"]
