@@ -233,9 +233,10 @@ class AugmentSpec:
             raise AugmentError(f"{self.technique.value} does not take languages")
 
 
-def derive_seed(base_seed: int, doc_id: str, copy: int) -> int:
-    """Per-document RNG stream, stable under corpus growth."""
-    h = hashlib.sha256(f"{base_seed}|{doc_id}|{copy}".encode("utf-8")).digest()
+def derive_seed(*parts) -> int:
+    """A 64-bit seed from the "|"-joined parts, e.g. (base seed, doc id, copy):
+    per-document RNG streams, stable under corpus growth."""
+    h = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(h[:8], "big")
 
 

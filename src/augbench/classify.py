@@ -7,14 +7,12 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .augment import tokenize
 from .corpus import Corpus
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 
 class ClassifyError(Exception):
@@ -63,14 +61,14 @@ class TrainConfig:
     l2: float = 1e-6
     seed: int = 0
 
+    def __post_init__(self):
+        if self.lr_decay not in ("linear", "constant"):
+            raise ClassifyError(f"lr_decay must be 'linear' or 'constant', got {self.lr_decay!r}")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "TrainConfig":
         with open(path, encoding="utf-8") as fh:
             return cls(**json.load(fh))
-
-    @classmethod
-    def default(cls) -> "TrainConfig":
-        return cls.from_json(_DATA_DIR / "classifier_default.json")
 
 
 @dataclass
@@ -183,41 +181,47 @@ def evaluate(model: LinearModel, corpus: Corpus, split: str = "test") -> float:
 
 
 class PredictionTable:
-    """Per-document, per-source probabilities of the positive class."""
+    """Per-document, per-source probabilities of the positive class.
+
+    One column per source, in the order sources were first added; each maps
+    document ids, in the order they were first added, to probabilities.
+    """
 
     def __init__(self):
-        self._rows: dict[tuple[str, str], float] = {}
-        self._sources: list[str] = []
+        self._columns: dict[str, dict[str, float]] = {}
 
     def add(self, doc_id: str, source_id: str, p_positive: float) -> None:
         if not 0.0 <= p_positive <= 1.0:
             raise ClassifyError(
                 f"probability out of range for ({doc_id!r}, {source_id!r}): {p_positive}"
             )
-        if source_id not in self._sources:
-            self._sources.append(source_id)
-        self._rows[(doc_id, source_id)] = p_positive
+        self._columns.setdefault(source_id, {})[doc_id] = p_positive
 
     @property
     def sources(self) -> list[str]:
-        return list(self._sources)
+        return list(self._columns)
 
     def get(self, doc_id: str, source_id: str) -> Optional[float]:
-        return self._rows.get((doc_id, source_id))
+        return self._columns.get(source_id, {}).get(doc_id)
 
-    def doc_ids(self, source_id: Optional[str] = None) -> list[str]:
-        seen: dict[str, None] = {}
-        for (d, s) in self._rows:
-            if source_id is None or s == source_id:
-                seen.setdefault(d)
-        return list(seen)
+    def doc_ids(self, source_id: str) -> list[str]:
+        return list(self._columns.get(source_id, ()))
+
+    def matrix(self, doc_ids: Sequence[str], sources: Sequence[str]) -> np.ndarray:
+        """Float64 doc x source array of probabilities, NaN where one is missing."""
+        out = np.empty((len(doc_ids), len(sources)))
+        for j, source in enumerate(sources):
+            column = self._columns.get(source, {})
+            out[:, j] = [column.get(d, np.nan) for d in doc_ids]
+        return out
 
     def merge(self, other: "PredictionTable") -> None:
-        for (d, s), p in other._rows.items():
-            self.add(d, s, p)
+        for s, column in other._columns.items():
+            for d, p in column.items():
+                self.add(d, s, p)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(len(column) for column in self._columns.values())
 
     def to_csv(self, path: str | Path, source_id: str) -> None:
         """One source to `doc_id,p_positive` CSV; full-precision probabilities.
@@ -231,8 +235,8 @@ class PredictionTable:
             # "\r" ends a row on reading, so ids holding one are quoted here.
             quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
             writer.writerow(("doc_id", "p_positive"))
-            for d in self.doc_ids(source_id):
-                (quoting if "\r" in d else writer).writerow((d, self._rows[(d, source_id)]))
+            for d, p in self._columns.get(source_id, {}).items():
+                (quoting if "\r" in d else writer).writerow((d, p))
 
 
 def feature_rows(texts: Iterable[str], bits: int) -> dict[str, FeatureRow]:

@@ -22,29 +22,39 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "AUGBENCH_API_KEY"
 
 
-def _build_provider(provider: str, endpoint: str | None, rps: float, max_retries: int,
-                    seed: int):
+def _translation_options(command):
+    """The provider and cache options of the commands that backtranslate."""
+    for option in reversed((
+        click.option("--provider", type=click.Choice(["http", "mock", "replay"]),
+                     default="mock", show_default=True),
+        click.option("--endpoint", help="Translation endpoint URL (http provider)."),
+        click.option("--rps", type=float, default=10.0, show_default=True),
+        click.option("--max-retries", type=int, default=3, show_default=True),
+        click.option("--cache", "cache_path", type=click.Path(dir_okay=False)),
+    )):
+        command = option(command)
+    return command
+
+
+def _translation(provider: str, endpoint: str | None, rps: float, max_retries: int,
+                 cache_path: str | None, seed: int):
+    """The translation provider, and a cache pre-seeded with the paper's examples."""
     if provider == "mock":
-        return _translate.MockProvider(seed=seed)
-    if provider == "replay":
-        return _translate.ReplayProvider()
-    if provider == "http":
+        translator = _translate.MockProvider(seed=seed)
+    elif provider == "replay":
+        translator = _translate.ReplayProvider()
+    else:
         if not endpoint:
             raise click.UsageError("--endpoint is required with --provider http")
-        return _translate.HttpProvider(
+        translator = _translate.HttpProvider(
             endpoint=endpoint,
             api_key=os.environ.get(API_KEY_ENV),
             rate_limit=rps,
             max_retries=max_retries,
         )
-    raise click.UsageError(f"unknown provider {provider!r}")
-
-
-def _open_cache(path: str | None, preseed_paper: bool = True) -> _translate.TranslationCache:
-    cache = _translate.TranslationCache(path)
-    if preseed_paper:
-        cache.load(_translate.paper_cache_path())
-    return cache
+    cache = _translate.TranslationCache(cache_path)
+    cache.load(_translate.paper_cache_path())
+    return translator, cache
 
 
 @click.group()
@@ -77,12 +87,7 @@ def ingest(imdb_dir: str, out: str):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--thesaurus", "thesaurus_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--stopwords", "stopwords_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--provider", type=click.Choice(["http", "mock", "replay"]), default="mock",
-              show_default=True)
-@click.option("--endpoint", help="Translation endpoint URL (http provider).")
-@click.option("--rps", type=float, default=10.0, show_default=True)
-@click.option("--max-retries", type=int, default=3, show_default=True)
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False))
+@_translation_options
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path,
@@ -107,41 +112,12 @@ def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path
                  if thesaurus_path else _augment.bundled_thesaurus())
     translator = cache = None
     if spec.technique is _augment.AugTechnique.BACKTRANSLATE:
-        translator = _build_provider(provider, endpoint, rps, max_retries, seed)
-        cache = _open_cache(cache_path)
+        translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path, seed)
     run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
                                    translator=translator, cache=cache)
     _corpus.export_jsonl(run.corpus, out_path)
     click.echo(f"generated {run.generated} synthetic documents "
                f"({run.unmodified} unmodified, {len(run.skipped)} skipped)")
-
-
-@main.command()
-@click.option("--langs", required=True, help="Comma-separated pivot languages.")
-@click.option("--provider", type=click.Choice(["http", "mock", "replay"]), default="mock",
-              show_default=True)
-@click.option("--endpoint", help="Translation endpoint URL (http provider).")
-@click.option("--rps", type=float, default=10.0, show_default=True)
-@click.option("--max-retries", type=int, default=3, show_default=True)
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False))
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def backtranslate(langs, provider, endpoint, rps, max_retries, cache_path, seed,
-                  in_path, out_path):
-    """Generate one backtranslated copy per (train document, language)."""
-    corp = _corpus.ingest_jsonl(in_path)
-    spec = _augment.AugmentSpec(
-        technique="bt",
-        languages=tuple(l for l in langs.split(",") if l),
-        seed=seed,
-    )
-    translator = _build_provider(provider, endpoint, rps, max_retries, seed)
-    cache = _open_cache(cache_path)
-    run = _augment.augment_dataset(corp, spec, translator=translator, cache=cache)
-    _corpus.export_jsonl(run.corpus, out_path)
-    click.echo(f"generated {run.generated} backtranslations "
-               f"({len(run.skipped)} skipped)")
 
 
 @main.command()
@@ -151,7 +127,7 @@ def backtranslate(langs, provider, endpoint, rps, max_retries, cache_path, seed,
 def train(config_path, in_path, model_out):
     """Train the built-in hashed-ngram logistic regression classifier."""
     config = (_classify.TrainConfig.from_json(config_path)
-              if config_path else _classify.TrainConfig.default())
+              if config_path else _classify.TrainConfig())
     corp = _corpus.ingest_jsonl(in_path)
     model = _classify.train(corp, config)
     model.save(model_out)
@@ -305,12 +281,7 @@ def analyze_probe(model_path, template, out_path):
               required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--provider", type=click.Choice(["http", "mock", "replay"]), default="mock",
-              show_default=True)
-@click.option("--endpoint")
-@click.option("--rps", type=float, default=10.0, show_default=True)
-@click.option("--max-retries", type=int, default=3, show_default=True)
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False))
+@_translation_options
 def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cache_path):
     """Run a low-resource sweep described by a YAML experiment config.
 
@@ -320,9 +291,8 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     corp = _corpus.ingest_jsonl(in_path)
     translator = cache = None
     if config.augment and config.augment.technique is _augment.AugTechnique.BACKTRANSLATE:
-        translator = _build_provider(provider, endpoint, rps, max_retries,
-                                     config.augment.seed)
-        cache = _open_cache(cache_path)
+        translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path,
+                                         config.augment.seed)
     report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
                                                 cache=cache)
     out = Path(out_dir)

@@ -65,16 +65,14 @@ def tta_generate(
     languages: Sequence[str],
     provider,
     cache: Optional[_translate.TranslationCache] = None,
-    splits: Sequence[str] = ("test", "valid"),
 ) -> Corpus:
     """Append one backtranslated variant per (Test/Valid document, language)."""
     if not languages:
         raise EnsembleError("tta_generate needs a nonempty language list")
-    wanted = set(splits)
     variants: list[Document] = []
     skipped = 0
     for doc in corpus:
-        if doc.split not in wanted or not doc.is_original:
+        if doc.split not in ("test", "valid") or not doc.is_original:
             continue
         for lang in languages:
             try:
@@ -98,11 +96,12 @@ def tta_generate(
 
 def _pred_matrix(preds: PredictionTable, sources: Sequence[str],
                  doc_ids: Sequence[str]) -> np.ndarray:
-    gaps = [(d, s) for d in doc_ids for s in sources if preds.get(d, s) is None]
-    if gaps:
-        shown = ", ".join(f"({d!r}, {s!r})" for d, s in gaps[:10])
+    mat = preds.matrix(doc_ids, sources)
+    gaps = np.argwhere(np.isnan(mat))
+    if len(gaps):
+        shown = ", ".join(f"({doc_ids[i]!r}, {sources[j]!r})" for i, j in gaps[:10])
         raise EnsembleError(f"missing predictions for {len(gaps)} (doc, source) pairs: {shown}")
-    return np.array([[preds.get(d, s) for s in sources] for d in doc_ids], dtype=np.float64)
+    return mat
 
 
 def combine(preds: PredictionTable, weights: SimplexWeights,
@@ -136,12 +135,13 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str],
     if len(sources) < 2:
         raise EnsembleError("weight fitting needs at least 2 sources")
     doc_ids = [d for d in preds.doc_ids(sources[0]) if d in labels]
-    doc_ids = [d for d in doc_ids
-               if all(preds.get(d, s) is not None for s in sources)]
-    if not doc_ids:
+    mat = preds.matrix(doc_ids, sources)
+    covered = ~np.isnan(mat).any(axis=1)
+    if not covered.any():
         raise EnsembleError("no labeled documents covered by all sources")
-    mat = _pred_matrix(preds, sources, doc_ids)
-    y = np.array([1.0 if labels[d] == "pos" else 0.0 for d in doc_ids])
+    mat = mat[covered]
+    y = np.array([1.0 if labels[d] == "pos" else 0.0
+                  for d, c in zip(doc_ids, covered) if c])
 
     def loss(w: np.ndarray) -> float:
         return log_loss(mat @ w, y)

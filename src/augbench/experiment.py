@@ -50,27 +50,45 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
+        """Load a YAML config.  Absent keys take the dataclass defaults; an
+        unknown key at the top level, under `augment:` or under `classifier:`
+        raises ExperimentError.  YAML `copies` is `copies_per_original`."""
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        aug = None
+            raw = _known_keys(yaml.safe_load(fh) or {}, _TOP_KEYS, path, None)
         if raw.get("augment"):
-            a = dict(raw["augment"])
-            aug = AugmentSpec(
-                technique=AugTechnique(a["technique"]),
-                alpha=a.get("alpha", 0.1),
-                copies_per_original=a.get("copies", 1),
-                languages=tuple(a.get("languages", ())),
-                language_strategy=a.get("language_strategy", "all"),
-                seed=a.get("seed", 0),
-            )
-        clf = TrainConfig(**raw["classifier"]) if raw.get("classifier") else TrainConfig()
-        return cls(
-            train_sizes=list(raw.get("train_sizes", [50, 500, 1000, 2000, 5000, 10000])),
-            seeds=list(raw.get("seeds", [0, 1, 2])),
-            augment=aug,
-            classifier=clf,
-            valid_frac=raw.get("valid_frac", 0.1),
-        )
+            a = _known_keys(raw["augment"], _AUGMENT_KEYS, path, "augment")
+            if "technique" not in a:
+                raise ExperimentError(f"{path}: augment needs a technique")
+            if "languages" in a:
+                a["languages"] = tuple(a["languages"])
+            raw["augment"] = AugmentSpec(**{_AUGMENT_KEYS[k]: v for k, v in a.items()})
+        else:
+            raw["augment"] = None
+        if raw.get("classifier"):
+            raw["classifier"] = TrainConfig(**_known_keys(raw["classifier"], _CLASSIFIER_KEYS,
+                                                          path, "classifier"))
+        else:
+            raw.pop("classifier", None)
+        return cls(**raw)
+
+
+_TOP_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+_CLASSIFIER_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+# YAML key -> AugmentSpec field
+_AUGMENT_KEYS = {"technique": "technique", "alpha": "alpha", "copies": "copies_per_original",
+                 "languages": "languages", "language_strategy": "language_strategy",
+                 "seed": "seed"}
+
+
+def _known_keys(raw, known, path, section: Optional[str]) -> dict:
+    """A copy of the mapping `raw` from a config section, checked to hold only `known` keys."""
+    where = f"under {section}:" if section else "at the top level"
+    if not isinstance(raw, dict):
+        raise ExperimentError(f"{path}: expected a mapping {where}")
+    for key in raw:
+        if key not in known:
+            raise ExperimentError(f"{path}: unknown key {key!r} {where}")
+    return dict(raw)
 
 
 @dataclass
@@ -208,6 +226,38 @@ def run_single(
     )
 
 
+def _sweep(
+    config: ExperimentConfig,
+    corpus: Corpus,
+    sizes: Sequence[int],
+    arms: Sequence[tuple[str, Optional[AugmentSpec]]],
+    thesaurus: Optional[Thesaurus],
+    provider,
+    cache,
+) -> ExperimentReport:
+    """Every (tag suffix, augmentation) arm at each n and seed, all arms of an
+    (n, seed) sharing one subsample; a failed run is recorded, not raised."""
+    report = ExperimentReport()
+    test_rows = _test_rows(corpus, config)
+    for n in sizes:
+        for seed in config.seeds:
+            sub = None
+            for suffix, arm in arms:
+                tag = f"n={n},seed={seed}{suffix}"
+                t0 = time.monotonic()
+                try:
+                    if sub is None:
+                        sub = subsample_balanced(corpus, n, seed)
+                    report.rows.append(run_single(sub, n, seed, arm, config,
+                                                  thesaurus=thesaurus, provider=provider,
+                                                  cache=cache, test_rows=test_rows))
+                except (CorpusError, ExperimentError, _translate.TranslationError) as e:
+                    log.error("run %s failed: %s", tag, e)
+                    report.failures.append((tag, str(e)))
+                report.timings.append((tag, time.monotonic() - t0))
+    return report
+
+
 def run_low_resource_sweep(
     config: ExperimentConfig,
     corpus: Corpus,
@@ -216,23 +266,8 @@ def run_low_resource_sweep(
     cache=None,
 ) -> ExperimentReport:
     """The paper protocol: subsample, optionally augment, train, test; median over seeds."""
-    report = ExperimentReport()
-    test_rows = _test_rows(corpus, config)
-    for n in config.train_sizes:
-        for seed in config.seeds:
-            tag = f"n={n},seed={seed}"
-            t0 = time.monotonic()
-            try:
-                sub = subsample_balanced(corpus, n, seed)
-                row = run_single(sub, n, seed, config.augment, config,
-                                 thesaurus=thesaurus, provider=provider, cache=cache,
-                                 test_rows=test_rows)
-                report.rows.append(row)
-            except (CorpusError, ExperimentError, _translate.TranslationError) as e:
-                log.error("run %s failed: %s", tag, e)
-                report.failures.append((tag, str(e)))
-            report.timings.append((tag, time.monotonic() - t0))
-    return report
+    return _sweep(config, corpus, config.train_sizes, [("", config.augment)],
+                  thesaurus, provider, cache)
 
 
 def run_language_study(
@@ -248,23 +283,9 @@ def run_language_study(
         base_aug = AugmentSpec(technique=AugTechnique.BACKTRANSLATE, languages=("es",))
     else:
         base_aug = config.augment
-    report = ExperimentReport()
-    test_rows = _test_rows(corpus, config)
-    for seed in config.seeds:
-        sub = subsample_balanced(corpus, base_n, seed)
-        for langs in language_sets:
-            tag = f"n={base_n},seed={seed},langs={'+'.join(langs)}"
-            t0 = time.monotonic()
-            try:
-                arm = dataclasses.replace(base_aug, languages=tuple(langs))
-                row = run_single(sub, base_n, seed, arm, config,
-                                 provider=provider, cache=cache, test_rows=test_rows)
-                report.rows.append(row)
-            except (CorpusError, ExperimentError, _translate.TranslationError) as e:
-                log.error("run %s failed: %s", tag, e)
-                report.failures.append((tag, str(e)))
-            report.timings.append((tag, time.monotonic() - t0))
-    return report
+    arms = [(f",langs={'+'.join(langs)}", dataclasses.replace(base_aug, languages=tuple(langs)))
+            for langs in language_sets]
+    return _sweep(config, corpus, [base_n], arms, None, provider, cache)
 
 
 @dataclass
@@ -335,33 +356,22 @@ def run_tta_pipeline(
     test_ids = [d.id for d in originals if d.split == "test"]
     if not valid_ids:
         raise ExperimentError("TTA weight fitting needs a valid split")
-    weights = fit_weights(preds, {i: labels[i] for i in valid_ids}, preds.sources)
+    sources = preds.sources
+    weights = fit_weights(preds, {i: labels[i] for i in valid_ids}, sources)
     combined = combine(preds, weights, test_ids)
 
-    valid_losses = {}
-    for s in preds.sources:
-        p = np.array([preds.get(i, s) for i in valid_ids])
-        y = np.array([1.0 if labels[i] == "pos" else 0.0 for i in valid_ids])
-        valid_losses[s] = log_loss(p, y)
-    wvec = np.array([[preds.get(i, s) for s in preds.sources] for i in valid_ids])
-    warr = np.array([weights.weights[s] for s in preds.sources])
-    valid_losses["ensemble"] = log_loss(
-        wvec @ warr,
-        np.array([1.0 if labels[i] == "pos" else 0.0 for i in valid_ids]),
-    )
+    valid = preds.matrix(valid_ids, sources)
+    y = np.array([1.0 if labels[i] == "pos" else 0.0 for i in valid_ids])
+    valid_losses = {s: log_loss(valid[:, j], y) for j, s in enumerate(sources)}
+    valid_losses["ensemble"] = log_loss(valid @ np.array([weights.weights[s] for s in sources]), y)
 
-    all_preds = PredictionTable()
-    all_preds.merge(preds)
-    all_preds.merge(combined)
-    calibration = {
-        s: calibration_report(all_preds, s, labels) for s in all_preds.sources
-    }
-    variance_rows = variance_accuracy_table(all_preds, labels)
+    preds.merge(combined)
+    calibration = {s: calibration_report(preds, s, labels) for s in preds.sources}
     return TtaResult(
-        predictions=all_preds,
+        predictions=preds,
         weights=weights,
         combined=combined,
         calibration=calibration,
-        variance_rows=variance_rows,
+        variance_rows=variance_accuracy_table(preds, labels),
         valid_losses=valid_losses,
     )

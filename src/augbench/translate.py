@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import random
 import threading
 import time
@@ -12,7 +14,9 @@ from typing import Optional, Protocol, runtime_checkable
 
 import requests
 
-from .augment import Thesaurus, bundled_thesaurus
+from .augment import bundled_thesaurus, derive_seed
+
+log = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -64,24 +68,34 @@ class TranslationCache:
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
+        self._torn_at: Optional[int] = None  # size to cut own file to before appending
         if self.path is not None and self.path.exists():
             self.load(self.path)
 
     def load(self, path: str | Path) -> int:
-        """Merge entries from a JSONL cache file (e.g. a pre-seeded cache)."""
+        """Merge entries from a JSONL cache file (e.g. a pre-seeded cache).
+
+        A final line with no newline that does not parse is a `put` cut short
+        by a crash: it is skipped with a warning, and cut off the cache's own
+        file before the next append.  A bad line anywhere else raises CacheError.
+        """
         n = 0
+        size = 0
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
                     try:
-                        obj = json.loads(line)
-                        self._entries[obj["key"]] = obj["result"]
-                    except (json.JSONDecodeError, KeyError) as e:
-                        raise CacheError(f"{path}: bad cache line {lineno}: {e}") from e
-                    n += 1
+                        if line.strip():
+                            obj = json.loads(line)
+                            self._entries[obj["key"]] = obj["result"]
+                            n += 1
+                    except (ValueError, KeyError) as e:
+                        if line.endswith(b"\n"):
+                            raise CacheError(f"{path}: bad cache line {lineno}: {e}") from e
+                        log.warning("%s: skipped torn final cache line %d", path, lineno)
+                        if Path(path) == self.path:
+                            self._torn_at = size
+                    size += len(line)
         except OSError as e:
             raise CacheError(f"cannot read cache {path}: {e}") from e
         return n
@@ -104,6 +118,9 @@ class TranslationCache:
                 "result": result,
             }
             try:
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                     fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
             except OSError as e:
@@ -171,14 +188,14 @@ def backtranslate(
 
 
 class TokenBucket:
-    """Blocking token-bucket rate limiter (refill `rate` tokens/second)."""
+    """Blocking token-bucket rate limiter (refill `rate` tokens/second, burst of one)."""
 
-    def __init__(self, rate: float, burst: float = 1.0, clock=time.monotonic,
-                 sleep=time.sleep):
+    burst = 1.0
+
+    def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self.burst = max(1.0, burst)
         self._tokens = self.burst
         self._last = clock()
         self._clock = clock
@@ -232,7 +249,6 @@ class HttpProvider:
         self._session = session or requests.Session()
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit, sleep=sleep)
-        self.requests_made = 0
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
@@ -245,7 +261,6 @@ class HttpProvider:
         for attempt in range(self.max_retries):
             self._bucket.acquire()
             try:
-                self.requests_made += 1
                 resp = self._session.post(self.endpoint, json=body, timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError) as e:
                 last_err = str(e)
@@ -270,11 +285,6 @@ class HttpProvider:
         )
 
 
-def _stable_hash(*parts) -> int:
-    h = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 class MockProvider:
     """Deterministic offline pseudo-translator for hermetic tests and dry runs.
 
@@ -284,21 +294,18 @@ class MockProvider:
     the rotation.  Fully deterministic in (seed, language, text).
     """
 
-    def __init__(self, seed: int = 0, noise_rate: float = 0.1,
-                 drift_table: Optional[Thesaurus] = None):
+    def __init__(self, seed: int = 0, noise_rate: float = 0.1):
         if not 0.0 <= noise_rate <= 0.25:
             raise ValueError("noise_rate must be in [0, 0.25]")
         self.seed = seed
         self.noise_rate = noise_rate
-        self.drift = drift_table if drift_table is not None else bundled_thesaurus()
+        self.drift = bundled_thesaurus()
         self.provider_id = f"mock:{seed}:{noise_rate}"
-        self.calls = 0
 
     def _rotation(self, lang: str, length: int) -> int:
-        return _stable_hash("rot", lang) % length if length else 0
+        return derive_seed("rot", lang) % length if length else 0
 
     def translate(self, text: str, source: str, target: str) -> str:
-        self.calls += 1
         tokens = text.split()
         if not tokens:
             return text
@@ -308,7 +315,7 @@ class MockProvider:
             out = tokens[r:] + tokens[:r]
             n_subs = int(round(self.noise_rate * len(out)))
             if n_subs:
-                rng = random.Random(_stable_hash(self.seed, lang, text))
+                rng = random.Random(derive_seed(self.seed, lang, text))
                 candidates = [i for i, t in enumerate(out) if t in self.drift]
                 for i in sorted(rng.sample(candidates, min(n_subs, len(candidates)))):
                     out[i] = rng.choice(self.drift.lookup(out[i]))

@@ -228,8 +228,8 @@ class TestPredictionTable:
         table = predict_corpus(train(corp, TrainConfig(bits=10)), corp, "s")
         table.to_csv(tmp_path / "p.csv", "s")
         back = import_predictions(tmp_path / "p.csv", "s")
-        assert [(d, back.get(d, "s")) for d in back.doc_ids()] == \
-            [(d, table.get(d, "s")) for d in table.doc_ids()]
+        assert [(d, back.get(d, "s")) for d in back.doc_ids("s")] == \
+            [(d, table.get(d, "s")) for d in table.doc_ids("s")]
 
     @given(st.dictionaries(st.text(), st.floats(min_value=0.0, max_value=1.0), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -241,7 +241,58 @@ class TestPredictionTable:
             path = Path(tmp) / "p.csv"
             t.to_csv(path, "s")
             back = import_predictions(path, "s")
-        assert [(d, back.get(d, "s")) for d in back.doc_ids()] == list(rows.items())
+        assert [(d, back.get(d, "s")) for d in back.doc_ids("s")] == list(rows.items())
+
+
+class _PairTable:
+    """Reference: probabilities in one dict keyed by (doc, source), in insertion order."""
+
+    def __init__(self):
+        self.rows: dict[tuple[str, str], float] = {}
+        self.sources: list[str] = []
+
+    def add(self, doc_id, source_id, p):
+        if source_id not in self.sources:
+            self.sources.append(source_id)
+        self.rows[(doc_id, source_id)] = p
+
+    def merge(self, other: "_PairTable"):
+        for (d, s), p in other.rows.items():
+            self.add(d, s, p)
+
+    def doc_ids(self, source_id):
+        return [d for d, s in self.rows if s == source_id]
+
+
+_DOCS, _SOURCES = ["a", "b", "c", "d"], ["s1", "s2", "s3"]
+_adds = st.lists(st.tuples(st.sampled_from(_DOCS), st.sampled_from(_SOURCES),
+                           st.floats(min_value=0.0, max_value=1.0)), max_size=8)
+
+
+@given(st.lists(st.one_of(_adds.map(lambda adds: ("add", adds)),
+                          _adds.map(lambda adds: ("merge", adds))), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_prediction_table_matches_pair_reference(ops):
+    table, ref = PredictionTable(), _PairTable()
+    for kind, adds in ops:
+        t, r = (table, ref) if kind == "add" else (PredictionTable(), _PairTable())
+        for d, s, p in adds:
+            t.add(d, s, p)
+            r.add(d, s, p)
+        if kind == "merge":
+            table.merge(t)
+            ref.merge(r)
+    assert table.sources == ref.sources
+    assert len(table) == len(ref.rows)
+    for s in _SOURCES:
+        assert table.doc_ids(s) == ref.doc_ids(s)
+        for d in _DOCS:
+            assert table.get(d, s) == ref.rows.get((d, s))
+    docs = _DOCS + ["missing"]
+    want = np.array([[ref.rows.get((d, s), np.nan) for s in _SOURCES] for d in docs])
+    got = table.matrix(docs, _SOURCES)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
 
 
 class TestImportPredictions:

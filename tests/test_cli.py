@@ -53,13 +53,11 @@ class TestAugmentCommand:
         assert len(synth) == 60
         assert {d.origin.lang for d in synth} == {"es", "fr"}
 
-
-class TestBacktranslateCommand:
-    def test_writes_cache(self, runner, corpus_file, tmp_path):
+    def test_backtranslate_writes_cache(self, runner, corpus_file, tmp_path):
         out = tmp_path / "bt.jsonl"
         cache = tmp_path / "cache.jsonl"
-        _invoke(runner, ["backtranslate", "--langs", "es", "--provider", "mock",
-                         "--cache", str(cache),
+        _invoke(runner, ["augment", "--technique", "bt", "--langs", "es",
+                         "--provider", "mock", "--cache", str(cache),
                          "--in", str(corpus_file), "--out", str(out)])
         assert cache.exists()
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 60  # 2 legs x 30

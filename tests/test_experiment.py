@@ -1,16 +1,25 @@
+import hashlib
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from augbench.augment import AugmentSpec
-from augbench.classify import TrainConfig, import_predictions
+from augbench.classify import ClassifyError, PredictionTable, TrainConfig, import_predictions
 from augbench.experiment import (ExperimentConfig, ExperimentError, ReportRow,
                                  run_language_study, run_low_resource_sweep,
                                  run_tta_pipeline)
 from augbench.corpus import carve_validation
 from augbench.synth import make_review_corpus
-from augbench.translate import MockProvider, TranslationCache
+from augbench.translate import DEFAULT_LANGUAGES, MockProvider, TranslationCache
+
+# Recorded before the prediction table, the sweep loop and the TTA pipeline
+# were rewritten; they pin report rows, prediction order and every TTA output.
+STUDY_REPORT_SHA256 = "eff17ca26f091bd3a781cc908c7efd7196b1e356c77c49d86ea769ca0f83c4a9"
+TTA_MODEL_SHA256 = "8e464b374efd859e7c59001d08676884ccb09dd29966ca2b34ae9cc5ae3b0bc5"
+TTA_IMPORTED_SHA256 = "068031a95979d831e1d6a9dcbcdc842718e91439c94771f4586d8a40f20789dc"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _fast_config(**kwargs):
@@ -84,11 +93,64 @@ class TestLanguageStudy:
             hashes = {r.subsample for r in report.rows if r.seed == seed}
             assert len(hashes) == 1
 
+    def test_report_matches_recorded_digest(self, micro_corpus, tmp_path):
+        report = run_language_study(20, [["es"], ["es", "fr"], ["bn"]], _fast_config(),
+                                    micro_corpus, provider=MockProvider(0),
+                                    cache=TranslationCache())
+        assert not report.failures
+        report.write_csv(tmp_path / "report.csv")
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == STUDY_REPORT_SHA256
+
+    def test_failed_subsample_recorded_per_run(self):
+        corp = make_review_corpus(n_train=10, n_test=4)
+        report = run_language_study(5000, [["es"], ["fr"]], _fast_config(seeds=[0, 1]),
+                                    corp, provider=MockProvider(0))
+        assert report.rows == []
+        assert [tag for tag, _ in report.failures] == [
+            "n=5000,seed=0,langs=es", "n=5000,seed=0,langs=fr",
+            "n=5000,seed=1,langs=es", "n=5000,seed=1,langs=fr"]
+
+
+def _tta_digest(result, tmp_path) -> str:
+    """sha256 over every source's CSV, the written weights and combined CSV, and
+    the valid losses, calibration reports and variance rows in their order."""
+    h = hashlib.sha256()
+    for s in result.predictions.sources:
+        result.predictions.to_csv(tmp_path / "p.csv", s)
+        h.update((tmp_path / "p.csv").read_bytes())
+    result.combined.to_csv(tmp_path / "combined.csv", "ensemble")
+    result.weights.to_json(tmp_path / "weights.json", fitting_set="valid",
+                           loss=result.valid_losses["ensemble"])
+    for name in ("combined.csv", "weights.json"):
+        h.update((tmp_path / name).read_bytes())
+    for part in (result.valid_losses, result.calibration, result.variance_rows):
+        h.update(repr(part).encode("utf-8"))
+    return h.hexdigest()
+
 
 class TestTtaPipeline:
     def _prepared(self):
         corp = make_review_corpus(n_train=60, n_test=30, seed=2)
         return carve_validation(corp, 0.2, seed=0)
+
+    def test_outputs_match_recorded_digest(self, tmp_path):
+        from augbench.classify import train
+        corp = self._prepared()
+        model = train(corp, TrainConfig(bits=12, epochs=2))
+        result = run_tta_pipeline(corp, ["es", "fr"], MockProvider(0), TranslationCache(),
+                                  model=model)
+        assert _tta_digest(result, tmp_path) == TTA_MODEL_SHA256
+
+    def test_imported_outputs_match_recorded_digest(self, tmp_path):
+        corp = self._prepared()
+        base = PredictionTable()
+        for d in corp:
+            if d.split in ("test", "valid"):
+                base.add(d.id, "ulmfit_fwd", 0.9 if d.label == "pos" else 0.1)
+        result = run_tta_pipeline(corp, ["es"], MockProvider(0), TranslationCache(),
+                                  base_preds=base, base_source="ulmfit_fwd")
+        assert _tta_digest(result, tmp_path) == TTA_IMPORTED_SHA256
 
     def test_pipeline_outputs(self):
         from augbench.classify import train
@@ -165,3 +227,48 @@ class TestConfigParsing:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ExperimentError):
             ExperimentConfig(seeds=[])
+
+    @pytest.mark.parametrize("text, key", [
+        ("train_size: [50]\n", "'train_size' at the top level"),
+        ("augment:\n  technique: sr\n  copy: 4\n", "'copy' under augment:"),
+        ("augment:\n  technique: sr\n  copies_per_original: 4\n",
+         "'copies_per_original' under augment:"),
+        ("classifier:\n  bitz: 12\n", "'bitz' under classifier:"),
+    ])
+    def test_unknown_key_names_key_and_file(self, tmp_path, text, key):
+        path = tmp_path / "typo.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ExperimentError, match=f"typo.yaml: unknown key {key}"):
+            ExperimentConfig.from_yaml(path)
+
+    def test_augment_without_technique_rejected(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("augment:\n  alpha: 0.2\n", encoding="utf-8")
+        with pytest.raises(ExperimentError, match="technique"):
+            ExperimentConfig.from_yaml(path)
+
+    def test_unknown_lr_decay_rejected(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("classifier:\n  lr_decay: cosine\n", encoding="utf-8")
+        with pytest.raises(ClassifyError, match="cosine"):
+            ExperimentConfig.from_yaml(path)
+
+    def test_empty_file_gives_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("", encoding="utf-8")
+        assert ExperimentConfig.from_yaml(path) == ExperimentConfig()
+
+    def test_shipped_configs_load_unchanged(self):
+        # the objects these files loaded to before loading became strict
+        sizes = [50, 500, 1000, 2000, 5000, 10000]
+        base = dict(train_sizes=sizes, seeds=[0, 1, 2], valid_frac=0.1)
+        want = {
+            "low_resource_baseline.yaml": ExperimentConfig(**base),
+            "low_resource_eda.yaml": ExperimentConfig(**base, augment=AugmentSpec(
+                technique="sr", alpha=0.1, copies_per_original=4)),
+            "low_resource_backtranslate.yaml": ExperimentConfig(**base, augment=AugmentSpec(
+                technique="bt", languages=DEFAULT_LANGUAGES, language_strategy="all")),
+        }
+        assert sorted(p.name for p in CONFIGS.glob("*.yaml")) == sorted(want)
+        for name, config in want.items():
+            assert ExperimentConfig.from_yaml(CONFIGS / name) == config

@@ -53,6 +53,33 @@ class TestCache:
         with pytest.raises(CacheError, match="bad.jsonl"):
             TranslationCache(path)
 
+    def test_torn_final_line_skipped_and_repaired(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        c = TranslationCache(path)
+        c.put("a", "en", "es", "p", "x", "y")
+        c.put("b", "en", "es", "p", "u", "v")
+        path.write_bytes(path.read_bytes()[:-10])  # a put cut short by a kill
+        torn = TranslationCache(path)
+        assert len(torn) == 1 and torn.get("a") == "y"
+        assert "torn final cache line 2" in caplog.text
+        torn.put("c", "en", "es", "p", "w", "z")
+        final = TranslationCache(path)
+        assert len(final) == 2 and final.get("c") == "z"
+
+    def test_torn_multibyte_character_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        TranslationCache(path).put("a", "en", "es", "p", "x", "\u00e9t\u00e9")
+        data = path.read_bytes()
+        path.write_bytes(data[:data.index("\u00e9".encode("utf-8")) + 1])
+        assert len(TranslationCache(path)) == 0
+
+    def test_bad_line_before_the_last_still_fails(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        TranslationCache(path).put("a", "en", "es", "p", "x", "y")
+        path.write_bytes(b"{not json}\n" + path.read_bytes())
+        with pytest.raises(CacheError, match="bad cache line 1"):
+            TranslationCache(path)
+
     def test_key_includes_provider(self):
         assert cache_key("p1", "en", "es", "x") != cache_key("p2", "en", "es", "x")
 
