@@ -65,11 +65,6 @@ class TrainConfig:
         if self.lr_decay not in ("linear", "constant"):
             raise ClassifyError(f"lr_decay must be 'linear' or 'constant', got {self.lr_decay!r}")
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
-
 
 @dataclass
 class LinearModel:
@@ -168,18 +163,6 @@ def predictor(model: LinearModel) -> Callable[[str], float]:
     return lambda text: predict(model, text)
 
 
-def evaluate(model: LinearModel, corpus: Corpus, split: str = "test") -> float:
-    """Accuracy at threshold 0.5 on a labeled split."""
-    docs = [d for d in corpus.split_docs(split) if d.label in ("pos", "neg")]
-    if not docs:
-        raise ClassifyError(f"no labeled documents in split {split!r}")
-    correct = sum(
-        1 for d in docs
-        if (predict(model, d.text) >= 0.5) == (d.label == "pos")
-    )
-    return correct / len(docs)
-
-
 class PredictionTable:
     """Per-document, per-source probabilities of the positive class.
 
@@ -250,14 +233,13 @@ def feature_rows(texts: Iterable[str], bits: int) -> dict[str, FeatureRow]:
 
 def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,
                    splits: Iterable[str] = ("test",),
-                   table: Optional[PredictionTable] = None,
                    rows: Optional[Mapping[str, FeatureRow]] = None) -> PredictionTable:
     """Score every document in `splits`.
 
     `rows` may hold feature rows built with `model.config.bits` and keyed by
     text (see `feature_rows`); a text without one is featurized here.
     """
-    table = table if table is not None else PredictionTable()
+    table = PredictionTable()
     rows = rows if rows is not None else {}
     wanted = set(splits)
     for d in corpus:

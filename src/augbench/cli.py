@@ -120,14 +120,23 @@ def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path
                f"({run.unmodified} unmodified, {len(run.skipped)} skipped)")
 
 
+def _run_config(path: str) -> _experiment.ExperimentConfig:
+    """A run YAML; an unknown key or a rejected value is a usage error naming it."""
+    try:
+        return _experiment.ExperimentConfig.from_yaml(path)
+    except (_experiment.ExperimentError, _augment.AugmentError,
+            _classify.ClassifyError) as e:
+        raise click.BadParameter(str(e), param_hint="--config") from e
+
+
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+              help="Run YAML; only its classifier: section is used.")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--model-out", type=click.Path(dir_okay=False), required=True)
 def train(config_path, in_path, model_out):
     """Train the built-in hashed-ngram logistic regression classifier."""
-    config = (_classify.TrainConfig.from_json(config_path)
-              if config_path else _classify.TrainConfig())
+    config = _run_config(config_path).classifier if config_path else _classify.TrainConfig()
     corp = _corpus.ingest_jsonl(in_path)
     model = _classify.train(corp, config)
     model.save(model_out)
@@ -287,7 +296,7 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
 
     Exits with status 1, after writing the report, if any run failed.
     """
-    config = _experiment.ExperimentConfig.from_yaml(config_path)
+    config = _run_config(config_path)
     corp = _corpus.ingest_jsonl(in_path)
     translator = cache = None
     if config.augment and config.augment.technique is _augment.AugTechnique.BACKTRANSLATE:

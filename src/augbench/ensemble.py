@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .classify import PredictionTable
-from .corpus import Corpus, Document, Origin
+from .corpus import Corpus
 from . import translate as _translate
 
 log = logging.getLogger(__name__)
@@ -65,11 +65,12 @@ def tta_generate(
     languages: Sequence[str],
     provider,
     cache: Optional[_translate.TranslationCache] = None,
-) -> Corpus:
-    """Append one backtranslated variant per (Test/Valid document, language)."""
+) -> dict[tuple[str, str], str]:
+    """Round-trip text of each (Test/Valid original id, language) pair, in corpus
+    then language order; a pair whose round trip failed is left out."""
     if not languages:
         raise EnsembleError("tta_generate needs a nonempty language list")
-    variants: list[Document] = []
+    variants: dict[tuple[str, str], str] = {}
     skipped = 0
     for doc in corpus:
         if doc.split not in ("test", "valid") or not doc.is_original:
@@ -82,16 +83,10 @@ def tta_generate(
                 skipped += 1
                 log.warning("tta: skipped %s via %s: %s", doc.id, lang, e)
                 continue
-            variants.append(Document(
-                id=f"{doc.id}#tta[{lang}]",
-                text=rec.final_text,
-                label=doc.label,
-                split=doc.split,
-                origin=Origin(kind="synthetic", technique="bt", lang=lang, parent=doc.id),
-            ))
+            variants[(doc.id, lang)] = rec.final_text
     if skipped:
         log.warning("tta: %d variants skipped", skipped)
-    return corpus.with_documents(variants)
+    return variants
 
 
 def _pred_matrix(preds: PredictionTable, sources: Sequence[str],
@@ -209,17 +204,3 @@ def calibration_report(preds: PredictionTable, source: str,
             ]))
     return CalibrationReport(frac_confident=frac_confident, pred_std=pred_std,
                              accuracy=accuracy)
-
-
-def variance_accuracy_table(preds: PredictionTable,
-                            labels: Mapping[str, str]) -> list[tuple[str, float, float]]:
-    """(source_id, pred_std, accuracy) rows sorted by source_id, for scatter plotting."""
-    rows = []
-    for source in sorted(preds.sources):
-        rep = calibration_report(preds, source, labels)
-        if rep.accuracy is None:
-            continue
-        rows.append((source, rep.pred_std, rep.accuracy))
-    if not rows:
-        raise EnsembleError("no labeled sources")
-    return rows

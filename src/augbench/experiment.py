@@ -18,8 +18,7 @@ from .classify import (FeatureRow, LinearModel, PredictionTable, TrainConfig,
                        feature_rows, predict, predict_corpus, train)
 from .corpus import Corpus, CorpusError, carve_validation, subsample_balanced
 from .ensemble import (CalibrationReport, SimplexWeights, calibration_report,
-                       combine, fit_weights, log_loss, tta_generate,
-                       variance_accuracy_table)
+                       combine, fit_weights, log_loss, tta_generate)
 from . import translate as _translate
 
 log = logging.getLogger(__name__)
@@ -293,8 +292,7 @@ class TtaResult:
     predictions: PredictionTable
     weights: SimplexWeights
     combined: PredictionTable
-    calibration: dict[str, CalibrationReport]
-    variance_rows: list[tuple[str, float, float]]
+    calibration: dict[str, CalibrationReport]  # every source, with accuracy
     valid_losses: dict[str, float]
 
 
@@ -308,7 +306,7 @@ def run_tta_pipeline(
     base_source: str = "baseline",
 ) -> TtaResult:
     """Backtranslate test/valid docs, predict per variant, fit weights on valid,
-    combine on test, and emit calibration/variance diagnostics.
+    combine on test, and report each source's calibration.
 
     Predictions come either from the built-in `model` or an imported
     `base_preds` table that already covers originals (variants then reuse the
@@ -316,40 +314,28 @@ def run_tta_pipeline(
     """
     if model is None and base_preds is None:
         raise ExperimentError("run_tta_pipeline needs a model or imported predictions")
-    augmented = tta_generate(corpus, languages, provider, cache)
+    variants = tta_generate(corpus, languages, provider, cache)
 
     preds = PredictionTable()
-    originals = [d for d in augmented
-                 if d.is_original and d.split in ("test", "valid")]
+    originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
     for d in originals:
         if base_preds is not None:
-            p = base_preds.get(d.id, base_source)
-            if p is None:
+            parent = base_preds.get(d.id, base_source)
+            if parent is None:
                 raise ExperimentError(f"imported predictions missing document {d.id!r}")
         else:
-            p = predict(model, d.text)
-        preds.add(d.id, base_source, p)
-
-    variant_text: dict[tuple[str, str], str] = {}
-    for d in augmented:
-        if d.origin.kind == "synthetic" and d.origin.technique == "bt" and "#tta[" in d.id:
-            variant_text[(d.origin.parent, d.origin.lang)] = d.text
-
-    for lang in languages:
-        source = f"tta:{lang}"
-        for d in originals:
-            imported = base_preds.get(d.id, source) if base_preds is not None else None
-            text = variant_text.get((d.id, lang))
-            if imported is not None:
-                preds.add(d.id, source, imported)
-            elif text is not None and model is not None:
-                preds.add(d.id, source, predict(model, text))
-            else:
-                # skipped translation or no per-variant source: fall back to
-                # the parent's own prediction
+            parent = predict(model, d.text)
+        preds.add(d.id, base_source, parent)
+        for lang in languages:
+            source = f"tta:{lang}"
+            p = base_preds.get(d.id, source) if base_preds is not None else None
+            if p is None and model is not None and (d.id, lang) in variants:
+                p = predict(model, variants[(d.id, lang)])
+            if p is None:  # nothing imported, and no model or a skipped round trip
                 log.warning("tta: no %s prediction for %s; using parent prediction",
                             lang, d.id)
-                preds.add(d.id, source, preds.get(d.id, base_source))
+                p = parent
+            preds.add(d.id, source, p)
 
     labels = {d.id: d.label for d in originals}
     valid_ids = [d.id for d in originals if d.split == "valid"]
@@ -372,6 +358,5 @@ def run_tta_pipeline(
         weights=weights,
         combined=combined,
         calibration=calibration,
-        variance_rows=variance_accuracy_table(preds, labels),
         valid_losses=valid_losses,
     )

@@ -68,7 +68,8 @@ class TranslationCache:
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
-        self._torn_at: Optional[int] = None  # size to cut own file to before appending
+        # (size to cut the own file to, text to write first) before the next append
+        self._tail: Optional[tuple[int, str]] = None
         if self.path is not None and self.path.exists():
             self.load(self.path)
 
@@ -77,13 +78,17 @@ class TranslationCache:
 
         A final line with no newline that does not parse is a `put` cut short
         by a crash: it is skipped with a warning, and cut off the cache's own
-        file before the next append.  A bad line anywhere else raises CacheError.
+        file before the next append.  One that parses is kept, and the next
+        append to the own file ends it first.  A bad line anywhere else raises
+        CacheError.
         """
         n = 0
         size = 0
+        tail = None
         try:
             with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
+                    size += len(line)
                     try:
                         if line.strip():
                             obj = json.loads(line)
@@ -93,11 +98,14 @@ class TranslationCache:
                         if line.endswith(b"\n"):
                             raise CacheError(f"{path}: bad cache line {lineno}: {e}") from e
                         log.warning("%s: skipped torn final cache line %d", path, lineno)
-                        if Path(path) == self.path:
-                            self._torn_at = size
-                    size += len(line)
+                        tail = (size - len(line), "")
+                        continue
+                    if not line.endswith(b"\n"):
+                        tail = (size, "\n")
         except OSError as e:
             raise CacheError(f"cannot read cache {path}: {e}") from e
+        if tail is not None and Path(path) == self.path:
+            self._tail = tail
         return n
 
     def get(self, key: str) -> Optional[str]:
@@ -117,12 +125,15 @@ class TranslationCache:
                 "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 "result": result,
             }
+            line = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
             try:
-                if self._torn_at is not None:
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
+                if self._tail is not None:
+                    size, first = self._tail
+                    os.truncate(self.path, size)
+                    line = first + line
                 with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                    fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+                    fh.write(line)
+                self._tail = None
             except OSError as e:
                 raise CacheError(f"cannot append to cache {self.path}: {e}") from e
 

@@ -3,6 +3,7 @@ from hypothesis import settings
 
 from augbench.corpus import Corpus, Document
 from augbench.synth import make_review_corpus
+from augbench.translate import MockProvider, PermanentTranslationError
 
 # Properties draw the same examples on every run, so a Tier-1 result does not
 # depend on the run; `database=None` keeps nothing between runs.
@@ -41,3 +42,17 @@ def small_corpus():
 @pytest.fixture
 def micro_corpus():
     return make_review_corpus(n_train=200, n_test=60, seed=1)
+
+
+class _PivotDownProvider(MockProvider):
+    """MockProvider whose every round trip through French fails."""
+
+    def translate(self, text, source, target):
+        if "fr" in (source, target):
+            raise PermanentTranslationError("fr backend down")
+        return super().translate(text, source, target)
+
+
+@pytest.fixture
+def fr_down_provider():
+    return _PivotDownProvider(0)

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from augbench.augment import AugmentSpec
 from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
-                               TrainConfig, _sigmoid, evaluate, feature_row,
+                               TrainConfig, _sigmoid, feature_row,
                                feature_rows, featurize, import_predictions,
                                predict, predict_corpus, train)
 from augbench.corpus import Corpus, Document
+from augbench.ensemble import calibration_report
 from augbench.experiment import ExperimentConfig, run_low_resource_sweep
 from augbench.synth import make_review_corpus
 
@@ -121,7 +122,9 @@ class TestTrain:
     def test_synthetic_corpus_learnable(self):
         corp = make_review_corpus(n_train=200, n_test=100, seed=3)
         model = train(corp, TrainConfig(bits=14))
-        assert evaluate(model, corp, "test") >= 0.9
+        labels = {d.id: d.label for d in corp.split_docs("test")}
+        preds = predict_corpus(model, corp, "s")
+        assert calibration_report(preds, "s", labels).accuracy >= 0.9
 
 
 class TestPredict:

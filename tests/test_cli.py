@@ -1,8 +1,10 @@
 import json
 
 import pytest
+import numpy as np
 from click.testing import CliRunner
 
+from augbench.classify import TrainConfig, train
 from augbench.cli import main
 from augbench.corpus import export_jsonl, ingest_jsonl
 from augbench.synth import make_review_corpus
@@ -73,6 +75,31 @@ class TestTrainPredict:
         lines = preds.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "doc_id,p_positive"
         assert len(lines) == 11  # header + 10 test docs
+
+
+    def test_config_takes_classifier_section_of_run_yaml(self, runner, corpus_file,
+                                                          tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seeds: [4]\nclassifier: {bits: 12, epochs: 2}\n", encoding="utf-8")
+        _invoke(runner, ["train", "--config", str(cfg), "--in", str(corpus_file),
+                         "--model-out", str(tmp_path / "cli.npz")])
+        train(ingest_jsonl(corpus_file), TrainConfig(bits=12, epochs=2)).save(
+            tmp_path / "api.npz")
+        cli, api = np.load(tmp_path / "cli.npz"), np.load(tmp_path / "api.npz")
+        assert sorted(cli.files) == sorted(api.files)
+        for name in api.files:
+            assert cli[name].tobytes() == api[name].tobytes(), name
+
+    def test_config_typo_fails_naming_key(self, runner, corpus_file, tmp_path):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text("classifier: {bits: 12, epoch: 2}\n", encoding="utf-8")
+        model = tmp_path / "model.npz"
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--in", str(corpus_file),
+                                      "--model-out", str(model)])
+        assert result.exit_code != 0
+        assert "unknown key 'epoch' under classifier:" in result.output
+        assert "typo.yaml" in result.output
+        assert not model.exists()
 
 
 class TestEnsembleCommands:

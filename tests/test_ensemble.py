@@ -7,7 +7,7 @@ from augbench.classify import PredictionTable
 from augbench.corpus import Corpus, Document
 from augbench.ensemble import (CalibrationReport, EnsembleError, SimplexWeights,
                                calibration_report, combine, fit_weights, log_loss,
-                               tta_generate, variance_accuracy_table)
+                               tta_generate)
 from augbench.synth import make_review_corpus
 from augbench.translate import MockProvider, TranslationCache
 
@@ -195,35 +195,12 @@ class TestCalibrationReport:
         assert r1.pred_std == pytest.approx(r2.pred_std, abs=1e-12)
 
 
-class TestVarianceAccuracyTable:
-    def test_single_source_row(self):
-        t = _table([("a", "s", 0.9), ("b", "s", 0.1)])
-        rows = variance_accuracy_table(t, {"a": "pos", "b": "neg"})
-        assert len(rows) == 1 and rows[0][0] == "s"
-
-    def test_rows_match_calibration_report(self):
-        rng = random.Random(6)
-        t, labels = _random_table(rng, 40, 3)
-        rows = variance_accuracy_table(t, labels)
-        for source, std, acc in rows:
-            rep = calibration_report(t, source, labels)
-            assert std == rep.pred_std
-            assert acc == rep.accuracy
-
-    def test_sorted_by_source(self):
-        rng = random.Random(7)
-        t, labels = _random_table(rng, 10, 4)
-        rows = variance_accuracy_table(t, labels)
-        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-
-
 class TestTtaGenerate:
     def test_variant_counts(self):
         corp = make_review_corpus(n_train=4, n_test=10)
         langs = [f"l{i}" for i in range(7)]
         out = tta_generate(corp, langs, MockProvider(0), TranslationCache())
-        variants = [d for d in out if d.origin.kind == "synthetic"]
-        assert len(variants) == 70
+        assert len(out) == 70
 
     def test_empty_language_list_rejected(self):
         corp = make_review_corpus(n_train=2, n_test=2)
@@ -233,10 +210,13 @@ class TestTtaGenerate:
     def test_parents_resolve_to_test_or_valid_originals(self):
         corp = make_review_corpus(n_train=4, n_test=6)
         out = tta_generate(corp, ["es", "fr"], MockProvider(0), TranslationCache())
-        for d in out:
-            if d.origin.kind != "synthetic":
-                continue
-            parent = out.get(d.origin.parent)
-            assert parent.is_original
-            assert parent.split in ("test", "valid")
-            assert parent.label == d.label
+        parents = [d.id for d in corp if d.is_original and d.split in ("test", "valid")]
+        assert list(out) == [(i, lang) for i in parents for lang in ("es", "fr")]
+
+    def test_failed_round_trips_left_out_and_warned(self, fr_down_provider, caplog):
+        corp = make_review_corpus(n_train=4, n_test=6)
+        out = tta_generate(corp, ["es", "fr"], fr_down_provider, TranslationCache())
+        parents = [d.id for d in corp.split_docs("test")]
+        assert list(out) == [(i, "es") for i in parents]
+        skipped = [r for r in caplog.records if r.getMessage().startswith("tta: skipped")]
+        assert len(skipped) == len(parents) == 6

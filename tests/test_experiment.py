@@ -114,7 +114,8 @@ class TestLanguageStudy:
 
 def _tta_digest(result, tmp_path) -> str:
     """sha256 over every source's CSV, the written weights and combined CSV, and
-    the valid losses, calibration reports and variance rows in their order."""
+    the valid losses, calibration reports and (source, pred_std, accuracy) rows
+    sorted by source, in their order."""
     h = hashlib.sha256()
     for s in result.predictions.sources:
         result.predictions.to_csv(tmp_path / "p.csv", s)
@@ -124,7 +125,9 @@ def _tta_digest(result, tmp_path) -> str:
                            loss=result.valid_losses["ensemble"])
     for name in ("combined.csv", "weights.json"):
         h.update((tmp_path / name).read_bytes())
-    for part in (result.valid_losses, result.calibration, result.variance_rows):
+    variance_rows = [(s, rep.pred_std, rep.accuracy)
+                     for s, rep in sorted(result.calibration.items())]
+    for part in (result.valid_losses, result.calibration, variance_rows):
         h.update(repr(part).encode("utf-8"))
     return h.hexdigest()
 
@@ -183,6 +186,18 @@ class TestTtaPipeline:
         for d in result.combined.doc_ids("ensemble"):
             assert result.combined.get(d, "ensemble") == pytest.approx(
                 result.predictions.get(d, "baseline"))
+
+    def test_skipped_variant_takes_parent_prediction(self, fr_down_provider):
+        from augbench.classify import train
+        corp = self._prepared()
+        model = train(corp, TrainConfig(bits=12, epochs=2))
+        result = run_tta_pipeline(corp, ["es", "fr"], fr_down_provider, TranslationCache(),
+                                  model=model)
+        preds = result.predictions
+        ids = preds.doc_ids("baseline")
+        assert preds.doc_ids("tta:fr") == ids
+        assert all(preds.get(d, "tta:fr") == preds.get(d, "baseline") for d in ids)
+        assert any(preds.get(d, "tta:es") != preds.get(d, "baseline") for d in ids)
 
     def test_requires_model_or_predictions(self):
         with pytest.raises(ExperimentError):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -17,9 +18,29 @@ assert hasattr(classify, "predictor")
 """
 
 
-def test_benchmark_tracer_installs():
+def _run_with_perfbench(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
-    result = subprocess.run([sys.executable, "-c", _CHECK], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_benchmark_tracer_installs():
+    result = _run_with_perfbench(_CHECK)
     assert result.returncode == 0, result.stderr
+
+
+# The tta-analyze warm cache is written through `TranslationCache.put`, so its
+# recorded digest also pins the cache's on-disk format.
+_GENERATE = """
+import json, sys
+from gen import generate
+print(json.dumps(generate("tta-analyze", 0, sys.argv[1])))
+"""
+
+
+def test_benchmark_inputs_match_recorded_digests(tmp_path):
+    result = _run_with_perfbench(_GENERATE, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+    assert json.loads(result.stdout) == golden["tta-analyze"]["0"]["inputs"]

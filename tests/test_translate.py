@@ -66,6 +66,16 @@ class TestCache:
         final = TranslationCache(path)
         assert len(final) == 2 and final.get("c") == "z"
 
+    def test_unterminated_final_line_kept_and_ended(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        TranslationCache(path).put("a", "en", "es", "p", "x", "y")
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a hand-edited file
+        edited = TranslationCache(path)
+        assert len(edited) == 1
+        edited.put("b", "en", "es", "p", "u", "v")
+        final = TranslationCache(path)
+        assert len(final) == 2 and final.get("a") == "y" and final.get("b") == "v"
+
     def test_torn_multibyte_character_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         TranslationCache(path).put("a", "en", "es", "p", "x", "\u00e9t\u00e9")
