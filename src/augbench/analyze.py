@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .ensemble import log_loss
 
 FEATURE_NAMES = ("last", "first", "avg", "max", "min", "len")
 
@@ -102,12 +104,46 @@ class RegressionFit:
         }
 
 
-def _soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def _fit_many(X: np.ndarray, Y: np.ndarray, strengths: Sequence[float], max_sweeps: int,
+              tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """r L1 logistic fits in lockstep: X (r, n, d), Y (r, n) -> W (r, d), B (r,).
+
+    Every fit takes a lone fit's steps and each mean sums only its own unpadded
+    row, so each row is bit-identical to the r=1 call.  Converged fits drop out.
+    """
+    X, Y, lams = (np.asarray(a, dtype=np.float64) for a in (X, Y, strengths))
+    if not np.all(np.isfinite(lams) & (lams >= 0)):
+        raise AnalyzeError(f"l1 strengths must be finite and >= 0, got {np.unique(lams).tolist()}")
+    if any(set(np.unique(y)) != {0.0, 1.0} for y in Y):
+        raise AnalyzeError("targets must contain both classes (0 and 1)")
+    r, n, d = X.shape
+    lips = 0.25 * np.mean(X ** 2, axis=1)  # curvature bound for logistic loss
+    lips = np.where(lips > 0, lips, 0.25).T  # lips[j]: coordinate j of every fit
+    lo, hi = -lams / lips, lams / lips  # soft-threshold band
+    Xt = np.ascontiguousarray(X.transpose(2, 0, 1))
+    W, B, W_out, B_out = np.zeros((d, r)), np.zeros(r), np.zeros((r, d)), np.zeros(r)
+    # neg_z holds -z (negating every update keeps its bits), so exp(neg_z) is exp(-z)
+    neg_z, prod, live = np.zeros((r, n)), np.empty((r, n)), np.arange(r)
+    for _ in range(max_sweeps):
+        delta_b = -(np.add.reduce(1.0 / (1.0 + np.exp(neg_z)) - Y, axis=1) / n) / 0.25
+        B += delta_b
+        neg_z -= delta_b[:, None]
+        W_start = W.copy()
+        for j in range(d):
+            np.multiply(Xt[j], 1.0 / (1.0 + np.exp(neg_z)) - Y, out=prod)
+            x = W[j] - np.add.reduce(prod, axis=1) / n / lips[j]
+            new = x - np.minimum(np.maximum(x, lo[j]), hi[j])  # +0.0 inside the band
+            neg_z -= np.multiply(Xt[j], (new - W[j])[:, None], out=prod)
+            W[j] = new
+        done = np.maximum(np.abs(delta_b), np.abs(W - W_start).max(axis=0, initial=0.0)) < tol
+        if done.any():
+            W_out[live[done]], B_out[live[done]] = W[:, done].T, B[done]
+            live, Y, B, neg_z, prod = (a[~done] for a in (live, Y, B, neg_z, prod))
+            Xt, W, lips, lo, hi = (a[:, ~done] for a in (Xt, W, lips, lo, hi))
+            if not live.size:
+                break
+    W_out[live], B_out[live] = W.T, B
+    return W_out, B_out
 
 
 def fit_l1_logistic(
@@ -121,41 +157,12 @@ def fit_l1_logistic(
     """L1-penalized logistic regression by proximal coordinate descent.
 
     Minimizes mean logistic loss + l1_strength * sum(|w|) (intercept
-    unpenalized) with soft-thresholding updates, so irrelevant coefficients
-    land on literal zeros.  Deterministic: fixed coordinate order, fixed
-    sweep cap.
+    unpenalized, l1_strength finite and >= 0) with soft-thresholding updates,
+    so irrelevant coefficients land on literal zeros.  Deterministic: fixed
+    coordinate order, fixed sweep cap.  The r=1 case of `_fit_many`.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if set(np.unique(y)) != {0.0, 1.0}:
-        raise AnalyzeError("targets must contain both classes (0 and 1)")
-    n, d = X.shape
-    # curvature bound for logistic loss: 0.25 * mean(x_j^2)
-    lips = 0.25 * np.mean(X ** 2, axis=0)
-    lips = np.where(lips > 0, lips, 0.25)
-
-    w = np.zeros(d)
-    b = 0.0
-    z = np.zeros(n)
-    for _ in range(max_sweeps):
-        p = 1.0 / (1.0 + np.exp(-z))
-        delta_b = -float(np.mean(p - y)) / 0.25
-        b += delta_b
-        z += delta_b
-        max_change = abs(delta_b)
-        for j in range(d):
-            p = 1.0 / (1.0 + np.exp(-z))
-            grad = float(np.mean(X[:, j] * (p - y)))
-            new_wj = _soft_threshold(w[j] - grad / lips[j], l1_strength / lips[j])
-            delta = new_wj - w[j]
-            if delta != 0.0:
-                z += delta * X[:, j]
-                w[j] = new_wj
-                max_change = max(max_change, abs(delta))
-        if max_change < tol:
-            break
-    return RegressionFit(coefficients=w, intercept=b, l1_strength=l1_strength,
-                         target_kind=target_kind)
+    W, B = _fit_many(np.asarray(X)[None], np.asarray(y)[None], [l1_strength], max_sweeps, tol)
+    return RegressionFit(W[0], float(B[0]), l1_strength, target_kind)
 
 
 def cross_validate_l1(
@@ -170,31 +177,28 @@ def cross_validate_l1(
     With se_multiplier == 0 the minimizer of the mean held-out loss wins.
     With se_multiplier = k > 0 this applies the k-standard-error rule: among
     penalties whose mean loss is within k standard errors of the minimum,
-    take the largest, trading a little fit for a sparser model.
+    take the largest, trading a little fit for a sparser model.  Grid entries
+    must be finite and >= 0.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    rng = np.random.RandomState(0)
-    order = rng.permutation(n)
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[order] = np.arange(n) % folds
-
-    stats = {}
-    for lam in grid:
-        losses = []
-        for f in range(folds):
-            tr, te = assignment != f, assignment == f
-            if len(np.unique(y[tr])) < 2 or te.sum() == 0:
-                continue
-            fit = fit_l1_logistic(X[tr], y[tr], lam, max_sweeps=300)
-            z = X[te] @ fit.coefficients + fit.intercept
-            p = np.clip(1.0 / (1.0 + np.exp(-z)), 1e-12, 1 - 1e-12)
-            losses.append(float(-np.mean(y[te] * np.log(p) + (1 - y[te]) * np.log(1 - p))))
-        if losses:
-            stats[lam] = (float(np.mean(losses)), float(np.std(losses) / np.sqrt(len(losses))))
-    if not stats:
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    assignment = np.argsort(np.random.RandomState(0).permutation(len(y))) % folds
+    splits = [(assignment != f, assignment == f) for f in range(folds)]
+    splits = [(tr, te) for tr, te in splits if len(np.unique(y[tr])) >= 2 and te.any()]
+    lams = list(dict.fromkeys(grid))
+    if not splits or not lams:
         raise AnalyzeError("cross-validation found no usable fold split")
+    fits = {}  # one lockstep call per training-fold size; padding would change the sums
+    for size in sorted({tr.sum() for tr, _ in splits}):
+        pairs = [(k, lam) for k, (tr, _) in enumerate(splits) if tr.sum() == size for lam in lams]
+        W, B = _fit_many(np.stack([X[splits[k][0]] for k, _ in pairs]),
+                         np.stack([y[splits[k][0]] for k, _ in pairs]),
+                         [lam for _, lam in pairs], max_sweeps=300, tol=1e-10)
+        fits.update(zip(pairs, zip(W, B)))
+    stats = {}
+    for lam in lams:
+        losses = [log_loss(1.0 / (1.0 + np.exp(-(X[te] @ fits[k, lam][0] + fits[k, lam][1]))),
+                           y[te]) for k, (_, te) in enumerate(splits)]
+        stats[lam] = (float(np.mean(losses)), float(np.std(losses) / np.sqrt(len(losses))))
     best = min(stats, key=lambda lam: stats[lam][0])
     if se_multiplier <= 0:
         return best

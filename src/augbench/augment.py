@@ -220,8 +220,9 @@ class AugmentSpec:
     stopwords: frozenset[str] = field(default_factory=bundled_stopwords)
 
     def __post_init__(self):
-        self.technique = AugTechnique(self.technique)
-        self.language_strategy = LanguageStrategy(self.language_strategy)
+        self.technique = _member(AugTechnique, self.technique, "technique")
+        self.language_strategy = _member(LanguageStrategy, self.language_strategy,
+                                         "language_strategy")
         if not 0.0 <= self.alpha <= 1.0:
             raise AugmentError(f"alpha must be in [0,1], got {self.alpha}")
         if self.copies_per_original < 1:
@@ -231,6 +232,15 @@ class AugmentSpec:
                 raise AugmentError("backtranslation requires a nonempty language list")
         elif self.languages:
             raise AugmentError(f"{self.technique.value} does not take languages")
+
+
+def _member(enum, value, name: str):
+    """`enum(value)`; an AugmentError naming the value and the legal ones otherwise."""
+    try:
+        return enum(value)
+    except ValueError:
+        legal = ", ".join(member.value for member in enum)
+        raise AugmentError(f"unknown {name} {value!r}; expected one of: {legal}") from None
 
 
 def derive_seed(*parts) -> int:

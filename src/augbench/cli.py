@@ -261,8 +261,11 @@ def analyze_regress(model_path, in_path, splits, target, l1_strength, out_path):
     else:
         y = np.array([1.0 if predict_fn(d.text) >= 0.5 else 0.0 for d in docs])
         target_kind = "model_prediction"
-    lam = l1_strength if l1_strength is not None else _analyze.cross_validate_l1(X, y)
-    fit = _analyze.fit_l1_logistic(X, y, lam, target_kind=target_kind)
+    try:
+        lam = l1_strength if l1_strength is not None else _analyze.cross_validate_l1(X, y)
+        fit = _analyze.fit_l1_logistic(X, y, lam, target_kind=target_kind)
+    except _analyze.AnalyzeError as e:
+        raise click.ClickException(str(e)) from e
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

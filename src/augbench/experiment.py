@@ -13,8 +13,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import yaml
 
-from .augment import AugmentSpec, AugTechnique, Thesaurus, bundled_thesaurus, derive_seed
-from .classify import (FeatureRow, LinearModel, PredictionTable, TrainConfig,
+from .augment import (AugmentError, AugmentSpec, AugTechnique, Thesaurus, bundled_thesaurus,
+                      derive_seed)
+from .classify import (ClassifyError, FeatureRow, LinearModel, PredictionTable, TrainConfig,
                        feature_rows, predict, predict_corpus, train)
 from .corpus import Corpus, CorpusError, carve_validation, subsample_balanced
 from .ensemble import (CalibrationReport, SimplexWeights, calibration_report,
@@ -50,25 +51,33 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
         """Load a YAML config.  Absent keys take the dataclass defaults; an
-        unknown key at the top level, under `augment:` or under `classifier:`
-        raises ExperimentError.  YAML `copies` is `copies_per_original`."""
+        unknown key at the top level, under `augment:` or under `classifier:`,
+        `train_sizes` or `seeds` not a list of integers, or `augment.languages`
+        not a list of strings raises ExperimentError; a value a section
+        rejects raises that section's error.  Every message names the file.
+        YAML `copies` is `copies_per_original`."""
         with open(path, encoding="utf-8") as fh:
             raw = _known_keys(yaml.safe_load(fh) or {}, _TOP_KEYS, path, None)
+        for key in ("train_sizes", "seeds"):
+            if key in raw:
+                _list_of(raw[key], int, "integers", path, key)
         if raw.get("augment"):
             a = _known_keys(raw["augment"], _AUGMENT_KEYS, path, "augment")
             if "technique" not in a:
                 raise ExperimentError(f"{path}: augment needs a technique")
             if "languages" in a:
-                a["languages"] = tuple(a["languages"])
-            raw["augment"] = AugmentSpec(**{_AUGMENT_KEYS[k]: v for k, v in a.items()})
+                a["languages"] = tuple(_list_of(a["languages"], str, "strings", path,
+                                                "augment.languages"))
+            raw["augment"] = _build(path, AugmentSpec,
+                                    **{_AUGMENT_KEYS[k]: v for k, v in a.items()})
         else:
             raw["augment"] = None
         if raw.get("classifier"):
-            raw["classifier"] = TrainConfig(**_known_keys(raw["classifier"], _CLASSIFIER_KEYS,
-                                                          path, "classifier"))
+            raw["classifier"] = _build(path, TrainConfig, **_known_keys(
+                raw["classifier"], _CLASSIFIER_KEYS, path, "classifier"))
         else:
             raw.pop("classifier", None)
-        return cls(**raw)
+        return _build(path, cls, **raw)
 
 
 _TOP_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -77,6 +86,22 @@ _CLASSIFIER_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 _AUGMENT_KEYS = {"technique": "technique", "alpha": "alpha", "copies": "copies_per_original",
                  "languages": "languages", "language_strategy": "language_strategy",
                  "seed": "seed"}
+
+
+def _build(path, make, **fields):
+    """`make(**fields)`; a value it rejects raises the same error, naming the file."""
+    try:
+        return make(**fields)
+    except (AugmentError, ClassifyError, ExperimentError) as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def _list_of(value, kind: type, what: str, path, key: str) -> list:
+    """`value` from a config if it is a list of `kind` (a bool is no integer)."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in value):
+        raise ExperimentError(f"{path}: {key} must be a list of {what}, got {value!r}")
+    return value
 
 
 def _known_keys(raw, known, path, section: Optional[str]) -> dict:

@@ -1,10 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from augbench.analyze import (AnalyzeError, RATING_POINTS, build_feature_matrix,
+from augbench.analyze import (AnalyzeError, RATING_POINTS, _fit_many, build_feature_matrix,
                               cross_validate_l1, fit_l1_logistic, numeracy_probe,
                               sentence_features, split_sentences, standardize)
+from augbench.classify import TrainConfig, predictor, train
+from augbench.synth import make_review_corpus
 
 
 class TestSplitSentences:
@@ -168,6 +173,177 @@ class TestCrossValidateL1:
         plain = cross_validate_l1(X, y, grid=grid)
         conservative = cross_validate_l1(X, y, grid=grid, se_multiplier=2.0)
         assert conservative >= plain
+
+
+class TestL1Validation:
+    @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_strength_rejected(self, lam):
+        X, y = _make_last_only_data(np.random.RandomState(7), n=40)
+        with pytest.raises(AnalyzeError, match="l1 strength"):
+            fit_l1_logistic(X, y, lam)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("-inf")])
+    def test_bad_grid_entry_rejected(self, bad):
+        X, y = _make_last_only_data(np.random.RandomState(7), n=40)
+        with pytest.raises(AnalyzeError, match="l1 strength"):
+            cross_validate_l1(X, y, grid=(0.01, bad))
+
+    def test_negative_zero_is_zero(self):
+        X, y = _make_last_only_data(np.random.RandomState(8), n=40)
+        a, b = fit_l1_logistic(X, y, -0.0), fit_l1_logistic(X, y, 0.0)
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+
+
+# -- the per-fit scalar loop the lockstep solver replaced, kept as the reference --
+
+def _reference_soft_threshold(x, t):
+    if x > t:
+        return x - t
+    if x < -t:
+        return x + t
+    return 0.0
+
+
+def _reference_fit(X, y, l1_strength, max_sweeps=1000, tol=1e-10):
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    lips = 0.25 * np.mean(X ** 2, axis=0)
+    lips = np.where(lips > 0, lips, 0.25)
+    w = np.zeros(d)
+    b = 0.0
+    z = np.zeros(n)
+    for _ in range(max_sweeps):
+        p = 1.0 / (1.0 + np.exp(-z))
+        delta_b = -float(np.mean(p - y)) / 0.25
+        b += delta_b
+        z += delta_b
+        max_change = abs(delta_b)
+        for j in range(d):
+            p = 1.0 / (1.0 + np.exp(-z))
+            grad = float(np.mean(X[:, j] * (p - y)))
+            new_wj = _reference_soft_threshold(w[j] - grad / lips[j], l1_strength / lips[j])
+            delta = new_wj - w[j]
+            if delta != 0.0:
+                z += delta * X[:, j]
+                w[j] = new_wj
+                max_change = max(max_change, abs(delta))
+        if max_change < tol:
+            break
+    return w, b
+
+
+def _reference_cv(X, y, grid, folds=5, se_multiplier=0.0):
+    n = len(y)
+    order = np.random.RandomState(0).permutation(n)
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = np.arange(n) % folds
+    stats = {}
+    for lam in grid:
+        losses = []
+        for f in range(folds):
+            tr, te = assignment != f, assignment == f
+            if len(np.unique(y[tr])) < 2 or te.sum() == 0:
+                continue
+            w, b = _reference_fit(X[tr], y[tr], lam, max_sweeps=300)
+            z = X[te] @ w + b
+            p = np.clip(1.0 / (1.0 + np.exp(-z)), 1e-12, 1 - 1e-12)
+            losses.append(float(-np.mean(y[te] * np.log(p) + (1 - y[te]) * np.log(1 - p))))
+        if losses:
+            stats[lam] = (float(np.mean(losses)), float(np.std(losses) / np.sqrt(len(losses))))
+    best = min(stats, key=lambda lam: stats[lam][0])
+    if se_multiplier <= 0:
+        return best
+    threshold = stats[best][0] + se_multiplier * stats[best][1]
+    return max(lam for lam in stats if stats[lam][0] <= threshold)
+
+
+# n straddles numpy's pairwise-sum edges: 8-element unrolling and 128-element blocks
+_EDGE_N = st.sampled_from([6, 7, 8, 9, 16, 17, 127, 128, 129, 130, 136, 160, 161, 257])
+
+
+def _design(seed, n, d, constant_col, scale):
+    """Standardized-looking features and noisy targets; both classes guaranteed."""
+    rng = np.random.RandomState(seed)
+    X = rng.randn(n, d) * scale
+    if constant_col:
+        X[:, rng.randint(d)] = 0.0
+    y = (X[:, 0] + 0.8 * rng.randn(n) > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    return X, y
+
+
+def _same_fit(fit, reference):
+    w, b = reference
+    return fit.coefficients.tobytes() == w.tobytes() and fit.intercept.hex() == b.hex()
+
+
+class TestLockstepMatchesReference:
+    @given(seed=st.integers(0, 2**31 - 1), n=st.one_of(_EDGE_N, st.integers(6, 300)),
+           d=st.integers(1, 8), constant_col=st.booleans(),
+           scale=st.sampled_from([0.3, 1.0, 4.0]),
+           lam=st.sampled_from([0.0, 1e-4, 0.01, 0.05, 0.3, 5.0]),
+           max_sweeps=st.sampled_from([0, 1, 2, 7, 1000]))
+    @settings(max_examples=60, deadline=None)
+    def test_fit_bit_identical(self, seed, n, d, constant_col, scale, lam, max_sweeps):
+        X, y = _design(seed, n, d, constant_col, scale)
+        fit = fit_l1_logistic(X, y, lam, max_sweeps=max_sweeps)
+        assert _same_fit(fit, _reference_fit(X, y, lam, max_sweeps=max_sweeps))
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.one_of(_EDGE_N, st.integers(6, 200)),
+           d=st.integers(1, 6), r=st.integers(2, 7), max_sweeps=st.sampled_from([3, 60, 300]))
+    @settings(max_examples=25, deadline=None)
+    def test_lockstep_rows_match_lone_fits(self, seed, n, d, r, max_sweeps):
+        # different data, strengths and convergence sweeps per row, so rows freeze apart
+        designs = [_design(seed + i, n, d, i % 3 == 0, 1.0 + i) for i in range(r)]
+        lams = [(0.0, 1e-3, 0.02, 0.1, 0.5, 2.0, 1e-4)[i] for i in range(r)]
+        W, B = _fit_many(np.stack([X for X, _ in designs]), np.stack([y for _, y in designs]),
+                         lams, max_sweeps, 1e-10)
+        for i, ((X, y), lam) in enumerate(zip(designs, lams)):
+            w, b = _reference_fit(X, y, lam, max_sweeps=max_sweeps)
+            assert W[i].tobytes() == w.tobytes() and float(B[i]).hex() == b.hex(), i
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.one_of(_EDGE_N, st.integers(10, 160)),
+           d=st.integers(1, 6), folds=st.integers(2, 6), constant_col=st.booleans(),
+           grid=st.lists(st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.05, 0.2, 1.0]),
+                         min_size=1, max_size=5),
+           se_multiplier=st.sampled_from([0.0, 0.5, 2.0]))
+    @example(seed=1, n=83, d=6, folds=5, constant_col=False, grid=[0.0, 0.01, 0.0, 0.01],
+             se_multiplier=1.0)
+    @settings(max_examples=25, deadline=None)
+    def test_cross_validation_identical(self, seed, n, d, folds, constant_col, grid,
+                                        se_multiplier):
+        X, y = _design(seed, n, d, constant_col, 1.0)
+        got = cross_validate_l1(X, y, grid=grid, folds=folds, se_multiplier=se_multiplier)
+        want = _reference_cv(X, y, grid, folds, se_multiplier)
+        assert float(got).hex() == float(want).hex()
+
+
+def _regression_digests():
+    """sha256 of the fit JSON `augbench analyze regress` writes, with the strength
+    cross-validated, for both targets on one fixed design (83 rows: 83 % 5 != 0)."""
+    corp = make_review_corpus(n_train=120, n_test=83, seed=11)
+    model = train(corp, TrainConfig(bits=12, epochs=2))
+    predict_fn = predictor(model)
+    docs = list(corp.split_docs("test"))
+    X, _, _ = standardize(build_feature_matrix([d.text for d in docs], predict_fn))
+    targets = {"true_label": np.array([1.0 if d.label == "pos" else 0.0 for d in docs]),
+               "model_prediction": np.array([1.0 if predict_fn(d.text) >= 0.5 else 0.0
+                                             for d in docs])}
+    digests = {}
+    for kind, y in targets.items():
+        fit = fit_l1_logistic(X, y, cross_validate_l1(X, y), target_kind=kind)
+        text = json.dumps(fit.as_dict(), indent=2, sort_keys=True)
+        digests[kind] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_regression_fits_match_recorded_digests():
+    # recorded with the per-fit scalar loop, before the lockstep solver
+    assert _regression_digests() == {
+        "true_label": "08c999e29badeb2d18e43be3c8aaeb4760fc81ecac0297fab54ed0e31ca4854c",
+        "model_prediction": "91749a9b3c9904d002fb2d59a85a8d20629ffbd324a438e79be2cc7134b6cf99",
+    }
 
 
 class TestNumeracyProbe:

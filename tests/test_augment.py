@@ -230,6 +230,17 @@ class TestAugmentSpec:
         with pytest.raises(AugmentError):
             AugmentSpec(technique="rs", alpha=1.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(technique="foo"),
+         "unknown technique 'foo'; expected one of: sr, ri, rs, rd, bt"),
+        (dict(technique="bt", languages=("es",), language_strategy="rr"),
+         "unknown language_strategy 'rr'; expected one of: all, roundrobin"),
+    ])
+    def test_unknown_enum_value_names_legal_ones(self, kwargs, message):
+        with pytest.raises(AugmentError) as info:
+            AugmentSpec(**kwargs)
+        assert str(info.value) == message
+
 
 class TestAugmentDataset:
     def test_bt_all_languages_counts(self):

@@ -102,6 +102,27 @@ class TestTrainPredict:
         assert not model.exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("augment, named", [
+        ("{technique: foo}", "unknown technique 'foo'; expected one of: sr, ri, rs, rd, bt"),
+        ("{technique: bt, languages: [es], language_strategy: rr}",
+         "unknown language_strategy 'rr'; expected one of: all, roundrobin"),
+    ])
+    def test_config_bad_enum_value_is_usage_error(self, runner, corpus_file, tmp_path,
+                                                  command, augment, named):
+        cfg = tmp_path / "enum.yaml"
+        cfg.write_text(f"augment: {augment}\n", encoding="utf-8")
+        out = ["--model-out", str(tmp_path / "model.npz")] if command == "train" else [
+            "--out-dir", str(tmp_path / "out")]
+        result = runner.invoke(main, [command, "--config", str(cfg), "--in", str(corpus_file),
+                                      *out])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert "enum.yaml" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "model.npz").exists() and not (tmp_path / "out").exists()
+
+
 class TestEnsembleCommands:
     def _write_preds(self, tmp_path, name, value_fn):
         corp = make_review_corpus(n_train=4, n_test=20, seed=0)
@@ -151,6 +172,15 @@ class TestAnalyzeCommands:
                          "--in", str(corp_path), "--l1", "0.01", "--out", str(regout)])
         fit = json.loads(regout.read_text(encoding="utf-8"))
         assert set(fit["coefficients"]) == {"last", "first", "avg", "max", "min", "len"}
+
+        for bad in ("-1", "nan", "inf"):
+            rejected = tmp_path / "rejected.json"
+            result = runner.invoke(main, ["analyze", "regress", "--model", str(model),
+                                          "--in", str(corp_path), "--l1", bad,
+                                          "--out", str(rejected)])
+            assert result.exit_code != 0, bad
+            assert "l1 strengths must be finite and >= 0" in result.output
+            assert not rejected.exists()
 
         probeout = tmp_path / "probe.csv"
         _invoke(runner, ["analyze", "probe", "--model", str(model),

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augbench.augment import AugmentSpec
+from augbench.augment import AugmentError, AugmentSpec
 from augbench.classify import ClassifyError, PredictionTable, TrainConfig, import_predictions
 from augbench.experiment import (ExperimentConfig, ExperimentError, ReportRow,
                                  run_language_study, run_low_resource_sweep,
@@ -255,6 +255,38 @@ class TestConfigParsing:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ExperimentError, match=f"typo.yaml: unknown key {key}"):
             ExperimentConfig.from_yaml(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("seeds: 3\n", "seeds must be a list of integers, got 3"),
+        ("seeds: [0, x]\n", "seeds must be a list of integers, got [0, 'x']"),
+        ("seeds: [true]\n", "seeds must be a list of integers, got [True]"),
+        ("train_sizes: 50\n", "train_sizes must be a list of integers, got 50"),
+        ("train_sizes: [50, 1.5]\n", "train_sizes must be a list of integers, got [50, 1.5]"),
+        ("augment:\n  technique: bt\n  languages: es\n",
+         "augment.languages must be a list of strings, got 'es'"),
+        ("augment:\n  technique: bt\n  languages: [es, 3]\n",
+         "augment.languages must be a list of strings, got ['es', 3]"),
+    ])
+    def test_wrong_type_names_key_and_file(self, tmp_path, text, message):
+        path = tmp_path / "typed.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ExperimentError) as info:
+            ExperimentConfig.from_yaml(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("augment:\n  technique: foo\n", AugmentError,
+         "unknown technique 'foo'; expected one of: sr, ri, rs, rd, bt"),
+        ("augment:\n  technique: bt\n  languages: [es]\n  language_strategy: rr\n",
+         AugmentError, "unknown language_strategy 'rr'; expected one of: all, roundrobin"),
+        ("seeds: []\n", ExperimentError, "config needs at least one seed"),
+    ])
+    def test_rejected_value_names_file(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error) as info:
+            ExperimentConfig.from_yaml(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_augment_without_technique_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -10,11 +10,21 @@ ROOT = Path(__file__).resolve().parent.parent
 # calls a few more; either fails at run time if a name is gone.  Installing
 # rewrites the package's module namespaces, so it runs in a child process.
 _CHECK = """
+import numpy as np
 from tracing import Tracer
-Tracer().install()
-from augbench import classify, experiment
+tracer = Tracer()
+tracer.install()
+from augbench import analyze, classify, experiment
 assert hasattr(experiment.ExperimentReport, "write_timings")
 assert hasattr(classify, "predictor")
+# the L1 layer keeps its two spans: cross-validation fits its grid in lockstep
+# without calling fit_l1_logistic, then the final fit is one call
+rng = np.random.RandomState(0)
+X = rng.randn(60, 3)
+y = (X[:, 0] + rng.randn(60) > 0).astype(float)
+analyze.fit_l1_logistic(X, y, analyze.cross_validate_l1(X, y))
+names = [span[0] for span in tracer.spans]
+assert names == ["analyze.cross_validate_l1", "analyze.fit_l1_logistic"], names
 """
 
 
