@@ -73,12 +73,14 @@ class LinearModel:
     config: TrainConfig
 
     def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            path,
-            weights=self.weights,
-            bias=np.float64(self.bias),
-            config=json.dumps(asdict(self.config)),
-        )
+        """Write to `path` itself: numpy appends `.npz` to a path but not to a handle."""
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                weights=self.weights,
+                bias=np.float64(self.bias),
+                config=json.dumps(asdict(self.config)),
+            )
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":

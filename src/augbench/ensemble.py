@@ -39,12 +39,14 @@ class SimplexWeights:
         if abs(total - 1.0) > _SIMPLEX_TOL:
             raise EnsembleError(f"weights sum to {total}, expected 1")
 
-    def to_json(self, path: str | Path, fitting_set: str = "", loss: float = float("nan")):
+    def to_json(self, path: str | Path, fitting_set: str = "", loss: Optional[float] = None):
+        """Strict JSON; `loss` is left out when there is none."""
+        out = {"weights": dict(self.weights), "objective": "logloss",
+               "fitting_set": fitting_set}
+        if loss is not None:
+            out["loss"] = loss
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"weights": dict(self.weights), "objective": "logloss",
-                 "fitting_set": fitting_set, "loss": loss},
-                fh, indent=2, sort_keys=True)
+            json.dump(out, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     @classmethod

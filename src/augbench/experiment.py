@@ -1,4 +1,4 @@
-"""Low-resource sweep protocol, language studies, TTA pipeline, and report emission."""
+"""Low-resource sweep protocol, TTA pipeline, and report emission."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,8 +13,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import yaml
 
-from .augment import (AugmentError, AugmentSpec, AugTechnique, Thesaurus, bundled_thesaurus,
-                      derive_seed)
+from .augment import AugmentError, AugmentSpec, AugTechnique, derive_seed
 from .classify import (ClassifyError, FeatureRow, LinearModel, PredictionTable, TrainConfig,
                        feature_rows, predict, predict_corpus, train)
 from .corpus import Corpus, CorpusError, carve_validation, subsample_balanced
@@ -52,40 +51,45 @@ class ExperimentConfig:
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
         """Load a YAML config.  Absent keys take the dataclass defaults; an
         unknown key at the top level, under `augment:` or under `classifier:`,
-        `train_sizes` or `seeds` not a list of integers, or `augment.languages`
-        not a list of strings raises ExperimentError; a value a section
-        rejects raises that section's error.  Every message names the file.
-        YAML `copies` is `copies_per_original`."""
+        or a value whose type does not match its field's (an int, a number, a
+        string, a list of integers or a list of strings; a bool is none of
+        them) raises ExperimentError; a value a section rejects raises that
+        section's error.  Every message names the file.  YAML `copies` is
+        `copies_per_original`."""
         with open(path, encoding="utf-8") as fh:
-            raw = _known_keys(yaml.safe_load(fh) or {}, _TOP_KEYS, path, None)
-        for key in ("train_sizes", "seeds"):
-            if key in raw:
-                _list_of(raw[key], int, "integers", path, key)
+            raw = _section(yaml.safe_load(fh) or {}, cls, _TOP_KEYS, path, None)
         if raw.get("augment"):
-            a = _known_keys(raw["augment"], _AUGMENT_KEYS, path, "augment")
+            a = _section(raw["augment"], AugmentSpec, _AUGMENT_KEYS, path, "augment")
             if "technique" not in a:
                 raise ExperimentError(f"{path}: augment needs a technique")
             if "languages" in a:
-                a["languages"] = tuple(_list_of(a["languages"], str, "strings", path,
-                                                "augment.languages"))
-            raw["augment"] = _build(path, AugmentSpec,
-                                    **{_AUGMENT_KEYS[k]: v for k, v in a.items()})
+                a["languages"] = tuple(a["languages"])
+            raw["augment"] = _build(path, AugmentSpec, **a)
         else:
             raw["augment"] = None
         if raw.get("classifier"):
-            raw["classifier"] = _build(path, TrainConfig, **_known_keys(
-                raw["classifier"], _CLASSIFIER_KEYS, path, "classifier"))
+            raw["classifier"] = _build(path, TrainConfig, **_section(
+                raw["classifier"], TrainConfig, _CLASSIFIER_KEYS, path, "classifier"))
         else:
             raw.pop("classifier", None)
         return _build(path, cls, **raw)
 
 
-_TOP_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-_CLASSIFIER_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-# YAML key -> AugmentSpec field
+# YAML key -> field, per section
+_TOP_KEYS = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)}
+_CLASSIFIER_KEYS = {f.name: f.name for f in dataclasses.fields(TrainConfig)}
 _AUGMENT_KEYS = {"technique": "technique", "alpha": "alpha", "copies": "copies_per_original",
                  "languages": "languages", "language_strategy": "language_strategy",
                  "seed": "seed"}
+# field annotation (a string: annotations are postponed) -> (value type,
+# element type or None, what a value must be)
+_TYPES = {
+    "int": (int, None, "an integer"),
+    "float": ((int, float), None, "a number"),
+    "str": (str, None, "a string"),
+    "list[int]": (list, int, "a list of integers"),
+    "tuple[str, ...]": (list, str, "a list of strings"),
+}
 
 
 def _build(path, make, **fields):
@@ -96,23 +100,31 @@ def _build(path, make, **fields):
         raise type(e)(f"{path}: {e}") from None
 
 
-def _list_of(value, kind: type, what: str, path, key: str) -> list:
-    """`value` from a config if it is a list of `kind` (a bool is no integer)."""
-    if not isinstance(value, list) or not all(
-            isinstance(v, kind) and not isinstance(v, bool) for v in value):
-        raise ExperimentError(f"{path}: {key} must be a list of {what}, got {value!r}")
-    return value
-
-
-def _known_keys(raw, known, path, section: Optional[str]) -> dict:
-    """A copy of the mapping `raw` from a config section, checked to hold only `known` keys."""
+def _section(raw, cls, keys: Mapping[str, str], path, section: Optional[str]) -> dict:
+    """The mapping `raw` from a config section as `cls` field values, checked to
+    hold only `keys` (YAML key -> field) with values of their fields' `_TYPES`."""
     where = f"under {section}:" if section else "at the top level"
     if not isinstance(raw, dict):
         raise ExperimentError(f"{path}: expected a mapping {where}")
-    for key in raw:
-        if key not in known:
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    fields = {}
+    for key, value in raw.items():
+        if key not in keys:
             raise ExperimentError(f"{path}: unknown key {key!r} {where}")
-    return dict(raw)
+        check = _TYPES.get(types[keys[key]])
+        if check and not _typed(value, check[0], check[1]):
+            name = f"{section}.{key}" if section else key
+            raise ExperimentError(f"{path}: {name} must be {check[2]}, got {value!r}")
+        fields[keys[key]] = value
+    return fields
+
+
+def _typed(value, kind, item) -> bool:
+    """`value` is a `kind` (a bool is no number) and, unless `item` is None,
+    each of its elements an `item`."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return item is None or all(_typed(v, item, None) for v in value)
 
 
 @dataclass
@@ -198,40 +210,31 @@ def _arm_fields(spec: Optional[AugmentSpec]) -> tuple[str, str, int]:
     return spec.technique.value, langs, k
 
 
-def _test_rows(corpus: Corpus, config: ExperimentConfig) -> dict[str, FeatureRow]:
-    """Feature rows of the test split that every run of a sweep is scored on."""
-    return feature_rows((d.text for d in corpus.split_docs("test")), config.classifier.bits)
-
-
 def run_single(
     subsampled: Corpus,
     n: int,
     seed: int,
-    aug_spec: Optional[AugmentSpec],
     config: ExperimentConfig,
-    thesaurus: Optional[Thesaurus] = None,
-    provider=None,
-    cache=None,
-    test_rows: Optional[Mapping[str, FeatureRow]] = None,
+    provider,
+    cache,
+    test_rows: Mapping[str, FeatureRow],
 ) -> ReportRow:
-    """Train and evaluate one (N, augmentation arm, seed) run on a prepared subsample.
+    """Train and evaluate one (N, seed) run of `config.augment` on a prepared subsample.
 
     `test_rows` are feature rows of the test split keyed by text, built once
     per sweep with the classifier's bits (`feature_rows`) and shared by its runs.
     """
+    # Imported per call: perfbench/child.py replaces augment.augment_dataset on the module.
     from .augment import augment_dataset
 
     sub_hash = _subsample_hash(subsampled)
     prepared = carve_validation(subsampled, config.valid_frac, seed)
-    if aug_spec is not None:
-        run_spec = dataclasses.replace(aug_spec, seed=derive_seed(aug_spec.seed, "run", seed))
-        bt = run_spec.technique is AugTechnique.BACKTRANSLATE
+    spec = config.augment
+    if spec is not None:
+        bt = spec.technique is AugTechnique.BACKTRANSLATE
         result = augment_dataset(
-            prepared, run_spec,
-            thesaurus=None if bt else (thesaurus or bundled_thesaurus()),
-            translator=provider if bt else None,
-            cache=cache if bt else None,
-        )
+            prepared, dataclasses.replace(spec, seed=derive_seed(spec.seed, "run", seed)),
+            translator=provider if bt else None, cache=cache)
         prepared = result.corpus
         for doc_id, reason in result.skipped:
             log.warning("augment skipped %s: %s", doc_id, reason)
@@ -241,7 +244,7 @@ def run_single(
     preds = predict_corpus(model, prepared, "baseline", splits=("test",), rows=test_rows)
     labels = {d.id: d.label for d in prepared.split_docs("test")}
     rep = calibration_report(preds, "baseline", labels)
-    technique, langs, k = _arm_fields(aug_spec)
+    technique, langs, k = _arm_fields(spec)
     return ReportRow(
         n=n, technique=technique, languages=langs, k=k, seed=str(seed),
         subsample=sub_hash,
@@ -250,66 +253,29 @@ def run_single(
     )
 
 
-def _sweep(
-    config: ExperimentConfig,
-    corpus: Corpus,
-    sizes: Sequence[int],
-    arms: Sequence[tuple[str, Optional[AugmentSpec]]],
-    thesaurus: Optional[Thesaurus],
-    provider,
-    cache,
-) -> ExperimentReport:
-    """Every (tag suffix, augmentation) arm at each n and seed, all arms of an
-    (n, seed) sharing one subsample; a failed run is recorded, not raised."""
-    report = ExperimentReport()
-    test_rows = _test_rows(corpus, config)
-    for n in sizes:
-        for seed in config.seeds:
-            sub = None
-            for suffix, arm in arms:
-                tag = f"n={n},seed={seed}{suffix}"
-                t0 = time.monotonic()
-                try:
-                    if sub is None:
-                        sub = subsample_balanced(corpus, n, seed)
-                    report.rows.append(run_single(sub, n, seed, arm, config,
-                                                  thesaurus=thesaurus, provider=provider,
-                                                  cache=cache, test_rows=test_rows))
-                except (CorpusError, ExperimentError, _translate.TranslationError) as e:
-                    log.error("run %s failed: %s", tag, e)
-                    report.failures.append((tag, str(e)))
-                report.timings.append((tag, time.monotonic() - t0))
-    return report
-
-
 def run_low_resource_sweep(
     config: ExperimentConfig,
     corpus: Corpus,
-    thesaurus: Optional[Thesaurus] = None,
     provider=None,
     cache=None,
 ) -> ExperimentReport:
-    """The paper protocol: subsample, optionally augment, train, test; median over seeds."""
-    return _sweep(config, corpus, config.train_sizes, [("", config.augment)],
-                  thesaurus, provider, cache)
-
-
-def run_language_study(
-    base_n: int,
-    language_sets: Sequence[Sequence[str]],
-    config: ExperimentConfig,
-    corpus: Corpus,
-    provider,
-    cache=None,
-) -> ExperimentReport:
-    """Backtranslation arms over several language sets, sharing subsamples per seed."""
-    if config.augment is None or config.augment.technique is not AugTechnique.BACKTRANSLATE:
-        base_aug = AugmentSpec(technique=AugTechnique.BACKTRANSLATE, languages=("es",))
-    else:
-        base_aug = config.augment
-    arms = [(f",langs={'+'.join(langs)}", dataclasses.replace(base_aug, languages=tuple(langs)))
-            for langs in language_sets]
-    return _sweep(config, corpus, [base_n], arms, None, provider, cache)
+    """The paper protocol: subsample, optionally augment, train, test; median over
+    seeds.  A failed run is recorded in the report's failures, not raised."""
+    report = ExperimentReport()
+    test_rows = feature_rows((d.text for d in corpus.split_docs("test")),
+                             config.classifier.bits)
+    for n in config.train_sizes:
+        for seed in config.seeds:
+            tag = f"n={n},seed={seed}"
+            t0 = time.monotonic()
+            try:
+                sub = subsample_balanced(corpus, n, seed)
+                report.rows.append(run_single(sub, n, seed, config, provider, cache, test_rows))
+            except (ClassifyError, CorpusError, _translate.TranslationError) as e:
+                log.error("run %s failed: %s", tag, e)
+                report.failures.append((tag, str(e)))
+            report.timings.append((tag, time.monotonic() - t0))
+    return report
 
 
 @dataclass

@@ -77,6 +77,17 @@ class TestTrainPredict:
         assert len(lines) == 11  # header + 10 test docs
 
 
+    def test_model_written_to_the_path_given(self, runner, corpus_file, tmp_path):
+        model = tmp_path / "model.bin"
+        preds = tmp_path / "preds.csv"
+        result = _invoke(runner, ["train", "--in", str(corpus_file),
+                                  "--model-out", str(model)])
+        assert f"saved model to {model}" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.bin"]
+        _invoke(runner, ["predict", "--model", str(model), "--in", str(corpus_file),
+                         "--out", str(preds)])
+        assert len(preds.read_text(encoding="utf-8").splitlines()) == 11
+
     def test_config_takes_classifier_section_of_run_yaml(self, runner, corpus_file,
                                                           tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -123,6 +134,28 @@ class TestTrainPredict:
         assert not (tmp_path / "model.npz").exists() and not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("text, named", [
+        ("valid_frac: lots\n", "valid_frac must be a number, got 'lots'"),
+        ("classifier: {bits: twelve}\n", "classifier.bits must be an integer, got 'twelve'"),
+        ("augment: {technique: sr, alpha: high}\n",
+         "augment.alpha must be a number, got 'high'"),
+    ])
+    def test_config_wrong_type_is_usage_error(self, runner, corpus_file, tmp_path,
+                                              command, text, named):
+        cfg = tmp_path / "typed.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        out = ["--model-out", str(tmp_path / "model.npz")] if command == "train" else [
+            "--out-dir", str(tmp_path / "out")]
+        result = runner.invoke(main, [command, "--config", str(cfg), "--in", str(corpus_file),
+                                      *out])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert "typed.yaml" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "model.npz").exists() and not (tmp_path / "out").exists()
+
+
 class TestEnsembleCommands:
     def _write_preds(self, tmp_path, name, value_fn):
         corp = make_review_corpus(n_train=4, n_test=20, seed=0)
@@ -144,8 +177,10 @@ class TestEnsembleCommands:
         _invoke(runner, ["ensemble", "fit",
                          "--preds", f"good={good}", "--preds", f"bad={bad}",
                          "--labels", str(labels_path), "--out", str(weights_path)])
-        weights = json.loads(weights_path.read_text(encoding="utf-8"))["weights"]
-        assert weights["good"] > 0.9
+        written = json.loads(weights_path.read_text(encoding="utf-8"),
+                             parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
+        assert "loss" not in written
+        assert written["weights"]["good"] > 0.9
 
         combined = tmp_path / "combined.csv"
         _invoke(runner, ["ensemble", "combine",
@@ -221,3 +256,18 @@ class TestRunCommand:
         report = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
         assert report == ["n,technique,languages,k,seed,subsample,accuracy,error,"
                           "frac_confident,pred_std"]
+
+    def test_failed_training_run_exits_nonzero_after_writing_report(self, runner, tmp_path):
+        corp_path = tmp_path / "corpus.jsonl"
+        export_jsonl(make_review_corpus(n_train=40, n_test=10, seed=0), corp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("train_sizes: [2, 20]\nseeds: [0]\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--in", str(corp_path),
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 1, result.output
+        assert ("FAILED n=2,seed=0: training needs at least 2 documents covering both labels"
+                in result.output)
+        report = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[:5] for line in report[1:]] == [
+            ["20", "none", "-", "0", "0"], ["20", "none", "-", "0", "median"]]

@@ -1,7 +1,9 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.classify import PredictionTable
 from augbench.corpus import Corpus, Document
@@ -47,6 +49,23 @@ class TestSimplexWeights:
         path = tmp_path / "w.json"
         w.to_json(path, fitting_set="valid")
         assert SimplexWeights.from_json(path).weights == w.weights
+
+    @given(names=st.lists(st.text(), min_size=1, max_size=6, unique=True),
+           masses=st.lists(st.floats(0, 1e6), min_size=6, max_size=6),
+           loss=st.none() | st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip_property(self, tmp_path_factory, names, masses, loss):
+        masses = masses[:len(names)]
+        total = sum(masses)
+        weights = ({s: m / total for s, m in zip(names, masses)} if total
+                   else {s: float(i == 0) for i, s in enumerate(names)})
+        w = SimplexWeights(weights)
+        path = tmp_path_factory.mktemp("w") / "w.json"
+        w.to_json(path, fitting_set="valid", loss=loss)
+        strict = json.loads(path.read_text(encoding="utf-8"),
+                            parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
+        assert strict.get("loss") == loss and ("loss" in strict) == (loss is not None)
+        assert SimplexWeights.from_json(path).weights == weights
 
 
 class TestCombine:

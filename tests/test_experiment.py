@@ -7,9 +7,8 @@ import pytest
 
 from augbench.augment import AugmentError, AugmentSpec
 from augbench.classify import ClassifyError, PredictionTable, TrainConfig, import_predictions
-from augbench.experiment import (ExperimentConfig, ExperimentError, ReportRow,
-                                 run_language_study, run_low_resource_sweep,
-                                 run_tta_pipeline)
+from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
+                                 ReportRow, run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import carve_validation
 from augbench.synth import make_review_corpus
 from augbench.translate import DEFAULT_LANGUAGES, MockProvider, TranslationCache
@@ -74,42 +73,39 @@ class TestLowResourceSweep:
 
     def test_failed_run_recorded_not_fatal(self):
         corp = make_review_corpus(n_train=10, n_test=4)
-        cfg = _fast_config(train_sizes=[10, 5000], seeds=[0])
+        cfg = _fast_config(train_sizes=[10, 5000], seeds=[0, 1])
         report = run_low_resource_sweep(cfg, corp)
-        assert len(report.rows) == 1
-        assert len(report.failures) == 1
-        assert "n=5000" in report.failures[0][0]
+        assert [r.n for r in report.rows] == [10, 10]
+        assert [tag for tag, _ in report.failures] == ["n=5000,seed=0", "n=5000,seed=1"]
+        assert [tag for tag, _ in report.timings] == [
+            "n=10,seed=0", "n=10,seed=1", "n=5000,seed=0", "n=5000,seed=1"]
+
+    def test_failed_training_recorded_not_fatal(self):
+        # two documents cannot cover both labels once the validation split is carved
+        cfg = _fast_config(train_sizes=[2, 20], seeds=[0])
+        report = run_low_resource_sweep(cfg, make_review_corpus(40, 10))
+        assert [r.n for r in report.rows] == [20]
+        assert report.failures == [
+            ("n=2,seed=0", "training needs at least 2 documents covering both labels")]
 
 
 class TestLanguageStudy:
-    def test_accounting_and_shared_subsamples(self, micro_corpus):
-        sets = [["es"], ["es", "fr"], ["bn"]]
-        cfg = _fast_config(seeds=[0, 1, 2])
-        report = run_language_study(20, sets, cfg, micro_corpus,
-                                    provider=MockProvider(0), cache=TranslationCache())
-        assert len(report.rows) == 9
-        assert len(report.aggregate()) == 3
-        for seed in ("0", "1", "2"):
-            hashes = {r.subsample for r in report.rows if r.seed == seed}
-            assert len(hashes) == 1
+    """The pivot-set comparison is one backtranslation sweep per language set."""
 
     def test_report_matches_recorded_digest(self, micro_corpus, tmp_path):
-        report = run_language_study(20, [["es"], ["es", "fr"], ["bn"]], _fast_config(),
-                                    micro_corpus, provider=MockProvider(0),
-                                    cache=TranslationCache())
-        assert not report.failures
-        report.write_csv(tmp_path / "report.csv")
+        cache = TranslationCache()
+        reports = [
+            run_low_resource_sweep(
+                _fast_config(augment=AugmentSpec(technique="bt", languages=langs)),
+                micro_corpus, provider=MockProvider(0), cache=cache)
+            for langs in [("es",), ("es", "fr"), ("bn",)]]
+        assert not any(rep.failures for rep in reports)
+        by_seed = list(zip(*(rep.rows for rep in reports)))
+        assert all(len({r.subsample for r in rows}) == 1 for rows in by_seed)
+        study = ExperimentReport(rows=[r for rows in by_seed for r in rows])
+        study.write_csv(tmp_path / "report.csv")
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
         assert digest == STUDY_REPORT_SHA256
-
-    def test_failed_subsample_recorded_per_run(self):
-        corp = make_review_corpus(n_train=10, n_test=4)
-        report = run_language_study(5000, [["es"], ["fr"]], _fast_config(seeds=[0, 1]),
-                                    corp, provider=MockProvider(0))
-        assert report.rows == []
-        assert [tag for tag, _ in report.failures] == [
-            "n=5000,seed=0,langs=es", "n=5000,seed=0,langs=fr",
-            "n=5000,seed=1,langs=es", "n=5000,seed=1,langs=fr"]
 
 
 def _tta_digest(result, tmp_path) -> str:
@@ -239,6 +235,14 @@ class TestConfigParsing:
         assert cfg.classifier.bits == 12
         assert cfg.valid_frac == 0.2
 
+    def test_integer_accepted_as_number(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("augment: {technique: rd, alpha: 1}\n"
+                        "classifier: {learning_rate: 1, l2: 0}\n", encoding="utf-8")
+        cfg = ExperimentConfig.from_yaml(path)
+        assert cfg.augment.alpha == 1
+        assert (cfg.classifier.learning_rate, cfg.classifier.l2) == (1, 0)
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ExperimentError):
             ExperimentConfig(seeds=[])
@@ -266,6 +270,13 @@ class TestConfigParsing:
          "augment.languages must be a list of strings, got 'es'"),
         ("augment:\n  technique: bt\n  languages: [es, 3]\n",
          "augment.languages must be a list of strings, got ['es', 3]"),
+        ("valid_frac: lots\n", "valid_frac must be a number, got 'lots'"),
+        ("valid_frac: true\n", "valid_frac must be a number, got True"),
+        ("classifier:\n  bits: twelve\n", "classifier.bits must be an integer, got 'twelve'"),
+        ("augment:\n  technique: sr\n  copies: 2.5\n",
+         "augment.copies must be an integer, got 2.5"),
+        ("augment:\n  technique: sr\n  alpha: high\n",
+         "augment.alpha must be a number, got 'high'"),
     ])
     def test_wrong_type_names_key_and_file(self, tmp_path, text, message):
         path = tmp_path / "typed.yaml"

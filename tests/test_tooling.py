@@ -40,6 +40,54 @@ def test_benchmark_tracer_installs():
     assert result.returncode == 0, result.stderr
 
 
+# perfbench/run.py reports `experiment.run_single` per sweep run, so each run
+# must call it through the module namespace, where the tracer wraps it.
+_SWEEP_SPANS = """
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from augbench import experiment
+from augbench.classify import TrainConfig
+from augbench.synth import make_review_corpus
+config = experiment.ExperimentConfig(train_sizes=[10, 20], seeds=[0],
+                                     classifier=TrainConfig(bits=10, epochs=1))
+report = experiment.run_low_resource_sweep(config, make_review_corpus(40, 10))
+assert len(report.rows) == 2, report.failures
+spans = tracer.spans
+runs = [span for span in spans if span[0] == "experiment.run_single"]
+assert len(runs) == 2, [span[0] for span in spans]
+assert all(spans[span[3]][0] == "experiment.run_low_resource_sweep" for span in runs)
+"""
+
+
+def test_sweep_runs_are_traced_one_span_each():
+    result = _run_with_perfbench(_SWEEP_SPANS)
+    assert result.returncode == 0, result.stderr
+
+
+def test_replaced_augment_dataset_reaches_the_sweep(monkeypatch):
+    # perfbench/child.py counts augment skips by replacing the module attribute
+    from augbench import augment
+    from augbench.classify import TrainConfig
+    from augbench.experiment import ExperimentConfig, run_low_resource_sweep
+    from augbench.synth import make_review_corpus
+
+    calls = []
+    original = augment.augment_dataset
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].technique.value)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(augment, "augment_dataset", counted)
+    config = ExperimentConfig(train_sizes=[10, 20], seeds=[0],
+                              augment=augment.AugmentSpec(technique="sr"),
+                              classifier=TrainConfig(bits=10, epochs=1))
+    report = run_low_resource_sweep(config, make_review_corpus(40, 10))
+    assert len(report.rows) == 2
+    assert calls == ["sr", "sr"]
+
+
 # The tta-analyze warm cache is written through `TranslationCache.put`, so its
 # recorded digest also pins the cache's on-disk format.
 _GENERATE = """
