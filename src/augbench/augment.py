@@ -279,7 +279,8 @@ def augment_dataset(
     if not bt and thesaurus is None:
         thesaurus = bundled_thesaurus()
 
-    from . import translate as _translate  # local import; translate imports nothing from here
+    # imported here to break the cycle: translate imports bundled_thesaurus and derive_seed
+    from . import translate as _translate
 
     originals = [d for d in corpus.split_docs("train") if d.is_original]
     run = AugmentRun(corpus=corpus)

@@ -64,6 +64,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr_decay not in ("linear", "constant"):
             raise ClassifyError(f"lr_decay must be 'linear' or 'constant', got {self.lr_decay!r}")
+        if self.bits < 1:
+            raise ClassifyError(f"bits must be at least 1, got {self.bits}")
+        if self.epochs < 1:
+            raise ClassifyError(f"epochs must be at least 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ClassifyError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass

@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ExperimentError("config needs at least one seed")
         if any(n <= 0 for n in self.train_sizes):
             raise ExperimentError("train sizes must be positive")
+        if not 0 < self.valid_frac < 1:
+            raise ExperimentError(f"valid_frac must be in (0, 1), got {self.valid_frac}")
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
@@ -291,42 +293,27 @@ def run_tta_pipeline(
     corpus: Corpus,
     languages: Sequence[str],
     provider,
-    cache=None,
-    model: Optional[LinearModel] = None,
-    base_preds: Optional[PredictionTable] = None,
-    base_source: str = "baseline",
+    cache,
+    model: LinearModel,
 ) -> TtaResult:
-    """Backtranslate test/valid docs, predict per variant, fit weights on valid,
-    combine on test, and report each source's calibration.
+    """Backtranslate test/valid docs, score each original and each round trip
+    with `model`, fit weights on valid, combine on test, and report each
+    source's calibration.  A skipped round trip takes its parent's prediction.
 
-    Predictions come either from the built-in `model` or an imported
-    `base_preds` table that already covers originals (variants then reuse the
-    parent's prediction only if the model is absent).
+    Predictions of an external model are ensembled with `fit_weights` and
+    `combine` directly (`augbench ensemble fit/combine/report`).
     """
-    if model is None and base_preds is None:
-        raise ExperimentError("run_tta_pipeline needs a model or imported predictions")
     variants = tta_generate(corpus, languages, provider, cache)
 
     preds = PredictionTable()
     originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
     for d in originals:
-        if base_preds is not None:
-            parent = base_preds.get(d.id, base_source)
-            if parent is None:
-                raise ExperimentError(f"imported predictions missing document {d.id!r}")
-        else:
-            parent = predict(model, d.text)
-        preds.add(d.id, base_source, parent)
+        parent = predict(model, d.text)
+        preds.add(d.id, "baseline", parent)
         for lang in languages:
-            source = f"tta:{lang}"
-            p = base_preds.get(d.id, source) if base_preds is not None else None
-            if p is None and model is not None and (d.id, lang) in variants:
-                p = predict(model, variants[(d.id, lang)])
-            if p is None:  # nothing imported, and no model or a skipped round trip
-                log.warning("tta: no %s prediction for %s; using parent prediction",
-                            lang, d.id)
-                p = parent
-            preds.add(d.id, source, p)
+            variant = variants.get((d.id, lang))
+            preds.add(d.id, f"tta:{lang}",
+                      parent if variant is None else predict(model, variant))
 
     labels = {d.id: d.label for d in originals}
     valid_ids = [d.id for d in originals if d.split == "valid"]

@@ -6,11 +6,10 @@ import json
 import logging
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol
 
 import requests
 
@@ -30,18 +29,17 @@ class TranslationError(Exception):
 
 
 class TransientTranslationError(TranslationError):
-    """Retry budget exhausted on timeouts / 429 / 5xx."""
+    """Retry budget exhausted on timeouts / 408 / 429 / 5xx."""
 
 
 class PermanentTranslationError(TranslationError):
-    """Non-retryable failure (4xx other than 429)."""
+    """Non-retryable failure (4xx other than 408 and 429)."""
 
 
 class CacheError(TranslationError):
     pass
 
 
-@runtime_checkable
 class TranslationProvider(Protocol):
     provider_id: str
 
@@ -67,7 +65,6 @@ class TranslationCache:
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
-        self._lock = threading.Lock()
         # (size to cut the own file to, text to write first) before the next append
         self._tail: Optional[tuple[int, str]] = None
         if self.path is not None and self.path.exists():
@@ -113,29 +110,28 @@ class TranslationCache:
 
     def put(self, key: str, source: str, target: str, provider: str, text: str,
             result: str) -> None:
-        with self._lock:
-            self._entries[key] = result
-            if self.path is None:
-                return
-            entry = {
-                "key": key,
-                "source": source,
-                "target": target,
-                "provider": provider,
-                "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                "result": result,
-            }
-            line = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
-            try:
-                if self._tail is not None:
-                    size, first = self._tail
-                    os.truncate(self.path, size)
-                    line = first + line
-                with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                    fh.write(line)
-                self._tail = None
-            except OSError as e:
-                raise CacheError(f"cannot append to cache {self.path}: {e}") from e
+        self._entries[key] = result
+        if self.path is None:
+            return
+        entry = {
+            "key": key,
+            "source": source,
+            "target": target,
+            "provider": provider,
+            "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "result": result,
+        }
+        line = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
+        try:
+            if self._tail is not None:
+                size, first = self._tail
+                os.truncate(self.path, size)
+                line = first + line
+            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
+                fh.write(line)
+            self._tail = None
+        except OSError as e:
+            raise CacheError(f"cannot append to cache {self.path}: {e}") from e
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -154,7 +150,7 @@ class BacktranslationRecord:
 def backtranslate(
     text: str,
     pivot: str,
-    provider: Optional[TranslationProvider],
+    provider: TranslationProvider,
     cache: Optional[TranslationCache] = None,
     parent_id: Optional[str] = None,
 ) -> BacktranslationRecord:
@@ -169,21 +165,17 @@ def backtranslate(
 
     def leg(src: str, tgt: str, t: str, leg_name: str) -> str:
         nonlocal hits, calls
-        pid = provider.provider_id if provider is not None else None
-        if pid is not None:
-            key = cache_key(pid, src, tgt, t)
-            cached = cache.get(key)
-            if cached is not None:
-                hits += 1
-                return cached
-        if provider is None:
-            raise TranslationError(f"no provider and cache miss on {leg_name} leg ({src}->{tgt})")
+        key = cache_key(provider.provider_id, src, tgt, t)
+        cached = cache.get(key)
+        if cached is not None:
+            hits += 1
+            return cached
         try:
             calls += 1
             result = provider.translate(t, src, tgt)
         except TranslationError as e:
             raise type(e)(f"{leg_name} leg en<->{pivot} failed: {e}") from e
-        cache.put(key, src, tgt, pid, t, result)
+        cache.put(key, src, tgt, provider.provider_id, t, result)
         return result
 
     intermediate = leg("en", pivot, text, "forward")
@@ -211,22 +203,20 @@ class TokenBucket:
         self._last = clock()
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
 
     def acquire(self) -> None:
         while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
+            now = self._clock()
+            self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
+            self._last = now
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return
+            wait = (1.0 - self._tokens) / self.rate
             self._sleep(wait)
 
 
-_RETRYABLE_STATUS = {429}
+_RETRYABLE_STATUS = {408, 429}
 
 
 class HttpProvider:
@@ -234,7 +224,9 @@ class HttpProvider:
 
     Request body: {"q": text, "source": src, "target": tgt} (+ "api_key" when set).
     Expected response: {"translatedText": "..."}.  Retries timeouts, connection
-    errors, 429 and 5xx with exponential backoff; other 4xx fail immediately.
+    errors, 408, 429 and 5xx with exponential backoff, waiting at least a
+    response's Retry-After seconds (both capped at `backoff_cap`); other 4xx
+    fail immediately.
     """
 
     def __init__(
@@ -286,7 +278,10 @@ class HttpProvider:
                     ) from e
             if resp.status_code in _RETRYABLE_STATUS or resp.status_code >= 500:
                 last_err = f"HTTP {resp.status_code}"
-                self._sleep(self._backoff(attempt))
+                # an HTTP-date Retry-After is not read
+                retry_after = resp.headers.get("Retry-After", "").strip()
+                wait = int(retry_after) if retry_after.isdecimal() else 0
+                self._sleep(min(self.backoff_cap, max(self._backoff(attempt), wait)))
                 continue
             raise PermanentTranslationError(
                 f"HTTP {resp.status_code} from {self.endpoint}"

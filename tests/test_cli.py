@@ -140,6 +140,15 @@ class TestTrainPredict:
         ("classifier: {bits: twelve}\n", "classifier.bits must be an integer, got 'twelve'"),
         ("augment: {technique: sr, alpha: high}\n",
          "augment.alpha must be a number, got 'high'"),
+        # a value of the right type but out of range fails the same way
+        ("valid_frac: 1.5\n", "valid_frac must be in (0, 1), got 1.5"),
+        ("valid_frac: -0.2\n", "valid_frac must be in (0, 1), got -0.2"),
+        ("valid_frac: 0.0\n", "valid_frac must be in (0, 1), got 0.0"),
+        ("classifier: {bits: 0}\n", "bits must be at least 1, got 0"),
+        ("classifier: {bits: -1}\n", "bits must be at least 1, got -1"),
+        ("classifier: {epochs: 0}\n", "epochs must be at least 1, got 0"),
+        ("classifier: {learning_rate: 0.0}\n", "learning_rate must be positive, got 0.0"),
+        ("classifier: {learning_rate: -0.1}\n", "learning_rate must be positive, got -0.1"),
     ])
     def test_config_wrong_type_is_usage_error(self, runner, corpus_file, tmp_path,
                                               command, text, named):

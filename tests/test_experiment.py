@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import statistics
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from augbench.augment import AugmentError, AugmentSpec
-from augbench.classify import ClassifyError, PredictionTable, TrainConfig, import_predictions
+from augbench.classify import ClassifyError, TrainConfig
 from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
                                  ReportRow, run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import carve_validation
@@ -17,7 +18,6 @@ from augbench.translate import DEFAULT_LANGUAGES, MockProvider, TranslationCache
 # were rewritten; they pin report rows, prediction order and every TTA output.
 STUDY_REPORT_SHA256 = "eff17ca26f091bd3a781cc908c7efd7196b1e356c77c49d86ea769ca0f83c4a9"
 TTA_MODEL_SHA256 = "8e464b374efd859e7c59001d08676884ccb09dd29966ca2b34ae9cc5ae3b0bc5"
-TTA_IMPORTED_SHA256 = "068031a95979d831e1d6a9dcbcdc842718e91439c94771f4586d8a40f20789dc"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -141,16 +141,6 @@ class TestTtaPipeline:
                                   model=model)
         assert _tta_digest(result, tmp_path) == TTA_MODEL_SHA256
 
-    def test_imported_outputs_match_recorded_digest(self, tmp_path):
-        corp = self._prepared()
-        base = PredictionTable()
-        for d in corp:
-            if d.split in ("test", "valid"):
-                base.add(d.id, "ulmfit_fwd", 0.9 if d.label == "pos" else 0.1)
-        result = run_tta_pipeline(corp, ["es"], MockProvider(0), TranslationCache(),
-                                  base_preds=base, base_source="ulmfit_fwd")
-        assert _tta_digest(result, tmp_path) == TTA_IMPORTED_SHA256
-
     def test_pipeline_outputs(self):
         from augbench.classify import train
         corp = self._prepared()
@@ -183,35 +173,23 @@ class TestTtaPipeline:
             assert result.combined.get(d, "ensemble") == pytest.approx(
                 result.predictions.get(d, "baseline"))
 
-    def test_skipped_variant_takes_parent_prediction(self, fr_down_provider):
+    def test_skipped_variant_takes_parent_prediction(self, fr_down_provider, caplog):
         from augbench.classify import train
         corp = self._prepared()
         model = train(corp, TrainConfig(bits=12, epochs=2))
-        result = run_tta_pipeline(corp, ["es", "fr"], fr_down_provider, TranslationCache(),
-                                  model=model)
+        with caplog.at_level(logging.WARNING):
+            result = run_tta_pipeline(corp, ["es", "fr"], fr_down_provider,
+                                      TranslationCache(), model=model)
         preds = result.predictions
         ids = preds.doc_ids("baseline")
         assert preds.doc_ids("tta:fr") == ids
         assert all(preds.get(d, "tta:fr") == preds.get(d, "baseline") for d in ids)
         assert any(preds.get(d, "tta:es") != preds.get(d, "baseline") for d in ids)
-
-    def test_requires_model_or_predictions(self):
-        with pytest.raises(ExperimentError):
-            run_tta_pipeline(self._prepared(), ["es"], MockProvider(0))
-
-    def test_imported_predictions_flow_through(self, tmp_path):
-        corp = self._prepared()
-        originals = [d for d in corp if d.split in ("test", "valid")]
-        rows = ["doc_id,p_positive"]
-        for d in originals:
-            rows.append(f"{d.id},{0.9 if d.label == 'pos' else 0.1}")
-        path = tmp_path / "ext.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        base = import_predictions(path, "ulmfit_fwd")
-        result = run_tta_pipeline(corp, ["es"], MockProvider(0), TranslationCache(),
-                                  base_preds=base, base_source="ulmfit_fwd")
-        assert "ulmfit_fwd" in result.predictions.sources
-        assert result.calibration["ulmfit_fwd"].accuracy == 1.0
+        # one warning per skipped pair, then tta_generate's total
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == len(ids) + 1
+        assert all(w.startswith(f"tta: skipped {d} via fr: ") for w, d in zip(warnings, ids))
+        assert warnings[-1] == f"tta: {len(ids)} variants skipped"
 
 
 class TestConfigParsing:
@@ -291,6 +269,16 @@ class TestConfigParsing:
         ("augment:\n  technique: bt\n  languages: [es]\n  language_strategy: rr\n",
          AugmentError, "unknown language_strategy 'rr'; expected one of: all, roundrobin"),
         ("seeds: []\n", ExperimentError, "config needs at least one seed"),
+        ("valid_frac: 1.5\n", ExperimentError, "valid_frac must be in (0, 1), got 1.5"),
+        ("valid_frac: -0.2\n", ExperimentError, "valid_frac must be in (0, 1), got -0.2"),
+        ("valid_frac: 0.0\n", ExperimentError, "valid_frac must be in (0, 1), got 0.0"),
+        ("classifier:\n  bits: 0\n", ClassifyError, "bits must be at least 1, got 0"),
+        ("classifier:\n  bits: -1\n", ClassifyError, "bits must be at least 1, got -1"),
+        ("classifier:\n  epochs: 0\n", ClassifyError, "epochs must be at least 1, got 0"),
+        ("classifier:\n  learning_rate: 0.0\n", ClassifyError,
+         "learning_rate must be positive, got 0.0"),
+        ("classifier:\n  learning_rate: -0.1\n", ClassifyError,
+         "learning_rate must be positive, got -0.1"),
     ])
     def test_rejected_value_names_file(self, tmp_path, text, error, message):
         path = tmp_path / "bad.yaml"

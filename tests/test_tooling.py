@@ -65,6 +65,35 @@ def test_sweep_runs_are_traced_one_span_each():
     assert result.returncode == 0, result.stderr
 
 
+# perfbench/child.py runs TTA with this exact call and reads weights, combined
+# and valid_losses["ensemble"]; perfbench/run.py reports both spans.
+_TTA_SPANS = """
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from augbench import corpus, experiment
+from augbench.classify import TrainConfig, train
+from augbench.synth import make_review_corpus
+from augbench.translate import MockProvider, TranslationCache
+sub = corpus.carve_validation(make_review_corpus(30, 10), 0.2, 0)
+model = train(sub, TrainConfig(bits=10, epochs=1))
+provider, cache, langs = MockProvider(0), TranslationCache(), ["es", "fr"]
+tta = experiment.run_tta_pipeline(sub, langs, provider, cache, model=model)
+assert tta.weights.weights and tta.combined.doc_ids("ensemble")
+assert "ensemble" in tta.valid_losses
+spans = tracer.spans
+pipelines = [i for i, span in enumerate(spans) if span[0] == "experiment.run_tta_pipeline"]
+generates = [span for span in spans if span[0] == "ensemble.tta_generate"]
+assert len(pipelines) == 1 and len(generates) == 1, [span[0] for span in spans]
+assert generates[0][3] == pipelines[0]
+"""
+
+
+def test_tta_pipeline_is_traced_as_perfbench_calls_it():
+    result = _run_with_perfbench(_TTA_SPANS)
+    assert result.returncode == 0, result.stderr
+
+
 def test_replaced_augment_dataset_reaches_the_sweep(monkeypatch):
     # perfbench/child.py counts augment skips by replacing the module attribute
     from augbench import augment

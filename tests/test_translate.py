@@ -181,7 +181,7 @@ class TestMockProvider:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    # class-level script: list of status codes to serve, then 200s
+    # class-level script: status codes or (status, headers) to serve, then 200s
     script = []
     requests_seen = 0
 
@@ -189,6 +189,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         cls = type(self)
         cls.requests_seen += 1
         status = cls.script.pop(0) if cls.script else 200
+        status, headers = status if isinstance(status, tuple) else (status, {})
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if status == 200:
             payload = json.dumps({"translatedText": body["q"].upper()}).encode()
@@ -199,6 +200,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
         else:
             self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", "0")
             self.end_headers()
 
@@ -228,6 +231,27 @@ class TestHttpProvider:
         p = HttpProvider(url, rate_limit=1000, backoff_base=0.01)
         assert p.translate("hi", "en", "es") == "HI"
         assert handler.requests_seen == 2
+
+    def test_408_retries(self, stub_server):
+        url, handler = stub_server
+        handler.script[:] = [408]
+        waits = []
+        p = HttpProvider(url, rate_limit=1e9, sleep=waits.append)
+        assert p.translate("hi", "en", "es") == "HI"
+        assert handler.requests_seen == 2
+        assert waits == [0.5]
+
+    def test_retry_after_lengthens_the_backoff_up_to_the_cap(self, stub_server):
+        url, handler = stub_server
+        handler.script[:] = [(429, {"Retry-After": "7"}), (503, {"Retry-After": "120"}),
+                             (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                             (408, {"Retry-After": "1"})]
+        waits = []
+        p = HttpProvider(url, rate_limit=1e9, max_retries=5, backoff_base=0.5,
+                         backoff_cap=30.0, sleep=waits.append)
+        assert p.translate("hi", "en", "es") == "HI"
+        # backoffs 0.5, 1, 2, 4; an HTTP-date Retry-After is not read
+        assert waits == [7, 30.0, 2.0, 4.0]
 
     def test_401_fails_after_one_attempt(self, stub_server):
         url, handler = stub_server
