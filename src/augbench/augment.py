@@ -20,17 +20,13 @@ class AugmentError(Exception):
     pass
 
 
-def _is_punct_char(c: str) -> bool:
-    return not c.isalnum() and not c.isspace()
-
-
-def _is_punct_token(tok: str) -> bool:
-    return all(_is_punct_char(c) for c in tok)
-
-
-# A token is a maximal run of alphanumerics ([^\W_]) or of punctuation: any
-# other non-whitespace character, `_` included, as in `_is_punct_char`.
+# A punctuation character is one that is neither alphanumeric nor whitespace
+# (str.isalnum, str.isspace): `[^\w\s]`, or `_`, which `\w` includes.  A token
+# is a maximal run of alphanumerics ([^\W_]) or of punctuation.
 _TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
+
+# A match (true) when every character of the token is punctuation; "" is one.
+_is_punct_token = re.compile(r"(?:[^\w\s]|_)*").fullmatch
 
 
 def tokenize(text: str) -> list[str]:
@@ -40,12 +36,13 @@ def tokenize(text: str) -> list[str]:
 
 def detokenize(tokens: Sequence[str]) -> str:
     """Join with spaces; punctuation-only tokens attach to the preceding token."""
-    out = ""
+    pieces: list[str] = []  # empty until a nonempty token: no leading space
     for tok in tokens:
-        if out and not _is_punct_token(tok):
-            out += " "
-        out += tok
-    return out
+        if pieces and not _is_punct_token(tok):
+            pieces.append(" ")
+        if tok:
+            pieces.append(tok)
+    return "".join(pieces)
 
 
 class Thesaurus:
@@ -111,13 +108,22 @@ def _at_sentence_start(tokens: Sequence[str], i: int) -> bool:
     if i == 0:
         return True
     prev = tokens[i - 1]
-    return _is_punct_token(prev) and prev.endswith(SENTENCE_FINAL)
+    return _is_punct_token(prev) is not None and prev.endswith(SENTENCE_FINAL)
 
 
 def _match_case(original: str, synonym: str, tokens: Sequence[str], i: int) -> str:
     if original.istitle() and _at_sentence_start(tokens, i):
         return synonym.title()
     return synonym
+
+
+def _eligible(tokens: Sequence[str], thesaurus: Thesaurus,
+              stopwords: frozenset[str] | set[str]) -> list[int]:
+    """Positions of the tokens that SR and RI may edit: non-stopword words with synonyms."""
+    return [
+        i for i, t in enumerate(tokens)
+        if t.lower() not in stopwords and not _is_punct_token(t) and t in thesaurus
+    ]
 
 
 def synonym_replace(
@@ -128,18 +134,17 @@ def synonym_replace(
     rng_seed: int,
 ) -> list[str]:
     """Replace up to max(1, round(alpha*len)) eligible tokens with uniform synonyms."""
-    tokens = list(tokens)
-    if not tokens:
-        return tokens
-    rng = random.Random(rng_seed)
-    eligible = [
-        i for i, t in enumerate(tokens)
-        if t.lower() not in stopwords and not _is_punct_token(t) and t in thesaurus
-    ]
-    if not eligible:
-        return tokens
-    n = min(edit_count(alpha, len(tokens)), len(eligible))
+    return _synonym_replace(tokens, _eligible(tokens, thesaurus, stopwords), alpha,
+                            thesaurus, rng_seed)
+
+
+def _synonym_replace(tokens: Sequence[str], eligible: list[int], alpha: float,
+                     thesaurus: Thesaurus, rng_seed: int) -> list[str]:
     out = list(tokens)
+    if not eligible:
+        return out
+    rng = random.Random(rng_seed)
+    n = min(edit_count(alpha, len(tokens)), len(eligible))
     for i in sorted(rng.sample(eligible, n)):
         syn = rng.choice(thesaurus.lookup(tokens[i]))
         out[i] = _match_case(tokens[i], syn, tokens, i)
@@ -154,19 +159,18 @@ def random_insert(
     rng_seed: int,
 ) -> list[str]:
     """Insert max(1, round(alpha*len)) synonyms of random eligible tokens at random gaps."""
-    tokens = list(tokens)
-    if not tokens:
-        return tokens
-    rng = random.Random(rng_seed)
-    eligible = [
-        t for t in tokens
-        if t.lower() not in stopwords and not _is_punct_token(t) and t in thesaurus
-    ]
-    if not eligible:
-        return tokens
+    return _random_insert(tokens, _eligible(tokens, thesaurus, stopwords), alpha,
+                          thesaurus, rng_seed)
+
+
+def _random_insert(tokens: Sequence[str], eligible: list[int], alpha: float,
+                   thesaurus: Thesaurus, rng_seed: int) -> list[str]:
     out = list(tokens)
+    if not eligible:
+        return out
+    rng = random.Random(rng_seed)
     for _ in range(edit_count(alpha, len(tokens))):
-        word = rng.choice(eligible)
+        word = tokens[rng.choice(eligible)]
         syn = rng.choice(thesaurus.lookup(word))
         out.insert(rng.randrange(len(out) + 1), syn)
     return out
@@ -303,13 +307,16 @@ def augment_dataset(
                     continue
                 synthetics.append(_make_synthetic(doc, rec.final_text, spec, lang, copy))
         else:
+            # Only the RNG stream differs between copies of one parent.
+            toks = tokenize(doc.text)
+            if spec.technique in (AugTechnique.SYNONYM_REPLACE, AugTechnique.RANDOM_INSERT):
+                eligible = _eligible(toks, thesaurus, spec.stopwords)
             for copy in range(spec.copies_per_original):
                 seed = derive_seed(spec.seed, doc.id, copy)
-                toks = tokenize(doc.text)
                 if spec.technique is AugTechnique.SYNONYM_REPLACE:
-                    new = synonym_replace(toks, spec.alpha, thesaurus, spec.stopwords, seed)
+                    new = _synonym_replace(toks, eligible, spec.alpha, thesaurus, seed)
                 elif spec.technique is AugTechnique.RANDOM_INSERT:
-                    new = random_insert(toks, spec.alpha, thesaurus, spec.stopwords, seed)
+                    new = _random_insert(toks, eligible, spec.alpha, thesaurus, seed)
                 elif spec.technique is AugTechnique.RANDOM_SWAP:
                     new = random_swap(toks, spec.alpha, seed)
                 else:

@@ -19,15 +19,23 @@ class ClassifyError(Exception):
     pass
 
 
-def featurize(text: str, bits: int = 18) -> dict[int, int]:
+def featurize(text: str, bits: int = 18,
+              memo: Optional[dict[str, int]] = None) -> dict[int, int]:
     """Hashed counts of lowercased 1-grams and 2-grams of the token sequence.
 
     An n-gram's index is the first 8 bytes of its blake2b digest, big-endian,
     masked to `bits` bits.  Keys are inserted in a fixed order, unigram i and
     then bigram (i, i+1); scores sum in that order, so model bytes depend on it.
+
+    `memo` maps n-grams to their indices and is filled as they are hashed;
+    callers share one across near-duplicate texts (a document and its
+    synthetic copies) so each n-gram is hashed once.  A memo holds indices for
+    one `bits` value only.  Without one, a fresh memo serves this call alone.
     """
     blake2b, from_bytes = hashlib.blake2b, int.from_bytes
     mask = (1 << bits) - 1
+    if memo is None:
+        memo = {}
     tokens = [t.lower() for t in tokenize(text)]
     grams: list[str] = []
     for tok, nxt in zip(tokens, tokens[1:]):
@@ -35,9 +43,12 @@ def featurize(text: str, bits: int = 18) -> dict[int, int]:
         grams.append(tok + " " + nxt)
     grams += tokens[-1:]  # the last token has no bigram
     counts: dict[int, int] = {}
-    get = counts.get
+    get, known = counts.get, memo.get
     for gram in grams:
-        idx = from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") & mask
+        idx = known(gram)
+        if idx is None:
+            idx = memo[gram] = from_bytes(
+                blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") & mask
         counts[idx] = get(idx, 0) + 1
     return counts
 
@@ -45,9 +56,9 @@ def featurize(text: str, bits: int = 18) -> dict[int, int]:
 FeatureRow = tuple[np.ndarray, np.ndarray]
 
 
-def feature_row(text: str, bits: int) -> FeatureRow:
+def feature_row(text: str, bits: int, memo: Optional[dict[str, int]] = None) -> FeatureRow:
     """`featurize` as (int64 indices, float64 counts) arrays in its key order."""
-    f = featurize(text, bits)
+    f = featurize(text, bits, memo)
     return (np.fromiter(f.keys(), dtype=np.int64, count=len(f)),
             np.fromiter(f.values(), dtype=np.float64, count=len(f)))
 
@@ -90,12 +101,12 @@ class LinearModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":
-        data = np.load(path, allow_pickle=False)
-        return cls(
-            weights=data["weights"],
-            bias=float(data["bias"]),
-            config=TrainConfig(**json.loads(str(data["config"]))),
-        )
+        with np.load(path, allow_pickle=False) as data:
+            return cls(
+                weights=data["weights"],
+                bias=float(data["bias"]),
+                config=TrainConfig(**json.loads(str(data["config"]))),
+            )
 
 
 def _sigmoid(z: float) -> float:
@@ -116,7 +127,16 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     if len(docs) < 2 or labels != {"pos", "neg"}:
         raise ClassifyError("training needs at least 2 documents covering both labels")
 
-    feats = [feature_row(d.text, config.bits) for d in docs]
+    # A synthetic copy shares most n-grams with its parent, so documents are
+    # featurized family by family (a parent and its copies), with one memo each.
+    families: dict[str, list[int]] = {}
+    for i, d in enumerate(docs):
+        families.setdefault(d.origin.parent or d.id, []).append(i)
+    feats = [None] * len(docs)
+    for members in families.values():
+        memo: dict[str, int] = {}
+        for i in members:
+            feats[i] = feature_row(docs[i].text, config.bits, memo)
     ys = [1.0 if d.label == "pos" else 0.0 for d in docs]
 
     dim = 1 << config.bits
@@ -162,9 +182,12 @@ def _score(model: LinearModel, row: FeatureRow) -> float:
     return _sigmoid(np.add.accumulate(terms)[-1])
 
 
-def predict(model: LinearModel, text: str) -> float:
-    """P(positive) for a single text: sigmoid of the linear score."""
-    return _score(model, feature_row(text, model.config.bits))
+def predict(model: LinearModel, text: str, memo: Optional[dict[str, int]] = None) -> float:
+    """P(positive) for a single text: sigmoid of the linear score.
+
+    `memo` is as in `featurize`, for `model.config.bits`.
+    """
+    return _score(model, feature_row(text, model.config.bits, memo))
 
 
 def predictor(model: LinearModel) -> Callable[[str], float]:

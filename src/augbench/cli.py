@@ -1,6 +1,7 @@
 """Command line entry points for the augmentation benchmark harness."""
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -55,6 +56,11 @@ def _translation(provider: str, endpoint: str | None, rps: float, max_retries: i
     cache = _translate.TranslationCache(cache_path)
     cache.load(_translate.paper_cache_path())
     return translator, cache
+
+
+def _closing(cache):
+    """A context that closes the translation cache, if there is one, on leaving."""
+    return contextlib.nullcontext() if cache is None else cache
 
 
 @click.group()
@@ -113,8 +119,9 @@ def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path
     translator = cache = None
     if spec.technique is _augment.AugTechnique.BACKTRANSLATE:
         translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path, seed)
-    run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
-                                   translator=translator, cache=cache)
+    with _closing(cache):
+        run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
+                                       translator=translator, cache=cache)
     _corpus.export_jsonl(run.corpus, out_path)
     click.echo(f"generated {run.generated} synthetic documents "
                f"({run.unmodified} unmodified, {len(run.skipped)} skipped)")
@@ -305,8 +312,9 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     if config.augment and config.augment.technique is _augment.AugTechnique.BACKTRANSLATE:
         translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path,
                                          config.augment.seed)
-    report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
-                                                cache=cache)
+    with _closing(cache):
+        report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
+                                                    cache=cache)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "report.csv")

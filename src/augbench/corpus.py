@@ -75,6 +75,14 @@ class Document:
             raise CorpusError(f"unsup-split document {self.id!r} must be unlabeled")
         if self.split != "unsup" and self.label == "unsup":
             raise CorpusError(f"{self.split}-split document {self.id!r} needs a pos/neg label")
+        # A lone surrogate (which a JSON "\ud800" escape decodes to) cannot be
+        # written out as UTF-8, so no output could hold this document.
+        try:
+            for value in (self.id, self.text, self.origin.technique, self.origin.lang):
+                if value is not None:
+                    value.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise CorpusError(f"document {self.id!r} is not valid UTF-8: {e}") from None
 
     @property
     def is_original(self) -> bool:

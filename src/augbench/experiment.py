@@ -308,12 +308,13 @@ def run_tta_pipeline(
     preds = PredictionTable()
     originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
     for d in originals:
-        parent = predict(model, d.text)
+        memo: dict[str, int] = {}  # the original and its round trips share n-grams
+        parent = predict(model, d.text, memo)
         preds.add(d.id, "baseline", parent)
         for lang in languages:
             variant = variants.get((d.id, lang))
             preds.add(d.id, f"tta:{lang}",
-                      parent if variant is None else predict(model, variant))
+                      parent if variant is None else predict(model, variant, memo))
 
     labels = {d.id: d.label for d in originals}
     valid_ids = [d.id for d in originals if d.split == "valid"]

@@ -58,17 +58,32 @@ class TranslationCache:
     """Append-only JSONL cache keyed by (provider, source, target, text) hash.
 
     Entries: {"key","source","target","provider","text_hash","result"}.
-    Later duplicate keys win on load; appends are crash-safe (one line per entry).
-    A None path gives an in-memory cache.
+    Later duplicate keys win on load; appends are crash-safe (one line per
+    entry, flushed as it is written).  A None path gives an in-memory cache.
+    The file stays open for appending from the first `put` until `close`;
+    the cache is also a context manager that closes it.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
-        # (size to cut the own file to, text to write first) before the next append
-        self._tail: Optional[tuple[int, str]] = None
+        # (size to cut the own file to, bytes to write first) before the next append
+        self._tail: Optional[tuple[int, bytes]] = None
+        self._fh = None  # the append handle, opened by the first put
         if self.path is not None and self.path.exists():
             self.load(self.path)
+
+    def close(self) -> None:
+        """Close the append handle, if open; a later `put` reopens it."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self) -> "TranslationCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def load(self, path: str | Path) -> int:
         """Merge entries from a JSONL cache file (e.g. a pre-seeded cache).
@@ -95,10 +110,10 @@ class TranslationCache:
                         if line.endswith(b"\n"):
                             raise CacheError(f"{path}: bad cache line {lineno}: {e}") from e
                         log.warning("%s: skipped torn final cache line %d", path, lineno)
-                        tail = (size - len(line), "")
+                        tail = (size - len(line), b"")
                         continue
                     if not line.endswith(b"\n"):
-                        tail = (size, "\n")
+                        tail = (size, b"\n")
         except OSError as e:
             raise CacheError(f"cannot read cache {path}: {e}") from e
         if tail is not None and Path(path) == self.path:
@@ -110,28 +125,37 @@ class TranslationCache:
 
     def put(self, key: str, source: str, target: str, provider: str, text: str,
             result: str) -> None:
-        self._entries[key] = result
+        """Store an entry and append it to the file, if any.  There, an entry
+        that is not valid UTF-8 (a lone surrogate) or a failed write raises
+        CacheError and stores nothing."""
         if self.path is None:
+            self._entries[key] = result
             return
-        entry = {
-            "key": key,
-            "source": source,
-            "target": target,
-            "provider": provider,
-            "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "result": result,
-        }
-        line = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
+        try:
+            entry = {
+                "key": key,
+                "source": source,
+                "target": target,
+                "provider": provider,
+                "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "result": result,
+            }
+            line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise CacheError(f"cannot cache entry {key}: not valid UTF-8 ({e.reason})") from None
         try:
             if self._tail is not None:
                 size, first = self._tail
                 os.truncate(self.path, size)
                 line = first + line
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line)
+            if self._fh is None:
+                self._fh = open(self.path, "ab")
+            self._fh.write(line)
+            self._fh.flush()  # a kill leaves at most this line torn
             self._tail = None
         except OSError as e:
             raise CacheError(f"cannot append to cache {self.path}: {e}") from e
+        self._entries[key] = result
 
     def __len__(self) -> int:
         return len(self._entries)

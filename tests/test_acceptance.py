@@ -141,9 +141,9 @@ def _pipeline_hashes(out_dir):
     sr = augment_dataset(corp, AugmentSpec(technique="sr", alpha=0.1, seed=5))
     export_jsonl(sr.corpus, out_dir / "augmented_sr.jsonl")
 
-    cache = TranslationCache(out_dir / "cache.jsonl")
-    bt = augment_dataset(corp, AugmentSpec(technique="bt", languages=("es", "bn")),
-                         translator=MockProvider(0), cache=cache)
+    with TranslationCache(out_dir / "cache.jsonl") as cache:
+        bt = augment_dataset(corp, AugmentSpec(technique="bt", languages=("es", "bn")),
+                             translator=MockProvider(0), cache=cache)
     export_jsonl(bt.corpus, out_dir / "augmented_bt.jsonl")
 
     model = train(sr.corpus, TrainConfig(bits=14, epochs=2))

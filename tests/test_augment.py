@@ -1,13 +1,16 @@
 import collections
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from augbench.augment import (AugmentError, AugmentSpec, AugTechnique, Thesaurus,
-                              augment_dataset, bundled_stopwords, bundled_thesaurus,
-                              detokenize, derive_seed, edit_count, random_delete,
-                              random_insert, random_swap, synonym_replace, tokenize)
+                              _is_punct_token, augment_dataset, bundled_stopwords,
+                              bundled_thesaurus, detokenize, derive_seed, edit_count,
+                              random_delete, random_insert, random_swap, synonym_replace,
+                              tokenize)
+from augbench.corpus import export_jsonl
 from augbench.synth import make_review_corpus
 from augbench.translate import MockProvider, TranslationCache
 
@@ -69,6 +72,56 @@ class TestTokenize:
         stripped = "".join(text.split())
         rebuilt = "".join(detokenize(tokenize(text)).split())
         assert rebuilt == stripped
+
+
+def _reference_is_punct_token(tok):
+    """The original per-character predicate that `_is_punct_token` must equal."""
+    return all(not c.isalnum() and not c.isspace() for c in tok)
+
+
+def _reference_detokenize(tokens):
+    """The original `+=` loop that `detokenize` must equal."""
+    out = ""
+    for tok in tokens:
+        if out and not _reference_is_punct_token(tok):
+            out += " "
+        out += tok
+    return out
+
+
+# Tokens that reach the predicate: empty, `_`, a combining mark alone and
+# after a letter or punctuation, non-ASCII digits and numerics, Unicode
+# whitespace, and synonyms of several words (a thesaurus file may hold them;
+# SR and RI insert them as single tokens).
+_MULTIWORD = ["a lot", "back road", "so - so", "sci-fi film", ", and", "! !", "_ _"]
+_PUNCT_CASES = ["", "_", "__", "a_", "_!", "\u0301", "a\u0301", "!\u0301", "\u0663\u0664",
+                "\u0967", "\uff11", "\u00b2", "\u00bd", "...", "?!", "-", "\u2014", " ", "\u00a0",
+                "\u0130"] + _MULTIWORD
+_tokens = st.lists(st.one_of(st.text(max_size=6), st.sampled_from(_PUNCT_CASES + ["A", "film"])),
+                   max_size=12)
+
+
+class TestPunctuationPredicate:
+    @given(st.text())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_reference(self, tok):
+        assert bool(_is_punct_token(tok)) == _reference_is_punct_token(tok)
+
+    @pytest.mark.parametrize("tok", _PUNCT_CASES)
+    def test_explicit_cases_equal_reference(self, tok):
+        assert bool(_is_punct_token(tok)) == _reference_is_punct_token(tok)
+
+    @given(_tokens)
+    @settings(max_examples=500, deadline=None)
+    def test_detokenize_equals_reference(self, tokens):
+        assert detokenize(tokens) == _reference_detokenize(tokens)
+
+    @pytest.mark.parametrize("tokens", [
+        [""], ["", "a"], ["", "", "a", "b"], ["a", "", "b"], ["", "."], [".", "a"],
+        ["a", "b c", "!"], ["_", "x"],
+    ])
+    def test_detokenize_explicit_cases_equal_reference(self, tokens):
+        assert detokenize(tokens) == _reference_detokenize(tokens)
 
 
 class TestThesaurus:
@@ -309,6 +362,41 @@ class TestAugmentDataset:
         with pytest.raises(AugmentError):
             augment_dataset(corp, AugmentSpec(technique="rs"),
                             translator=MockProvider(0))
+
+
+# `augbench augment` output (export_jsonl of augment_dataset) recorded before
+# tokenize and eligibility moved out of the per-copy loop.
+AUGMENT_SHA256 = {
+    "sr": "e49e2af0e8b167a0bcd43b9060d0a4254339f90aad194231d6e7064dcbf844e0",
+    "ri": "d1e0d1c7e324063b4329a033e078e263d6aa6b3962d21c5cc56608b636692cf1",
+    "rs": "e942858c32e9289af13c076f59ab50ba82e8c63c0e80994f4847d3c0cac1c12b",
+    "rd": "c0760a086565e6b4725b18c30101c1751a8e2b855cb40975cba79bbe8c4a89a4",
+}
+
+
+class TestPerParentWork:
+    @pytest.mark.parametrize("technique", sorted(AUGMENT_SHA256))
+    def test_corpus_matches_recorded_digest(self, technique, tmp_path):
+        corp = make_review_corpus(n_train=60, n_test=10, seed=3)
+        run = augment_dataset(corp, AugmentSpec(technique=technique, alpha=0.2,
+                                                copies_per_original=3, seed=11))
+        export_jsonl(run.corpus, tmp_path / "out.jsonl")
+        digest = hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()
+        assert digest == AUGMENT_SHA256[technique]
+
+    @pytest.mark.parametrize("technique,edit", [("sr", synonym_replace),
+                                                ("ri", random_insert)])
+    def test_copies_equal_public_functions_per_copy(self, technique, edit):
+        corp = make_review_corpus(n_train=20, n_test=0, seed=4)
+        spec = AugmentSpec(technique=technique, alpha=0.15, copies_per_original=3, seed=2)
+        thesaurus = bundled_thesaurus()
+        run = augment_dataset(corp, spec, thesaurus=thesaurus)
+        got = {d.id: d.text for d in run.corpus if not d.is_original}
+        for doc in corp:
+            for copy in range(3):
+                seed = derive_seed(spec.seed, doc.id, copy)
+                new = edit(tokenize(doc.text), spec.alpha, thesaurus, spec.stopwords, seed)
+                assert got[f"{doc.id}#aug[{technique}:{copy}]"] == detokenize(new)
 
 
 def test_derive_seed_distinct_streams():

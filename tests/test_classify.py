@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.augment import AugmentSpec
+from augbench.augment import AugmentSpec, augment_dataset
 from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
                                TrainConfig, _sigmoid, feature_row,
                                feature_rows, featurize, import_predictions,
@@ -67,6 +68,102 @@ class TestFeaturize:
         n_buckets = 1 << bits
         expected = n_buckets * (1 - (1 - 1 / n_buckets) ** n_types)
         assert abs(len(buckets) - expected) / expected < 0.01
+
+
+def _gram_index(gram, bits):
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") & ((1 << bits) - 1)
+
+
+# Texts drawn from a small vocabulary share n-grams; free text mostly does not.
+_family_text = st.one_of(
+    st.lists(st.sampled_from(["the", "The", "film", "FILM", "good", "bad", ",", "!", "_"]),
+             max_size=20).map(" ".join),
+    st.text(max_size=40))
+
+
+class TestFeatureMemo:
+    @given(st.lists(st.lists(_family_text, max_size=5), max_size=4),
+           st.sampled_from([1, 3, 10, 18]))
+    @settings(max_examples=300, deadline=None)
+    def test_memoized_rows_equal_unmemoized(self, families, bits):
+        for texts in families:
+            memo = {}  # one per family, reused across its texts
+            for text in texts:
+                idx, vals = feature_row(text, bits, memo)
+                ref_idx, ref_vals = feature_row(text, bits)
+                assert idx.tolist() == ref_idx.tolist()
+                assert vals.tolist() == ref_vals.tolist()
+            assert all(memo[g] == _gram_index(g, bits) for g in memo)
+
+    @pytest.mark.parametrize("texts", [
+        ["alpha beta gamma", "delta epsilon", "zeta"],  # no shared token
+        ["", "", "a"],
+        ["a good film", "", "a good film", "A GOOD FILM!"],
+        ["x" * 5, "y _ z", "\u0130 \u0301"],
+    ])
+    def test_explicit_families(self, texts):
+        memo = {}
+        for text in texts:
+            assert featurize(text, 12, memo) == featurize(text, 12)
+
+    def test_predict_with_memo_equals_without(self):
+        model = train(_toy_corpus(), TrainConfig(bits=12, epochs=2))
+        memo = {}
+        for text in ["great movie", "great movie truly great", "", "awful, great"]:
+            assert predict(model, text, memo) == predict(model, text)
+
+
+def _reference_train(corpus, config):
+    """`train` as it was before documents were featurized family by family:
+    in document order and without a memo."""
+    docs = [d for d in corpus.split_docs("train") if d.label in ("pos", "neg")]
+    feats = [feature_row(d.text, config.bits) for d in docs]
+    ys = [1.0 if d.label == "pos" else 0.0 for d in docs]
+    w = np.zeros(1 << config.bits, dtype=np.float64)
+    bias = 0.0
+    scale = 1.0
+    rng = random.Random(config.seed)
+    order = list(range(len(docs)))
+    total_steps = config.epochs * len(docs)
+    step = 0
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for i in order:
+            lr = config.learning_rate
+            if config.lr_decay == "linear":
+                lr *= 1.0 - step / total_steps
+            step += 1
+            idx, vals = feats[i]
+            z = scale * float(w[idx] @ vals) + bias
+            g = _sigmoid(z) - ys[i]
+            if config.l2 > 0.0 and lr > 0.0:
+                scale *= 1.0 - lr * config.l2
+                if scale < 1e-9:
+                    w *= scale
+                    scale = 1.0
+            if lr > 0.0:
+                w[idx] -= lr * g * vals / scale
+                bias -= lr * g
+    w *= scale
+    return w, bias
+
+
+@given(st.sampled_from(["sr", "ri", "rs", "rd"]), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=12, deadline=None)
+def test_train_equals_document_order_reference(technique, copies, shuffle):
+    # families interleave: synthetic copies before, between and after parents
+    corp = make_review_corpus(n_train=16, n_test=0, seed=5)
+    aug = augment_dataset(corp, AugmentSpec(technique=technique, alpha=0.2,
+                                            copies_per_original=copies))
+    docs = list(aug.corpus)
+    shuffle.shuffle(docs)
+    mixed = Corpus(docs)
+    config = TrainConfig(bits=12, epochs=2, seed=3)
+    model = train(mixed, config)
+    w, bias = _reference_train(mixed, config)
+    assert model.weights.tobytes() == w.tobytes() and model.bias == bias
 
 
 class TestTrain:

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 import numpy as np
@@ -63,6 +65,21 @@ class TestAugmentCommand:
                          "--in", str(corpus_file), "--out", str(out)])
         assert cache.exists()
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 60  # 2 legs x 30
+
+    def test_backtranslate_closes_its_cache(self, runner, corpus_file, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _invoke(runner, ["augment", "--technique", "bt", "--langs", "es",
+                             "--cache", str(tmp_path / "cache.jsonl"),
+                             "--in", str(corpus_file), "--out", str(tmp_path / "bt.jsonl")])
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text("train_sizes: [10]\nseeds: [0]\nclassifier: {bits: 10, epochs: 1}\n"
+                           "augment: {technique: bt, languages: [fr]}\n", encoding="utf-8")
+            _invoke(runner, ["run", "--config", str(cfg), "--in", str(corpus_file),
+                             "--cache", str(tmp_path / "cache.jsonl"),
+                             "--out-dir", str(tmp_path / "out")])
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestTrainPredict:

@@ -38,6 +38,15 @@ class TestDocument:
         with pytest.raises(CorpusError):
             Corpus([d, d])
 
+    @pytest.mark.parametrize("fields", [
+        {"text": "a \ud800 b"}, {"id": "\udfff"},
+        {"origin": Origin(kind="synthetic", technique="sr", lang="e\ud801", parent="p")},
+    ])
+    def test_lone_surrogate_rejected(self, fields):
+        # no output could hold it: every format is written as UTF-8
+        with pytest.raises(CorpusError, match="is not valid UTF-8"):
+            Document(**{"id": "x", "text": "t", "label": "pos", "split": "train", **fields})
+
 
 class TestIngestImdb:
     def test_labels_from_paths(self, imdb_dir):
@@ -101,6 +110,26 @@ class TestJsonl:
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="dup"):
             ingest_jsonl(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("text", "bad \ud800 text"), ("text", "\udfff"), ("id", "d\udc00"),
+    ])
+    def test_lone_surrogate_names_line_and_document(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "text": "x", "label": "pos", "split": "train"}
+        bad = {**good, "id": "b", field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"line 2: document '.*' is not valid UTF-8"):
+            ingest_jsonl(path)
+
+    def test_surrogate_pair_escape_round_trips(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        line = json.dumps({"id": "a", "text": "ok \U0001f600", "label": "pos", "split": "train"})
+        assert "\\ud83d\\ude00" in line  # json escapes it as a surrogate pair
+        path.write_text(line + "\n", encoding="utf-8")
+        corp = ingest_jsonl(path)
+        export_jsonl(corp, tmp_path / "out.jsonl")
+        assert ingest_jsonl(tmp_path / "out.jsonl").get("a").text == "ok \U0001f600"
 
     def test_empty_corpus_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -94,6 +94,39 @@ def test_tta_pipeline_is_traced_as_perfbench_calls_it():
     assert result.returncode == 0, result.stderr
 
 
+# perfbench/run.py reports `classify.featurize` and `augment.tokenize` spans and
+# calls.  Training still featurizes each document in its own call (a family
+# memo only shares hashes), so featurize metrics stay comparable; EDA
+# tokenizes each parent once, however many copies it makes.
+_EDA_COUNTS = """
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from augbench import augment, experiment
+from augbench.classify import TrainConfig
+from augbench.synth import make_review_corpus
+config = experiment.ExperimentConfig(
+    train_sizes=[10, 20], seeds=[0], classifier=TrainConfig(bits=10, epochs=1),
+    augment=augment.AugmentSpec(technique="sr", copies_per_original=3))
+report = experiment.run_low_resource_sweep(config, make_review_corpus(40, 10))
+assert len(report.rows) == 2, report.failures
+spans = tracer.spans
+def under(child, parent):
+    return sum(1 for span in spans
+               if span[0] == child and span[3] >= 0 and spans[span[3]][0] == parent)
+steps, generated = tracer.counts["train.sgd_steps"], tracer.counts["augment.generated"]
+# epochs=1: one SGD step per training document, each parent and its 3 copies
+assert steps == generated // 3 * 4 > 0, (steps, generated)
+assert under("classify.featurize", "classify.train") == steps
+assert under("augment.tokenize", "augment.augment_dataset") * 3 == generated
+"""
+
+
+def test_eda_sweep_featurizes_each_document_and_tokenizes_each_parent_once():
+    result = _run_with_perfbench(_EDA_COUNTS)
+    assert result.returncode == 0, result.stderr
+
+
 def test_replaced_augment_dataset_reaches_the_sweep(monkeypatch):
     # perfbench/child.py counts augment skips by replacing the module attribute
     from augbench import augment

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -30,20 +31,20 @@ class CountingProvider:
 class TestCache:
     def test_round_trip_and_compaction(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        c = TranslationCache(path)
-        c.put("k1", "en", "es", "p", "hello", "hola")
-        c.put("k1", "en", "es", "p", "hello", "hola2")  # later entry wins
-        c.put("k2", "es", "en", "p", "hola", "hello")
+        with TranslationCache(path) as c:
+            c.put("k1", "en", "es", "p", "hello", "hola")
+            c.put("k1", "en", "es", "p", "hello", "hola2")  # later entry wins
+            c.put("k2", "es", "en", "p", "hola", "hello")
         reloaded = TranslationCache(path)
         assert reloaded.get("k1") == "hola2"
         assert reloaded.get("k2") == "hello"
 
     def test_append_does_not_corrupt_prior_entries(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        c1 = TranslationCache(path)
-        c1.put("a", "en", "es", "p", "x", "y")
-        c2 = TranslationCache(path)
-        c2.put("b", "en", "es", "p", "u", "v")
+        with TranslationCache(path) as c1:
+            c1.put("a", "en", "es", "p", "x", "y")
+        with TranslationCache(path) as c2:
+            c2.put("b", "en", "es", "p", "u", "v")
         final = TranslationCache(path)
         assert final.get("a") == "y" and final.get("b") == "v"
 
@@ -55,40 +56,84 @@ class TestCache:
 
     def test_torn_final_line_skipped_and_repaired(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
-        c = TranslationCache(path)
-        c.put("a", "en", "es", "p", "x", "y")
-        c.put("b", "en", "es", "p", "u", "v")
+        with TranslationCache(path) as c:
+            c.put("a", "en", "es", "p", "x", "y")
+            c.put("b", "en", "es", "p", "u", "v")
         path.write_bytes(path.read_bytes()[:-10])  # a put cut short by a kill
-        torn = TranslationCache(path)
-        assert len(torn) == 1 and torn.get("a") == "y"
-        assert "torn final cache line 2" in caplog.text
-        torn.put("c", "en", "es", "p", "w", "z")
+        with TranslationCache(path) as torn:
+            assert len(torn) == 1 and torn.get("a") == "y"
+            assert "torn final cache line 2" in caplog.text
+            torn.put("c", "en", "es", "p", "w", "z")
         final = TranslationCache(path)
         assert len(final) == 2 and final.get("c") == "z"
 
     def test_unterminated_final_line_kept_and_ended(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        TranslationCache(path).put("a", "en", "es", "p", "x", "y")
+        with TranslationCache(path) as c:
+            c.put("a", "en", "es", "p", "x", "y")
         path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a hand-edited file
-        edited = TranslationCache(path)
-        assert len(edited) == 1
-        edited.put("b", "en", "es", "p", "u", "v")
+        with TranslationCache(path) as edited:
+            assert len(edited) == 1
+            edited.put("b", "en", "es", "p", "u", "v")
         final = TranslationCache(path)
         assert len(final) == 2 and final.get("a") == "y" and final.get("b") == "v"
 
     def test_torn_multibyte_character_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        TranslationCache(path).put("a", "en", "es", "p", "x", "\u00e9t\u00e9")
+        with TranslationCache(path) as c:
+            c.put("a", "en", "es", "p", "x", "\u00e9t\u00e9")
         data = path.read_bytes()
         path.write_bytes(data[:data.index("\u00e9".encode("utf-8")) + 1])
         assert len(TranslationCache(path)) == 0
 
     def test_bad_line_before_the_last_still_fails(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        TranslationCache(path).put("a", "en", "es", "p", "x", "y")
+        with TranslationCache(path) as c:
+            c.put("a", "en", "es", "p", "x", "y")
         path.write_bytes(b"{not json}\n" + path.read_bytes())
         with pytest.raises(CacheError, match="bad cache line 1"):
             TranslationCache(path)
+
+    def test_one_handle_flushed_after_every_line(self, tmp_path, monkeypatch):
+        import augbench.translate as translate
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(translate, "open", counting_open, raising=False)
+        path = tmp_path / "cache.jsonl"
+        entries = [("a", "en", "es", "p", "x", "\u00e9t\u00e9"), ("b", "es", "en", "p", "y", "z"),
+                   ("a", "en", "es", "p", "x", "again")]
+        lines = b""
+        with TranslationCache(path) as c:
+            assert opened == []  # opened by the first put, not before
+            for key, src, tgt, prov, text, result in entries:
+                c.put(key, src, tgt, prov, text, result)
+                entry = {"key": key, "source": src, "target": tgt, "provider": prov,
+                         "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                         "result": result}
+                lines += (json.dumps(entry, ensure_ascii=False, sort_keys=True)
+                          + "\n").encode("utf-8")
+                assert path.read_bytes() == lines  # on disk before close
+        assert opened == [path]
+        c.put("c", "en", "es", "p", "w", "v")  # reopened after close
+        c.close()
+        c.close()
+        assert len(opened) == 2 and len(TranslationCache(path)) == 3
+
+    @pytest.mark.parametrize("text,result", [("x", "\ud800"), ("x\udfff", "y")])
+    def test_lone_surrogate_stores_nothing(self, tmp_path, text, result):
+        path = tmp_path / "cache.jsonl"
+        with TranslationCache(path) as c:
+            with pytest.raises(CacheError, match="entry k: not valid UTF-8"):
+                c.put("k", "en", "es", "p", text, result)
+            assert len(c) == 0 and c.get("k") is None
+            assert not path.exists()
+            c.put("k2", "en", "es", "p", "x", "\U0001f600")  # a surrogate pair is fine
+        assert TranslationCache(path).get("k2") == "\U0001f600"
 
     def test_key_includes_provider(self):
         assert cache_key("p1", "en", "es", "x") != cache_key("p2", "en", "es", "x")
