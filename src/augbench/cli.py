@@ -58,9 +58,14 @@ def _translation(provider: str, endpoint: str | None, rps: float, max_retries: i
     return translator, cache
 
 
-def _closing(cache):
-    """A context that closes the translation cache, if there is one, on leaving."""
-    return contextlib.nullcontext() if cache is None else cache
+def _closing(translator, cache):
+    """A context that closes the translation cache and the provider (an HTTP
+    provider's session), where they have a `close`, on leaving."""
+    stack = contextlib.ExitStack()
+    for resource in (cache, translator):
+        if hasattr(resource, "close"):
+            stack.callback(resource.close)
+    return stack
 
 
 @click.group()
@@ -119,7 +124,7 @@ def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path
     translator = cache = None
     if spec.technique is _augment.AugTechnique.BACKTRANSLATE:
         translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path, seed)
-    with _closing(cache):
+    with _closing(translator, cache):
         run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
                                        translator=translator, cache=cache)
     _corpus.export_jsonl(run.corpus, out_path)
@@ -312,7 +317,7 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     if config.augment and config.augment.technique is _augment.AugTechnique.BACKTRANSLATE:
         translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path,
                                          config.augment.seed)
-    with _closing(cache):
+    with _closing(translator, cache):
         report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
                                                     cache=cache)
     out = Path(out_dir)

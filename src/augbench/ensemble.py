@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .classify import PredictionTable
 from .corpus import Corpus
@@ -119,6 +118,86 @@ def log_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
+_SQRT_EPS = np.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
+_FMIN_MAXITER = 500
+
+
+def _fminbound(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimize a scalar `func` on [lo, hi]: Brent's bounded method (Brent
+    1973, *Algorithms for Minimization without Derivatives*, ch. 5), ported
+    step for step from scipy 1.17's `_minimize_scalar_bounded` with
+    `maxiter=500`, so `(x, func(x))` equals that of `minimize_scalar(func,
+    bounds=(lo, hi), method="bounded", options={"xatol": xatol})`."""
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic fit through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:  # golden-section step into the larger part
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMIN_MAXITER:
+            break
+    return xf, fx
+
+
 def fit_weights(preds: PredictionTable, labels: Mapping[str, str],
                 sources: Optional[Sequence[str]] = None) -> SimplexWeights:
     """Simplex weights minimizing mean binary log-loss on the labeled documents.
@@ -166,11 +245,10 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str],
                     trial[j] -= t
                     return loss(trial)
 
-                res = minimize_scalar(pair_loss, bounds=(-w[i], w[j]), method="bounded",
-                                      options={"xatol": 1e-12})
-                if res.fun < current - _EPS:
-                    w[i] += res.x
-                    w[j] -= res.x
+                t, fun = _fminbound(pair_loss, -w[i], w[j], xatol=1e-12)
+                if fun < current - _EPS:
+                    w[i] += t
+                    w[j] -= t
                     np.clip(w, 0.0, None, out=w)
                     w /= w.sum()
                     current = loss(w)

@@ -44,6 +44,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ExperimentError("config needs at least one seed")
+        if not self.train_sizes:
+            raise ExperimentError("config needs at least one train size")
+        for name, values in (("train_sizes", self.train_sizes), ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ExperimentError(f"{name} must not repeat a value, got {values}")
         if any(n <= 0 for n in self.train_sizes):
             raise ExperimentError("train sizes must be positive")
         if not 0 < self.valid_frac < 1:

@@ -9,11 +9,12 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .augment import bundled_thesaurus, derive_seed
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -250,7 +251,9 @@ class HttpProvider:
     Expected response: {"translatedText": "..."}.  Retries timeouts, connection
     errors, 408, 429 and 5xx with exponential backoff, waiting at least a
     response's Retry-After seconds (both capped at `backoff_cap`); other 4xx
-    fail immediately.
+    fail immediately.  `close` (or leaving the provider as a context manager)
+    closes the session if the provider created it, not one passed in.
+    `requests` is imported only when a provider is built.
     """
 
     def __init__(
@@ -266,6 +269,8 @@ class HttpProvider:
         sleep=time.sleep,
         provider_id: Optional[str] = None,
     ):
+        import requests
+
         self.endpoint = endpoint
         self.api_key = api_key
         self.provider_id = provider_id or f"http:{endpoint}"
@@ -273,14 +278,28 @@ class HttpProvider:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit, sleep=sleep)
+        self._own_session = session is None
+        self._session = requests.Session() if session is None else session
+
+    def close(self) -> None:
+        """Close the session if this provider created it."""
+        if self._own_session:
+            self._session.close()
+
+    def __enter__(self) -> "HttpProvider":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
 
     def translate(self, text: str, source: str, target: str) -> str:
+        import requests
+
         body = {"q": text, "source": source, "target": target}
         if self.api_key:
             body["api_key"] = self.api_key

@@ -216,6 +216,29 @@ class TestTrain:
         assert loaded.bias == model.bias
         assert loaded.config == model.config
 
+    @given(config=st.builds(
+               TrainConfig, bits=st.integers(1, 16), epochs=st.integers(1, 10**6),
+               learning_rate=st.floats(min_value=0.0, exclude_min=True),
+               lr_decay=st.sampled_from(["linear", "constant"]),
+               l2=st.floats(allow_nan=False), seed=st.integers(-2**63, 2**64)),
+           bias=st.floats(), weights_seed=st.integers(0, 2**32 - 1),
+           special=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]),
+                            max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_round_trip_property(self, tmp_path_factory, config, bias,
+                                           weights_seed, special):
+        weights = np.random.default_rng(weights_seed).normal(size=1 << config.bits)
+        weights[:len(special)] = special[:len(weights)]
+        model = LinearModel(weights=weights, bias=bias, config=config)
+        first, second = (tmp_path_factory.mktemp("m") / "model.npz" for _ in range(2))
+        model.save(first)
+        loaded = LinearModel.load(first)
+        assert loaded.weights.tobytes() == weights.tobytes()
+        assert np.float64(loaded.bias).tobytes() == np.float64(bias).tobytes()
+        assert loaded.config == config
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_synthetic_corpus_learnable(self):
         corp = make_review_corpus(n_train=200, n_test=100, seed=3)
         model = train(corp, TrainConfig(bits=14))

@@ -1,6 +1,7 @@
 import gc
 import json
 import warnings
+from unittest import mock
 
 import pytest
 import numpy as np
@@ -81,6 +82,24 @@ class TestAugmentCommand:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_http_provider_session_closed(self, runner, corpus_file, tmp_path):
+        def echo(url, json, timeout):
+            return mock.Mock(status_code=200, json=lambda: {"translatedText": json["q"]})
+
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("train_sizes: [10]\nseeds: [0]\nclassifier: {bits: 10, epochs: 1}\n"
+                       "augment: {technique: bt, languages: [fr]}\n", encoding="utf-8")
+        http = ["--provider", "http", "--endpoint", "http://127.0.0.1:1/translate",
+                "--rps", "1e9", "--in", str(corpus_file)]
+        with mock.patch("requests.Session") as session_cls:
+            session_cls.return_value.post.side_effect = echo
+            _invoke(runner, ["augment", "--technique", "bt", "--langs", "es", *http,
+                             "--out", str(tmp_path / "bt.jsonl")])
+            assert session_cls.return_value.close.call_count == 1
+            _invoke(runner, ["run", "--config", str(cfg), *http,
+                             "--out-dir", str(tmp_path / "out")])
+            assert session_cls.return_value.close.call_count == 2
+
 
 class TestTrainPredict:
     def test_full_loop(self, runner, corpus_file, tmp_path):
@@ -159,6 +178,10 @@ class TestTrainPredict:
          "augment.alpha must be a number, got 'high'"),
         # a value of the right type but out of range fails the same way
         ("valid_frac: 1.5\n", "valid_frac must be in (0, 1), got 1.5"),
+        ("train_sizes: []\n", "config needs at least one train size"),
+        ("train_sizes: [30, 30]\nseeds: [0, 0]\n",
+         "train_sizes must not repeat a value, got [30, 30]"),
+        ("seeds: [0, 0]\n", "seeds must not repeat a value, got [0, 0]"),
         ("valid_frac: -0.2\n", "valid_frac must be in (0, 1), got -0.2"),
         ("valid_frac: 0.0\n", "valid_frac must be in (0, 1), got 0.0"),
         ("classifier: {bits: 0}\n", "bits must be at least 1, got 0"),

@@ -1,10 +1,13 @@
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
+from augbench import ensemble
 from augbench.classify import PredictionTable
 from augbench.corpus import Corpus, Document
 from augbench.ensemble import (CalibrationReport, EnsembleError, SimplexWeights,
@@ -160,6 +163,54 @@ class TestFitWeights:
         t = _table([("a", "s1", 0.5), ("b", "s2", 0.5)])
         with pytest.raises(EnsembleError):
             fit_weights(t, {"a": "pos", "b": "neg"}, ["s1", "s2"])
+
+
+def _scipy_fminbound(func, lo, hi, xatol):
+    """The reference for `ensemble._fminbound`: scipy's bounded Brent method."""
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+def _pair_problem(seed, n_docs, n_sources):
+    """A `fit_weights` pair problem: the log-loss of moving mass t from source
+    j to source i of a random simplex point, as a function of t."""
+    rng = np.random.default_rng(seed)
+    mat = rng.random((n_docs, n_sources))
+    y = (rng.random(n_docs) < 0.5).astype(float)
+    w = rng.dirichlet(np.ones(n_sources))
+    i, j = sorted(rng.choice(n_sources, 2, replace=False))
+
+    def pair_loss(t):
+        trial = w.copy()
+        trial[i] += t
+        trial[j] -= t
+        return log_loss(mat @ trial, y)
+
+    return pair_loss, w[i], w[j]
+
+
+class TestFminbound:
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
+           n_sources=st.integers(2, 6),
+           bounds=st.sampled_from(["pair", "lo_zero", "hi_zero", "tiny"]),
+           xatol=st.sampled_from([1e-12, 1e-5]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy(self, seed, n_docs, n_sources, bounds, xatol):
+        func, wi, wj = _pair_problem(seed, n_docs, n_sources)
+        lo, hi = {"pair": (-wi, wj), "lo_zero": (-0.0, wj), "hi_zero": (-wi, 0.0),
+                  "tiny": (-wi * 1e-11, wj * 1e-11)}[bounds]
+        x, fx = ensemble._fminbound(func, lo, hi, xatol=xatol)
+        ref_x, ref_fx = _scipy_fminbound(func, lo, hi, xatol)
+        assert x == ref_x and fx == ref_fx
+
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
+           n_sources=st.integers(2, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_fit_weights_equals_scipy_reference(self, seed, n_docs, n_sources):
+        t, labels = _random_table(random.Random(seed), n_docs, n_sources)
+        with mock.patch.object(ensemble, "_fminbound", _scipy_fminbound):
+            expected = fit_weights(t, labels)
+        assert fit_weights(t, labels).weights == expected.weights
 
 
 def _brute_force_report(ps, labels=None):

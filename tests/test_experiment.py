@@ -269,6 +269,10 @@ class TestConfigParsing:
         ("augment:\n  technique: bt\n  languages: [es]\n  language_strategy: rr\n",
          AugmentError, "unknown language_strategy 'rr'; expected one of: all, roundrobin"),
         ("seeds: []\n", ExperimentError, "config needs at least one seed"),
+        ("train_sizes: []\n", ExperimentError, "config needs at least one train size"),
+        ("train_sizes: [30, 30]\n", ExperimentError,
+         "train_sizes must not repeat a value, got [30, 30]"),
+        ("seeds: [0, 1, 0]\n", ExperimentError, "seeds must not repeat a value, got [0, 1, 0]"),
         ("valid_frac: 1.5\n", ExperimentError, "valid_frac must be in (0, 1), got 1.5"),
         ("valid_frac: -0.2\n", ExperimentError, "valid_frac must be in (0, 1), got -0.2"),
         ("valid_frac: 0.0\n", ExperimentError, "valid_frac must be in (0, 1), got 0.0"),

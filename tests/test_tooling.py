@@ -164,3 +164,24 @@ def test_benchmark_inputs_match_recorded_digests(tmp_path):
     assert result.returncode == 0, result.stderr
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
     assert json.loads(result.stdout) == golden["tta-analyze"]["0"]["inputs"]
+
+
+# scipy and requests together took most of the time `import augbench` takes,
+# which every CLI call and benchmark child pays; only an HTTP translation
+# provider needs requests, and nothing at run time needs scipy.
+_IMPORTS = """
+import importlib, pkgutil, sys
+import augbench, augbench.cli
+for info in pkgutil.iter_modules(augbench.__path__):
+    importlib.import_module("augbench." + info.name)
+heavy = sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "requests"})
+assert not heavy, heavy
+from augbench.translate import HttpProvider
+with HttpProvider("http://127.0.0.1:1/translate"):
+    assert "requests" in sys.modules
+"""
+
+
+def test_import_loads_neither_scipy_nor_requests():
+    result = _run_with_perfbench(_IMPORTS)
+    assert result.returncode == 0, result.stderr

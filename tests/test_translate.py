@@ -3,6 +3,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import pytest
 
@@ -262,27 +263,28 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/translate", handler
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpProvider:
     def test_success(self, stub_server):
         url, handler = stub_server
-        p = HttpProvider(url, rate_limit=1000, backoff_base=0.01)
-        assert p.translate("hola", "es", "en") == "HOLA"
+        with HttpProvider(url, rate_limit=1000, backoff_base=0.01) as p:
+            assert p.translate("hola", "es", "en") == "HOLA"
 
     def test_429_then_200_retries(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [429]
-        p = HttpProvider(url, rate_limit=1000, backoff_base=0.01)
-        assert p.translate("hi", "en", "es") == "HI"
+        with HttpProvider(url, rate_limit=1000, backoff_base=0.01) as p:
+            assert p.translate("hi", "en", "es") == "HI"
         assert handler.requests_seen == 2
 
     def test_408_retries(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [408]
         waits = []
-        p = HttpProvider(url, rate_limit=1e9, sleep=waits.append)
-        assert p.translate("hi", "en", "es") == "HI"
+        with HttpProvider(url, rate_limit=1e9, sleep=waits.append) as p:
+            assert p.translate("hi", "en", "es") == "HI"
         assert handler.requests_seen == 2
         assert waits == [0.5]
 
@@ -292,36 +294,46 @@ class TestHttpProvider:
                              (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
                              (408, {"Retry-After": "1"})]
         waits = []
-        p = HttpProvider(url, rate_limit=1e9, max_retries=5, backoff_base=0.5,
-                         backoff_cap=30.0, sleep=waits.append)
-        assert p.translate("hi", "en", "es") == "HI"
+        with HttpProvider(url, rate_limit=1e9, max_retries=5, backoff_base=0.5,
+                          backoff_cap=30.0, sleep=waits.append) as p:
+            assert p.translate("hi", "en", "es") == "HI"
         # backoffs 0.5, 1, 2, 4; an HTTP-date Retry-After is not read
         assert waits == [7, 30.0, 2.0, 4.0]
 
     def test_401_fails_after_one_attempt(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [401]
-        p = HttpProvider(url, rate_limit=1000, backoff_base=0.01)
-        with pytest.raises(PermanentTranslationError, match="401"):
-            p.translate("hi", "en", "es")
+        with HttpProvider(url, rate_limit=1000, backoff_base=0.01) as p:
+            with pytest.raises(PermanentTranslationError, match="401"):
+                p.translate("hi", "en", "es")
         assert handler.requests_seen == 1
 
     def test_5xx_exhausts_retries(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [500, 500, 500]
-        p = HttpProvider(url, rate_limit=1000, max_retries=3, backoff_base=0.001)
-        with pytest.raises(TransientTranslationError):
-            p.translate("hi", "en", "es")
+        with HttpProvider(url, rate_limit=1000, max_retries=3, backoff_base=0.001) as p:
+            with pytest.raises(TransientTranslationError):
+                p.translate("hi", "en", "es")
         assert handler.requests_seen == 3
 
     def test_rate_limit_enforced(self, stub_server):
         # 20 requests at 5/s with burst 1 needs >= 19/5 = 3.8 s
         url, handler = stub_server
-        p = HttpProvider(url, rate_limit=5.0, backoff_base=0.01)
-        t0 = time.monotonic()
-        for i in range(20):
-            p.translate(f"m{i}", "en", "es")
-        assert time.monotonic() - t0 >= 3.0
+        with HttpProvider(url, rate_limit=5.0, backoff_base=0.01) as p:
+            t0 = time.monotonic()
+            for i in range(20):
+                p.translate(f"m{i}", "en", "es")
+            assert time.monotonic() - t0 >= 3.0
+
+    def test_closes_only_its_own_session(self):
+        with mock.patch("requests.Session") as session_cls:
+            with HttpProvider("http://127.0.0.1:1/translate"):
+                pass
+            session_cls.return_value.close.assert_called_once_with()
+        shared = mock.Mock()
+        with HttpProvider("http://127.0.0.1:1/translate", session=shared):
+            pass
+        shared.close.assert_not_called()
 
 
 class TestTokenBucket:
