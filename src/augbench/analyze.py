@@ -18,6 +18,8 @@ _ABBREVIATIONS = frozenset({
 
 _BOUNDARY = re.compile(r"[.!?]+(?=\s)")
 
+_TOL = 1e-10  # an L1 fit has converged when no step moves a weight further
+
 
 class AnalyzeError(Exception):
     pass
@@ -48,33 +50,14 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-@dataclass
-class SentenceFeatures:
-    """Raw (pre-standardization) summary stats of per-sentence sentiment scores."""
-    last: float
-    first: float
-    avg: float
-    max: float
-    min: float
-    len: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.last, self.first, self.avg, self.max, self.min, self.len])
-
-
-def sentence_features(text: str, predict_fn: Callable[[str], float]) -> SentenceFeatures:
-    """Score each sentence with predict_fn and summarize the resulting vector."""
+def sentence_features(text: str, predict_fn: Callable[[str], float]) -> np.ndarray:
+    """Score each sentence with predict_fn and summarize the resulting vector:
+    raw (pre-standardization) float64 stats in `FEATURE_NAMES` order."""
     if not text.strip():
         raise AnalyzeError("cannot extract sentence features from empty text")
     scores = [predict_fn(s) for s in split_sentences(text)]
-    return SentenceFeatures(
-        last=scores[-1],
-        first=scores[0],
-        avg=float(np.mean(scores)),
-        max=float(np.max(scores)),
-        min=float(np.min(scores)),
-        len=float(len(scores)),
-    )
+    return np.array([scores[-1], scores[0], np.mean(scores), np.max(scores),
+                     np.min(scores), len(scores)], dtype=np.float64)
 
 
 def standardize(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,12 +75,10 @@ class RegressionFit:
     intercept: float
     l1_strength: float
     target_kind: str  # "true_label" | "model_prediction"
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def as_dict(self) -> dict:
         return {
-            "coefficients": {n: float(c) for n, c in zip(self.feature_names,
-                                                         self.coefficients)},
+            "coefficients": {n: float(c) for n, c in zip(FEATURE_NAMES, self.coefficients)},
             "intercept": float(self.intercept),
             "l1_strength": float(self.l1_strength),
             "target_kind": self.target_kind,
@@ -152,7 +133,6 @@ def fit_l1_logistic(
     l1_strength: float,
     target_kind: str = "true_label",
     max_sweeps: int = 1000,
-    tol: float = 1e-10,
 ) -> RegressionFit:
     """L1-penalized logistic regression by proximal coordinate descent.
 
@@ -161,7 +141,7 @@ def fit_l1_logistic(
     so irrelevant coefficients land on literal zeros.  Deterministic: fixed
     coordinate order, fixed sweep cap.  The r=1 case of `_fit_many`.
     """
-    W, B = _fit_many(np.asarray(X)[None], np.asarray(y)[None], [l1_strength], max_sweeps, tol)
+    W, B = _fit_many(np.asarray(X)[None], np.asarray(y)[None], [l1_strength], max_sweeps, _TOL)
     return RegressionFit(W[0], float(B[0]), l1_strength, target_kind)
 
 
@@ -192,7 +172,7 @@ def cross_validate_l1(
         pairs = [(k, lam) for k, (tr, _) in enumerate(splits) if tr.sum() == size for lam in lams]
         W, B = _fit_many(np.stack([X[splits[k][0]] for k, _ in pairs]),
                          np.stack([y[splits[k][0]] for k, _ in pairs]),
-                         [lam for _, lam in pairs], max_sweeps=300, tol=1e-10)
+                         [lam for _, lam in pairs], max_sweeps=300, tol=_TOL)
         fits.update(zip(pairs, zip(W, B)))
     stats = {}
     for lam in lams:
@@ -209,7 +189,7 @@ def cross_validate_l1(
 def build_feature_matrix(
     texts: Sequence[str], predict_fn: Callable[[str], float]
 ) -> np.ndarray:
-    return np.array([sentence_features(t, predict_fn).as_array() for t in texts])
+    return np.array([sentence_features(t, predict_fn) for t in texts])
 
 
 RATING_POINTS = (0, 1, 2, 3, 4, 5, 6, 6.5, 7, 8, 9, 10)

@@ -37,35 +37,31 @@ def _translation_options(command):
     return command
 
 
-def _translation(provider: str, endpoint: str | None, rps: float, max_retries: int,
-                 cache_path: str | None, seed: int):
-    """The translation provider, and a cache pre-seeded with the paper's examples."""
-    if provider == "mock":
-        translator = _translate.MockProvider(seed=seed)
-    elif provider == "replay":
-        translator = _translate.ReplayProvider()
-    else:
-        if not endpoint:
-            raise click.UsageError("--endpoint is required with --provider http")
-        translator = _translate.HttpProvider(
-            endpoint=endpoint,
-            api_key=os.environ.get(API_KEY_ENV),
-            rate_limit=rps,
-            max_retries=max_retries,
-        )
-    cache = _translate.TranslationCache(cache_path)
-    cache.load(_translate.paper_cache_path())
-    return translator, cache
-
-
-def _closing(translator, cache):
-    """A context that closes the translation cache and the provider (an HTTP
-    provider's session), where they have a `close`, on leaving."""
-    stack = contextlib.ExitStack()
-    for resource in (cache, translator):
-        if hasattr(resource, "close"):
-            stack.callback(resource.close)
-    return stack
+@contextlib.contextmanager
+def _translation(spec: _augment.AugmentSpec | None, provider: str, endpoint: str | None,
+                 rps: float, max_retries: int, cache_path: str | None):
+    """The translation provider and a cache pre-seeded with the paper's examples,
+    both closed on leaving; (None, None) unless `spec` backtranslates."""
+    if spec is None or spec.technique is not _augment.AugTechnique.BACKTRANSLATE:
+        yield None, None
+        return
+    with contextlib.ExitStack() as stack:
+        if provider == "mock":
+            translator = _translate.MockProvider(seed=spec.seed)
+        elif provider == "replay":
+            translator = _translate.ReplayProvider()
+        else:
+            if not endpoint:
+                raise click.UsageError("--endpoint is required with --provider http")
+            translator = stack.enter_context(_translate.HttpProvider(
+                endpoint=endpoint,
+                api_key=os.environ.get(API_KEY_ENV),
+                rate_limit=rps,
+                max_retries=max_retries,
+            ))
+        cache = stack.enter_context(_translate.TranslationCache(cache_path))
+        cache.load(_translate.paper_cache_path())
+        yield translator, cache
 
 
 @click.group()
@@ -121,10 +117,8 @@ def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path
     )
     thesaurus = (_augment.Thesaurus.from_tsv(thesaurus_path)
                  if thesaurus_path else _augment.bundled_thesaurus())
-    translator = cache = None
-    if spec.technique is _augment.AugTechnique.BACKTRANSLATE:
-        translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path, seed)
-    with _closing(translator, cache):
+    with _translation(spec, provider, endpoint, rps, max_retries,
+                      cache_path) as (translator, cache):
         run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
                                        translator=translator, cache=cache)
     _corpus.export_jsonl(run.corpus, out_path)
@@ -160,15 +154,14 @@ def train(config_path, in_path, model_out):
               required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--splits", default="test", show_default=True)
-@click.option("--source", default="baseline", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def predict(model_path, in_path, splits, source, out_path):
+def predict(model_path, in_path, splits, out_path):
     """Write doc_id,p_positive predictions for the selected splits."""
     model = _classify.LinearModel.load(model_path)
     corp = _corpus.ingest_jsonl(in_path)
-    table = _classify.predict_corpus(model, corp, source,
+    table = _classify.predict_corpus(model, corp, "baseline",
                                      splits=tuple(splits.split(",")))
-    table.to_csv(out_path, source)
+    table.to_csv(out_path, "baseline")
     click.echo(f"wrote {len(table)} predictions to {out_path}")
 
 
@@ -313,11 +306,8 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     """
     config = _run_config(config_path)
     corp = _corpus.ingest_jsonl(in_path)
-    translator = cache = None
-    if config.augment and config.augment.technique is _augment.AugTechnique.BACKTRANSLATE:
-        translator, cache = _translation(provider, endpoint, rps, max_retries, cache_path,
-                                         config.augment.seed)
-    with _closing(translator, cache):
+    with _translation(config.augment, provider, endpoint, rps, max_retries,
+                      cache_path) as (translator, cache):
         report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
                                                     cache=cache)
     out = Path(out_dir)

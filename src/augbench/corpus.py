@@ -140,12 +140,6 @@ class Corpus:
     def with_documents(self, extra: Iterable[Document]) -> "Corpus":
         return Corpus(list(self._docs) + list(extra))
 
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for d in self._docs:
-            out[d.split] = out.get(d.split, 0) + 1
-        return out
-
 
 def ingest_imdb_dir(root_path: str | Path) -> Corpus:
     """Load an aclImdb-style directory tree into a corpus.

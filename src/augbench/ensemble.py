@@ -28,9 +28,13 @@ class EnsembleError(Exception):
 
 @dataclass(frozen=True)
 class SimplexWeights:
+    """Weights per source, held in sorted source order: `combine` adds the
+    sources in that order, so weights read back from `to_json` combine to the
+    same bits as the weights written."""
     weights: Mapping[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
         for s, w in self.weights.items():
             if w < 0:
                 raise EnsembleError(f"negative weight for source {s!r}: {w}")
@@ -198,16 +202,16 @@ def _fminbound(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
     return xf, fx
 
 
-def fit_weights(preds: PredictionTable, labels: Mapping[str, str],
-                sources: Optional[Sequence[str]] = None) -> SimplexWeights:
+def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWeights:
     """Simplex weights minimizing mean binary log-loss on the labeled documents.
 
     Pairwise coordinate descent from the uniform point, with every vertex
     (single-source) solution also evaluated; the returned candidate therefore
     never fits worse than the best single source.  Ties within 1e-12 prefer
-    fewer nonzero weights, then earlier source order.  Deterministic.
+    fewer nonzero weights, then earlier source order (`preds.sources`).
+    Deterministic.
     """
-    sources = list(sources if sources is not None else preds.sources)
+    sources = preds.sources
     if len(sources) < 2:
         raise EnsembleError("weight fitting needs at least 2 sources")
     doc_ids = [d for d in preds.doc_ids(sources[0]) if d in labels]

@@ -23,11 +23,6 @@ from . import translate as _translate
 
 log = logging.getLogger(__name__)
 
-REPORT_COLUMNS = (
-    "n", "technique", "languages", "k", "seed", "subsample",
-    "accuracy", "error", "frac_confident", "pred_std",
-)
-
 
 class ExperimentError(Exception):
     pass
@@ -148,11 +143,12 @@ class ReportRow:
     pred_std: float
 
     def as_csv(self) -> str:
-        return ",".join([
-            str(self.n), self.technique, self.languages, str(self.k), self.seed,
-            self.subsample, repr(self.accuracy), repr(self.error),
-            repr(self.frac_confident), repr(self.pred_std),
-        ])
+        """The fields in `REPORT_COLUMNS` order: `repr` of a float, `str` of the rest."""
+        return ",".join((repr if f.type == "float" else str)(getattr(self, f.name))
+                        for f in dataclasses.fields(self))
+
+
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
 
 
 @dataclass
@@ -327,7 +323,7 @@ def run_tta_pipeline(
     if not valid_ids:
         raise ExperimentError("TTA weight fitting needs a valid split")
     sources = preds.sources
-    weights = fit_weights(preds, {i: labels[i] for i in valid_ids}, sources)
+    weights = fit_weights(preds, {i: labels[i] for i in valid_ids})
     combined = combine(preds, weights, test_ids)
 
     valid = preds.matrix(valid_ids, sources)

@@ -11,14 +11,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from .augment import bundled_thesaurus, derive_seed
+from .augment import _DATA_DIR, bundled_thesaurus, derive_seed
 
 if TYPE_CHECKING:
     import requests
 
 log = logging.getLogger(__name__)
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 # Table 2 names 9 pivot languages for its 10-language row; the tenth is not
 # published, so "it" fills the slot (documented in the README).
@@ -165,7 +163,6 @@ class TranslationCache:
 @dataclass
 class BacktranslationRecord:
     parent_id: Optional[str]
-    pivot_language: str
     intermediate_text: str
     final_text: str
     cache_hits: int  # 0..2
@@ -207,7 +204,6 @@ def backtranslate(
     final = leg(pivot, "en", intermediate, "backward")
     return BacktranslationRecord(
         parent_id=parent_id,
-        pivot_language=pivot,
         intermediate_text=intermediate,
         final_text=final,
         cache_hits=hits,
@@ -242,17 +238,21 @@ class TokenBucket:
 
 
 _RETRYABLE_STATUS = {408, 429}
+_BACKOFF_BASE = 0.5  # seconds before the first retry, doubling per attempt
+_BACKOFF_CAP = 30.0  # longest wait between attempts
+_TIMEOUT = 30.0      # seconds per request
 
 
 class HttpProvider:
     """JSON-over-HTTP translation client with token-bucket rate limiting and retries.
 
     Request body: {"q": text, "source": src, "target": tgt} (+ "api_key" when set).
-    Expected response: {"translatedText": "..."}.  Retries timeouts, connection
-    errors, 408, 429 and 5xx with exponential backoff, waiting at least a
-    response's Retry-After seconds (both capped at `backoff_cap`); other 4xx
-    fail immediately.  `close` (or leaving the provider as a context manager)
-    closes the session if the provider created it, not one passed in.
+    Expected response: {"translatedText": "..."}.  Retries timeouts (30 s per
+    request), connection errors, 408, 429 and 5xx with backoff doubling from
+    0.5 s, waiting at least a response's Retry-After seconds (both capped at
+    30 s); other 4xx fail immediately.  `close` (or leaving the provider as a
+    context manager) closes the session if the provider created it, not one
+    passed in.
     `requests` is imported only when a provider is built.
     """
 
@@ -262,22 +262,15 @@ class HttpProvider:
         api_key: Optional[str] = None,
         rate_limit: float = 10.0,
         max_retries: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-        timeout: float = 30.0,
         session: Optional[requests.Session] = None,
         sleep=time.sleep,
-        provider_id: Optional[str] = None,
     ):
         import requests
 
         self.endpoint = endpoint
         self.api_key = api_key
-        self.provider_id = provider_id or f"http:{endpoint}"
+        self.provider_id = f"http:{endpoint}"
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.timeout = timeout
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit, sleep=sleep)
         self._own_session = session is None
@@ -295,7 +288,7 @@ class HttpProvider:
         self.close()
 
     def _backoff(self, attempt: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
+        return min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** attempt))
 
     def translate(self, text: str, source: str, target: str) -> str:
         import requests
@@ -307,7 +300,7 @@ class HttpProvider:
         for attempt in range(self.max_retries):
             self._bucket.acquire()
             try:
-                resp = self._session.post(self.endpoint, json=body, timeout=self.timeout)
+                resp = self._session.post(self.endpoint, json=body, timeout=_TIMEOUT)
             except (requests.Timeout, requests.ConnectionError) as e:
                 last_err = str(e)
                 self._sleep(self._backoff(attempt))
@@ -324,7 +317,7 @@ class HttpProvider:
                 # an HTTP-date Retry-After is not read
                 retry_after = resp.headers.get("Retry-After", "").strip()
                 wait = int(retry_after) if retry_after.isdecimal() else 0
-                self._sleep(min(self.backoff_cap, max(self._backoff(attempt), wait)))
+                self._sleep(min(_BACKOFF_CAP, max(self._backoff(attempt), wait)))
                 continue
             raise PermanentTranslationError(
                 f"HTTP {resp.status_code} from {self.endpoint}"

@@ -273,7 +273,7 @@ def test_04_fitted_weights_never_worse_than_best_source():
             sources = t.sources
             docs = t.doc_ids(sources[0])
             y = np.array([1.0 if labels[d] == "pos" else 0.0 for d in docs])
-            w = fit_weights(t, labels, sources)
+            w = fit_weights(t, labels)
             fitted = combine(t, w, docs)
             fitted_loss = log_loss(
                 np.array([fitted.get(d, "ensemble") for d in docs]), y)

@@ -1,13 +1,15 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from augbench.analyze import (AnalyzeError, RATING_POINTS, _fit_many, build_feature_matrix,
-                              cross_validate_l1, fit_l1_logistic, numeracy_probe,
-                              sentence_features, split_sentences, standardize)
+from augbench.analyze import (AnalyzeError, FEATURE_NAMES, RATING_POINTS, _fit_many,
+                              build_feature_matrix, cross_validate_l1, fit_l1_logistic,
+                              numeracy_probe, sentence_features, split_sentences,
+                              standardize)
 from augbench.classify import TrainConfig, predictor, train
 from augbench.synth import make_review_corpus
 
@@ -39,15 +41,26 @@ def _length_scorer(sentence: str) -> float:
     return min(1.0, len(sentence.split()) / 10)
 
 
+def _features(text, predict_fn):
+    """`sentence_features` with each entry named as in `FEATURE_NAMES`."""
+    return SimpleNamespace(**dict(zip(FEATURE_NAMES, sentence_features(text, predict_fn))))
+
+
 class TestSentenceFeatures:
+    def test_row_in_feature_names_order(self):
+        scores = iter([0.0, 1.0])
+        row = sentence_features("One. Two.", lambda s: next(scores))
+        assert row.dtype == np.float64
+        assert row.tolist() == [1.0, 0.0, 0.5, 1.0, 0.0, 2.0]
+
     def test_single_sentence_degenerate(self):
-        f = sentence_features("five words in this sentence", _length_scorer)
+        f = _features("five words in this sentence", _length_scorer)
         assert f.last == f.first == f.avg == f.max == f.min
         assert f.len == 1
 
     def test_two_sentence_arithmetic(self):
         scores = iter([0.0, 1.0])
-        f = sentence_features("One. Two.", lambda s: next(scores))
+        f = _features("One. Two.", lambda s: next(scores))
         assert (f.first, f.last, f.avg, f.max, f.min, f.len) == (0.0, 1.0, 0.5, 1.0, 0.0, 2.0)
 
     def test_empty_text_rejected(self):
@@ -56,7 +69,7 @@ class TestSentenceFeatures:
 
     def test_matches_independent_recomputation(self):
         text = "Short one. A somewhat longer second sentence here. End!"
-        f = sentence_features(text, _length_scorer)
+        f = _features(text, _length_scorer)
         scores = [_length_scorer(s) for s in split_sentences(text)]
         assert f.first == scores[0]
         assert f.last == scores[-1]
@@ -67,7 +80,7 @@ class TestSentenceFeatures:
 
     def test_invariant_ordering(self):
         text = "Good. Bad! Mediocre middle sentence? The end."
-        f = sentence_features(text, _length_scorer)
+        f = _features(text, _length_scorer)
         assert f.min <= f.avg <= f.max
         assert f.min <= f.first <= f.max
         assert f.min <= f.last <= f.max

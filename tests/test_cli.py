@@ -112,6 +112,12 @@ class TestTrainPredict:
         assert lines[0] == "doc_id,p_positive"
         assert len(lines) == 11  # header + 10 test docs
 
+    def test_predict_has_no_source_option(self, runner, corpus_file, tmp_path):
+        # the CSV is doc_id,p_positive whatever its source would be called
+        result = runner.invoke(main, ["predict", "--model", str(corpus_file), "--in",
+                                      str(corpus_file), "--source", "x",
+                                      "--out", str(tmp_path / "preds.csv")])
+        assert result.exit_code == 2 and "No such option '--source'" in result.output
 
     def test_model_written_to_the_path_given(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.bin"
@@ -132,10 +138,10 @@ class TestTrainPredict:
                          "--model-out", str(tmp_path / "cli.npz")])
         train(ingest_jsonl(corpus_file), TrainConfig(bits=12, epochs=2)).save(
             tmp_path / "api.npz")
-        cli, api = np.load(tmp_path / "cli.npz"), np.load(tmp_path / "api.npz")
-        assert sorted(cli.files) == sorted(api.files)
-        for name in api.files:
-            assert cli[name].tobytes() == api[name].tobytes(), name
+        with np.load(tmp_path / "cli.npz") as cli, np.load(tmp_path / "api.npz") as api:
+            assert sorted(cli.files) == sorted(api.files)
+            for name in api.files:
+                assert cli[name].tobytes() == api[name].tobytes(), name
 
     def test_config_typo_fails_naming_key(self, runner, corpus_file, tmp_path):
         cfg = tmp_path / "typo.yaml"

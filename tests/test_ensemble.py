@@ -89,6 +89,26 @@ class TestCombine:
         with pytest.raises(EnsembleError, match="missing predictions"):
             combine(t, SimplexWeights({"s1": 0.5, "s2": 0.5}), ["a"])
 
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
+           names=st.lists(st.text(min_size=1, max_size=8), min_size=3, max_size=6,
+                          unique=True).filter(lambda names: names != sorted(names)),
+           masses=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+           extra=st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_read_back_combine_to_the_same_bits(self, tmp_path_factory, seed,
+                                                        n_docs, names, masses, extra):
+        # sources inserted out of name order, as `tta:<lang>` after `ulmfit` would be
+        rng = random.Random(seed)
+        t = _table([(f"d{i}", s, rng.random()) for i in range(n_docs) for s in names])
+        masses = (masses + extra)[:len(names)]
+        w = SimplexWeights({s: m / sum(masses) for s, m in zip(names, masses)})
+        path = tmp_path_factory.mktemp("w") / "w.json"
+        w.to_json(path)
+        docs = t.doc_ids(names[0])
+        direct, read = combine(t, w, docs), combine(t, SimplexWeights.from_json(path), docs)
+        for d in docs:
+            assert direct.get(d, "ensemble") == read.get(d, "ensemble"), d
+
     def test_affine_in_weights(self):
         rng = random.Random(0)
         t, _ = _random_table(rng, 20, 3)
@@ -116,7 +136,7 @@ class TestFitWeights:
             t.add(doc, "noisy1", rng.random())
             t.add(doc, "perfect", truth)
             t.add(doc, "noisy2", rng.random())
-        w = fit_weights(t, labels, ["noisy1", "perfect", "noisy2"])
+        w = fit_weights(t, labels)
         assert w.weights["perfect"] >= 0.99
 
     def test_identical_sources_tie_break_first(self):
@@ -128,7 +148,7 @@ class TestFitWeights:
             p = 0.8 if i % 2 == 0 else 0.2
             t.add(doc, "first", p)
             t.add(doc, "second", p)
-        w = fit_weights(t, labels, ["first", "second"])
+        w = fit_weights(t, labels)
         assert w.weights["first"] == 1.0
         assert w.weights["second"] == 0.0
 
@@ -139,7 +159,7 @@ class TestFitWeights:
             sources = t.sources
             docs = t.doc_ids(sources[0])
             y = np.array([1.0 if labels[d] == "pos" else 0.0 for d in docs])
-            w = fit_weights(t, labels, sources)
+            w = fit_weights(t, labels)
             fitted = combine(t, w, docs)
             fitted_loss = log_loss(
                 np.array([fitted.get(d, "ensemble") for d in docs]), y)
@@ -150,19 +170,19 @@ class TestFitWeights:
     def test_deterministic(self):
         rng = random.Random(3)
         t, labels = _random_table(rng, 30, 4)
-        w1 = fit_weights(t, labels, t.sources)
-        w2 = fit_weights(t, labels, t.sources)
+        w1 = fit_weights(t, labels)
+        w2 = fit_weights(t, labels)
         assert w1.weights == w2.weights
 
     def test_needs_two_sources(self):
         t = _table([("a", "s1", 0.5)])
         with pytest.raises(EnsembleError):
-            fit_weights(t, {"a": "pos"}, ["s1"])
+            fit_weights(t, {"a": "pos"})
 
     def test_no_common_labeled_docs(self):
         t = _table([("a", "s1", 0.5), ("b", "s2", 0.5)])
         with pytest.raises(EnsembleError):
-            fit_weights(t, {"a": "pos", "b": "neg"}, ["s1", "s2"])
+            fit_weights(t, {"a": "pos", "b": "neg"})
 
 
 def _scipy_fminbound(func, lo, hi, xatol):

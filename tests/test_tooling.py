@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -185,3 +186,44 @@ with HttpProvider("http://127.0.0.1:1/translate"):
 def test_import_loads_neither_scipy_nor_requests():
     result = _run_with_perfbench(_IMPORTS)
     assert result.returncode == 0, result.stderr
+
+
+# Every setting has a caller that sets it to a second value or reads it.  These
+# are ceilings on the settable values of src/augbench, counted over its syntax
+# trees: `click.option` declarations, defaulted parameters of functions and
+# lambdas, and annotated fields of @dataclass classes.  Raising a ceiling needs
+# a CHANGES.md line naming the setting and the two non-test callers that need
+# different values.
+SETTABLE_CEILINGS = {"click options": 46, "defaulted parameters": 41,
+                     "dataclass fields": 65}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _settable_values() -> dict[str, int]:
+    counts = dict.fromkeys(SETTABLE_CEILINGS, 0)
+    for path in sorted((ROOT / "src" / "augbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "option" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "click"):
+                counts["click options"] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                counts["defaulted parameters"] += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass,
+                                                            node.decorator_list)):
+                counts["dataclass fields"] += sum(isinstance(stmt, ast.AnnAssign)
+                                                  for stmt in node.body)
+    return counts
+
+
+def test_settable_values_do_not_grow():
+    counts = _settable_values()
+    assert all(counts[kind] > 0 for kind in counts), counts  # the count still finds them
+    grown = {kind: (n, SETTABLE_CEILINGS[kind]) for kind, n in counts.items()
+             if n > SETTABLE_CEILINGS[kind]}
+    assert not grown, f"(count, ceiling) per kind: {grown}"
