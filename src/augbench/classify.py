@@ -19,23 +19,26 @@ class ClassifyError(Exception):
     pass
 
 
-def featurize(text: str, bits: int = 18,
-              memo: Optional[dict[str, int]] = None) -> dict[int, int]:
+# n-gram -> index per `bits` value, shared by every call in the process.  An
+# entry is a pure function of (n-gram, bits), so no output depends on what a
+# memo holds; one holding over _GRAM_MEMO_LIMIT n-grams is emptied on next use.
+_GRAM_MEMO_LIMIT = 1 << 13
+_GRAM_MEMOS: dict[int, dict[str, int]] = {}
+
+
+def featurize(text: str, bits: int = 18) -> dict[int, int]:
     """Hashed counts of lowercased 1-grams and 2-grams of the token sequence.
 
     An n-gram's index is the first 8 bytes of its blake2b digest, big-endian,
     masked to `bits` bits.  Keys are inserted in a fixed order, unigram i and
     then bigram (i, i+1); scores sum in that order, so model bytes depend on it.
-
-    `memo` maps n-grams to their indices and is filled as they are hashed;
-    callers share one across near-duplicate texts (a document and its
-    synthetic copies) so each n-gram is hashed once.  A memo holds indices for
-    one `bits` value only.  Without one, a fresh memo serves this call alone.
+    Indices are memoized per process (`_GRAM_MEMOS`), not hashed on every call.
     """
     blake2b, from_bytes = hashlib.blake2b, int.from_bytes
     mask = (1 << bits) - 1
-    if memo is None:
-        memo = {}
+    memo = _GRAM_MEMOS.setdefault(bits, {})
+    if len(memo) > _GRAM_MEMO_LIMIT:
+        memo.clear()
     tokens = [t.lower() for t in tokenize(text)]
     grams: list[str] = []
     for tok, nxt in zip(tokens, tokens[1:]):
@@ -56,9 +59,9 @@ def featurize(text: str, bits: int = 18,
 FeatureRow = tuple[np.ndarray, np.ndarray]
 
 
-def feature_row(text: str, bits: int, memo: Optional[dict[str, int]] = None) -> FeatureRow:
+def feature_row(text: str, bits: int) -> FeatureRow:
     """`featurize` as (int64 indices, float64 counts) arrays in its key order."""
-    f = featurize(text, bits, memo)
+    f = featurize(text, bits)
     return (np.fromiter(f.keys(), dtype=np.int64, count=len(f)),
             np.fromiter(f.values(), dtype=np.float64, count=len(f)))
 
@@ -127,16 +130,15 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     if len(docs) < 2 or labels != {"pos", "neg"}:
         raise ClassifyError("training needs at least 2 documents covering both labels")
 
-    # A synthetic copy shares most n-grams with its parent, so documents are
-    # featurized family by family (a parent and its copies), with one memo each.
+    # Copies follow every original, so documents are featurized family by family
+    # (a parent, then its copies) while featurize's bounded memo holds their grams.
     families: dict[str, list[int]] = {}
     for i, d in enumerate(docs):
         families.setdefault(d.origin.parent or d.id, []).append(i)
     feats = [None] * len(docs)
     for members in families.values():
-        memo: dict[str, int] = {}
         for i in members:
-            feats[i] = feature_row(docs[i].text, config.bits, memo)
+            feats[i] = feature_row(docs[i].text, config.bits)
     ys = [1.0 if d.label == "pos" else 0.0 for d in docs]
 
     dim = 1 << config.bits
@@ -182,12 +184,9 @@ def _score(model: LinearModel, row: FeatureRow) -> float:
     return _sigmoid(np.add.accumulate(terms)[-1])
 
 
-def predict(model: LinearModel, text: str, memo: Optional[dict[str, int]] = None) -> float:
-    """P(positive) for a single text: sigmoid of the linear score.
-
-    `memo` is as in `featurize`, for `model.config.bits`.
-    """
-    return _score(model, feature_row(text, model.config.bits, memo))
+def predict(model: LinearModel, text: str) -> float:
+    """P(positive) for a single text: sigmoid of the linear score."""
+    return _score(model, feature_row(text, model.config.bits))
 
 
 def predictor(model: LinearModel) -> Callable[[str], float]:

@@ -171,7 +171,10 @@ def _load_pred_args(pred_args: tuple[str, ...]) -> _classify.PredictionTable:
         if "=" not in arg:
             raise click.UsageError(f"--preds takes source=path, got {arg!r}")
         source, path = arg.split("=", 1)
-        table.merge(_classify.import_predictions(path, source))
+        try:
+            table.merge(_classify.import_predictions(path, source))
+        except _classify.ClassifyError as e:
+            raise click.ClickException(str(e)) from e
     return table
 
 
@@ -193,7 +196,10 @@ def ensemble():
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def ensemble_fit(pred_args, labels_path, out_path):
     table = _load_pred_args(pred_args)
-    weights = _ensemble.fit_weights(table, _load_labels(labels_path))
+    try:
+        weights = _ensemble.fit_weights(table, _load_labels(labels_path))
+    except _ensemble.EnsembleError as e:
+        raise click.ClickException(str(e)) from e
     weights.to_json(out_path, fitting_set=labels_path)
     click.echo(json.dumps(dict(weights.weights), sort_keys=True))
 
@@ -205,9 +211,13 @@ def ensemble_fit(pred_args, labels_path, out_path):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def ensemble_combine(pred_args, weights_path, out_path):
     table = _load_pred_args(pred_args)
-    weights = _ensemble.SimplexWeights.from_json(weights_path)
-    doc_ids = table.doc_ids(table.sources[0])
-    combined = _ensemble.combine(table, weights, doc_ids)
+    if not table.sources:
+        raise click.ClickException("no predictions in any --preds file")
+    try:
+        weights = _ensemble.SimplexWeights.from_json(weights_path)
+        combined = _ensemble.combine(table, weights, table.doc_ids(table.sources[0]))
+    except _ensemble.EnsembleError as e:
+        raise click.ClickException(str(e)) from e
     combined.to_csv(out_path, "ensemble")
     click.echo(f"wrote {len(combined)} combined predictions to {out_path}")
 

@@ -309,13 +309,13 @@ def run_tta_pipeline(
     preds = PredictionTable()
     originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
     for d in originals:
-        memo: dict[str, int] = {}  # the original and its round trips share n-grams
-        parent = predict(model, d.text, memo)
-        preds.add(d.id, "baseline", parent)
+        scored = {d.text: predict(model, d.text)}
+        preds.add(d.id, "baseline", scored[d.text])
         for lang in languages:
-            variant = variants.get((d.id, lang))
-            preds.add(d.id, f"tta:{lang}",
-                      parent if variant is None else predict(model, variant, memo))
+            text = variants.get((d.id, lang), d.text)
+            if text not in scored:
+                scored[text] = predict(model, text)
+            preds.add(d.id, f"tta:{lang}", scored[text])
 
     labels = {d.id: d.label for d in originals}
     valid_ids = [d.id for d in originals if d.split == "valid"]

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from augbench.augment import AugmentSpec, augment_dataset
+from augbench import classify
+from augbench.augment import AugmentSpec, augment_dataset, tokenize
 from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
                                TrainConfig, _sigmoid, feature_row,
                                feature_rows, featurize, import_predictions,
@@ -82,36 +83,38 @@ _family_text = st.one_of(
     st.text(max_size=40))
 
 
-class TestFeatureMemo:
-    @given(st.lists(st.lists(_family_text, max_size=5), max_size=4),
-           st.sampled_from([1, 3, 10, 18]))
-    @settings(max_examples=300, deadline=None)
-    def test_memoized_rows_equal_unmemoized(self, families, bits):
-        for texts in families:
-            memo = {}  # one per family, reused across its texts
-            for text in texts:
-                idx, vals = feature_row(text, bits, memo)
-                ref_idx, ref_vals = feature_row(text, bits)
-                assert idx.tolist() == ref_idx.tolist()
-                assert vals.tolist() == ref_vals.tolist()
-            assert all(memo[g] == _gram_index(g, bits) for g in memo)
+def _reference_featurize(text, bits):
+    """`featurize` without a memo: every n-gram hashed, keys in first-occurrence order."""
+    tokens = [t.lower() for t in tokenize(text)]
+    grams = []
+    for i, tok in enumerate(tokens):
+        grams.append(tok)
+        if i + 1 < len(tokens):
+            grams.append(tok + " " + tokens[i + 1])
+    counts = {}
+    for gram in grams:
+        idx = _gram_index(gram, bits)
+        counts[idx] = counts.get(idx, 0) + 1
+    return counts
 
-    @pytest.mark.parametrize("texts", [
-        ["alpha beta gamma", "delta epsilon", "zeta"],  # no shared token
-        ["", "", "a"],
-        ["a good film", "", "a good film", "A GOOD FILM!"],
-        ["x" * 5, "y _ z", "\u0130 \u0301"],
-    ])
-    def test_explicit_families(self, texts):
-        memo = {}
-        for text in texts:
-            assert featurize(text, 12, memo) == featurize(text, 12)
 
-    def test_predict_with_memo_equals_without(self):
-        model = train(_toy_corpus(), TrainConfig(bits=12, epochs=2))
-        memo = {}
-        for text in ["great movie", "great movie truly great", "", "awful, great"]:
-            assert predict(model, text, memo) == predict(model, text)
+class TestGramMemo:
+    @pytest.mark.parametrize("limit", [None, 0, 2])  # None: the shipped limit
+    @given(st.lists(st.tuples(_family_text, st.sampled_from([1, 3, 10, 18])), max_size=12))
+    @example([("a good film", 12), ("", 12), ("A GOOD FILM!", 12), ("a good film", 3),
+              ("\u0130 \u0301", 12), ("y _ z", 12)])
+    @settings(max_examples=150, deadline=None)
+    def test_featurize_equals_memo_free_reference(self, limit, calls):
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setattr(classify, "_GRAM_MEMO_LIMIT", limit)
+            for text, bits in calls:
+                f = featurize(text, bits)
+                assert list(f.items()) == list(_reference_featurize(text, bits).items())
+                # emptied at the start of a call once over the limit, so it
+                # holds at most the limit plus this text's n-grams
+                memo = classify._GRAM_MEMOS[bits]
+                assert len(memo) <= classify._GRAM_MEMO_LIMIT + 2 * len(tokenize(text))
 
 
 def _reference_train(corpus, config):

@@ -250,6 +250,47 @@ class TestEnsembleCommands:
         assert report.output.strip().splitlines()[1].endswith(",1.0")  # accuracy 1.0
 
 
+    def _fails_with(self, runner, args, message):
+        result = runner.invoke(main, ["ensemble", *args])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+        assert f"Error: {message}" in result.output
+
+    def test_combine_with_a_missing_prediction_fails_with_message(self, runner, tmp_path):
+        (tmp_path / "a.csv").write_text("doc_id,p_positive\ns1,0.2\ns2,0.7\n",
+                                        encoding="utf-8")
+        (tmp_path / "b.csv").write_text("doc_id,p_positive\ns1,0.4\n", encoding="utf-8")
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"a": 0.5, "b": 0.5}}), encoding="utf-8")
+        self._fails_with(runner, ["combine", "--preds", f"a={tmp_path / 'a.csv'}",
+                                  "--preds", f"b={tmp_path / 'b.csv'}",
+                                  "--weights", str(weights), "--out", str(tmp_path / "c.csv")],
+                         "missing predictions for 1 (doc, source) pairs: ('s2', 'b')")
+
+    def test_combine_without_predictions_fails_with_message(self, runner, tmp_path):
+        (tmp_path / "a.csv").write_text("doc_id,p_positive\n", encoding="utf-8")
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"a": 1.0}}), encoding="utf-8")
+        self._fails_with(runner, ["combine", "--preds", f"a={tmp_path / 'a.csv'}",
+                                  "--weights", str(weights), "--out", str(tmp_path / "c.csv")],
+                         "no predictions in any --preds file")
+
+    def test_out_of_range_prediction_fails_with_message(self, runner, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text("doc_id,p_positive\ns1,1.5\n", encoding="utf-8")
+        self._fails_with(runner, ["report", "--preds", f"p={preds}"],
+                         f"{preds}: probability out of range at row 2: 1.5")
+
+    def test_fit_with_one_source_fails_with_message(self, runner, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        export_jsonl(make_review_corpus(n_train=4, n_test=20, seed=0), labels)
+        good = self._write_preds(tmp_path, "good.csv", lambda d: 0.9)
+        self._fails_with(runner, ["fit", "--preds", f"good={good}", "--labels", str(labels),
+                                  "--out", str(tmp_path / "w.json")],
+                         "weight fitting needs at least 2 sources")
+        assert not (tmp_path / "w.json").exists()
+
+
 class TestAnalyzeCommands:
     def test_regress_and_probe(self, runner, tmp_path):
         corp_path = tmp_path / "corpus.jsonl"

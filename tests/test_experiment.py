@@ -128,6 +128,13 @@ def _tta_digest(result, tmp_path) -> str:
     return h.hexdigest()
 
 
+class IdentityProvider:
+    provider_id = "identity"
+
+    def translate(self, text, source, target):
+        return text
+
+
 class TestTtaPipeline:
     def _prepared(self):
         corp = make_review_corpus(n_train=60, n_test=30, seed=2)
@@ -158,12 +165,6 @@ class TestTtaPipeline:
         # weight 1 on the base source and the ensemble equals it exactly
         from augbench.classify import train
 
-        class IdentityProvider:
-            provider_id = "identity"
-
-            def translate(self, text, source, target):
-                return text
-
         corp = self._prepared()
         model = train(corp, TrainConfig(bits=12, epochs=2))
         result = run_tta_pipeline(corp, ["es"], IdentityProvider(),
@@ -172,6 +173,28 @@ class TestTtaPipeline:
         for d in result.combined.doc_ids("ensemble"):
             assert result.combined.get(d, "ensemble") == pytest.approx(
                 result.predictions.get(d, "baseline"))
+
+    def test_each_distinct_text_scored_once(self, monkeypatch):
+        # round trips that return the original: every TTA column equals the
+        # baseline, and each original is scored once, not once per language
+        from augbench import experiment
+        from augbench.classify import train
+
+        corp = self._prepared()
+        model = train(corp, TrainConfig(bits=12, epochs=2))
+        scored = []
+        predict = experiment.predict
+        monkeypatch.setattr(experiment, "predict",
+                            lambda m, text: scored.append(text) or predict(m, text))
+        langs = ["es", "fr", "de"]
+        result = run_tta_pipeline(corp, langs, IdentityProvider(), TranslationCache(),
+                                  model=model)
+        preds = result.predictions
+        ids = preds.doc_ids("baseline")
+        for lang in langs:
+            assert preds.doc_ids(f"tta:{lang}") == ids
+            assert all(preds.get(d, f"tta:{lang}") == preds.get(d, "baseline") for d in ids)
+        assert len(scored) == len(ids)
 
     def test_skipped_variant_takes_parent_prediction(self, fr_down_provider, caplog):
         from augbench.classify import train
