@@ -30,15 +30,27 @@ _is_punct_token = re.compile(r"(?:[^\w\s]|_)*").fullmatch
 
 
 def tokenize(text: str) -> list[str]:
-    """Split on whitespace; each maximal run of punctuation becomes its own token."""
-    return _TOKEN.findall(text)
+    """Split on whitespace; each maximal run of punctuation becomes its own token.
+
+    Equal to `_TOKEN.findall(text)`: `str.split()` cuts at exactly the `\\s`
+    characters (`str.isspace`) and `[^\\W_]` matches exactly the `str.isalnum`
+    ones, so an `isalnum` chunk is one token and only the other chunks need the
+    regex.  `tests/test_augment.py` checks both facts over every code point.
+    """
+    tokens: list[str] = []
+    for chunk in text.split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN.findall(chunk)
+    return tokens
 
 
 def detokenize(tokens: Sequence[str]) -> str:
     """Join with spaces; punctuation-only tokens attach to the preceding token."""
     pieces: list[str] = []  # empty until a nonempty token: no leading space
     for tok in tokens:
-        if pieces and not _is_punct_token(tok):
+        if pieces and (tok.isalnum() or not _is_punct_token(tok)):
             pieces.append(" ")
         if tok:
             pieces.append(tok)
@@ -122,7 +134,7 @@ def _eligible(tokens: Sequence[str], thesaurus: Thesaurus,
     """Positions of the tokens that SR and RI may edit: non-stopword words with synonyms."""
     return [
         i for i, t in enumerate(tokens)
-        if t.lower() not in stopwords and not _is_punct_token(t) and t in thesaurus
+        if t.lower() not in stopwords and t in thesaurus and not _is_punct_token(t)
     ]
 
 

@@ -282,7 +282,8 @@ def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,
 
 
 def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
-    """Read a `doc_id,p_positive` CSV produced by an external model."""
+    """Read a `doc_id,p_positive` CSV produced by an external model; each
+    doc_id may appear once."""
     table = PredictionTable()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -300,5 +301,7 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
                 raise ClassifyError(f"{path}: bad probability at row {rownum}: {row[1]!r}") from e
             if not 0.0 <= p <= 1.0:
                 raise ClassifyError(f"{path}: probability out of range at row {rownum}: {p}")
+            if table.get(row[0], source_id) is not None:
+                raise ClassifyError(f"{path}: repeated doc_id {row[0]!r} at row {rownum}")
             table.add(row[0], source_id, p)
     return table

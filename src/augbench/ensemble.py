@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -36,6 +38,9 @@ class SimplexWeights:
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
         for s, w in self.weights.items():
+            # a NaN would pass both checks below; a bool is no weight
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
+                raise EnsembleError(f"weight for source {s!r} is not a finite number: {w!r}")
             if w < 0:
                 raise EnsembleError(f"negative weight for source {s!r}: {w}")
         total = sum(self.weights.values())
@@ -54,8 +59,20 @@ class SimplexWeights:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SimplexWeights":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh)["weights"])
+        """Weights from a `to_json` file; EnsembleError naming the file if it
+        cannot be read or does not hold a `weights` mapping of simplex weights."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise EnsembleError(f"{path}: cannot read weights: {e}") from e
+        weights = doc.get("weights") if isinstance(doc, dict) else None
+        if not isinstance(weights, dict):
+            raise EnsembleError(f"{path}: expected a JSON object with a 'weights' mapping")
+        try:
+            return cls(weights)
+        except EnsembleError as e:
+            raise EnsembleError(f"{path}: {e}") from None
 
 
 @dataclass

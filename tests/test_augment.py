@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,9 +49,20 @@ class TestTokenize:
         "\u0130stanbul \u0130", "\u0130\u0307",                # dotted capital I
         "\u0663\u0664 \u0967\u0968 \uff11\uff12 \u00b2\u00bd",     # non-ASCII digits, numerics
         "x\u00a0y\u2003z\u3000w", "tab\tnew\nline\x1fsep",   # Unicode whitespace, US separator
+        "don't", "a,b", "_x_", "\u00b2!", "x\u0301.",         # chunks mixing words and punctuation
     ])
     def test_explicit_cases_equal_reference(self, text):
         assert tokenize(text) == _reference_tokenize(text)
+
+    def test_unicode_premise_of_the_fast_path(self):
+        # tokenize takes a chunk of str.split() that str.isalnum() accepts as one
+        # token, and sends only the other chunks through the regex; that equals
+        # the regex over the whole text only while these three hold.
+        s = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"[^\W_]", s) == [c for c in s if c.isalnum()]
+        assert re.findall(r"\s", s) == [c for c in s if c.isspace()]
+        spaced = "".join(" " if c.isspace() else c for c in s)
+        assert s.split() == [piece for piece in spaced.split(" ") if piece]
 
     def test_sentence(self):
         assert tokenize("A sad human comedy.") == ["A", "sad", "human", "comedy", "."]

@@ -435,6 +435,12 @@ class TestImportPredictions:
         with pytest.raises(ClassifyError, match="row 6"):
             import_predictions(path, "ext")
 
+    def test_repeated_doc_id_cites_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("doc_id,p_positive\nd1,0.2\nd2,0.5\nd1,0.9\n", encoding="utf-8")
+        with pytest.raises(ClassifyError, match="repeated doc_id 'd1' at row 4"):
+            import_predictions(path, "ext")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,prob\na,0.1\n", encoding="utf-8")

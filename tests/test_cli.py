@@ -255,6 +255,7 @@ class TestEnsembleCommands:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)  # a message, not a traceback
         assert f"Error: {message}" in result.output
+        assert len(result.output.splitlines()) == 1
 
     def test_combine_with_a_missing_prediction_fails_with_message(self, runner, tmp_path):
         (tmp_path / "a.csv").write_text("doc_id,p_positive\ns1,0.2\ns2,0.7\n",
@@ -280,6 +281,31 @@ class TestEnsembleCommands:
         preds.write_text("doc_id,p_positive\ns1,1.5\n", encoding="utf-8")
         self._fails_with(runner, ["report", "--preds", f"p={preds}"],
                          f"{preds}: probability out of range at row 2: 1.5")
+
+    def test_repeated_doc_id_fails_with_message(self, runner, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text("doc_id,p_positive\nd1,0.2\nd1,0.9\n", encoding="utf-8")
+        self._fails_with(runner, ["report", "--preds", f"p={preds}"],
+                         f"{preds}: repeated doc_id 'd1' at row 3")
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"weights": {"x": NaN}}', "weight for source 'x' is not a finite number: nan"),
+        ('{"weights": {"x": true}}', "weight for source 'x' is not a finite number: True"),
+        ('{"weights": {"x": "1"}}', "weight for source 'x' is not a finite number: '1'"),
+        ("{}", "expected a JSON object with a 'weights' mapping"),
+        ('{"weights": 1.0}', "expected a JSON object with a 'weights' mapping"),
+        ("{not json", "cannot read weights: "),
+    ])
+    def test_combine_with_bad_weights_fails_with_message(self, runner, tmp_path, content,
+                                                         message):
+        (tmp_path / "x.csv").write_text("doc_id,p_positive\nd1,0.2\n", encoding="utf-8")
+        weights = tmp_path / "w.json"
+        weights.write_text(content, encoding="utf-8")
+        out = tmp_path / "c.csv"
+        self._fails_with(runner, ["combine", "--preds", f"x={tmp_path / 'x.csv'}",
+                                  "--weights", str(weights), "--out", str(out)],
+                         f"{weights}: {message}")
+        assert not out.exists()
 
     def test_fit_with_one_source_fails_with_message(self, runner, tmp_path):
         labels = tmp_path / "labels.jsonl"

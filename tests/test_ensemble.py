@@ -47,6 +47,42 @@ class TestSimplexWeights:
     def test_tolerance_is_tight(self):
         SimplexWeights({"a": 0.5, "b": 0.5 + 5e-10})
 
+    @pytest.mark.parametrize("weights", [
+        {"x": float("nan")}, {"a": float("nan"), "b": 1.0}, {"a": float("inf")},
+        {"a": float("-inf"), "b": 1.0}, {"a": True}, {"a": False, "b": True},
+        {"a": "x"}, {"a": None}, {"a": [1.0]},
+    ])
+    def test_weight_that_is_not_a_finite_real_rejected(self, weights):
+        with pytest.raises(EnsembleError, match="is not a finite number"):
+            SimplexWeights(weights)
+
+    def test_numpy_and_integer_weights_accepted(self):
+        assert SimplexWeights({"a": np.float64(0.25), "b": 0, "c": np.int64(0),
+                               "d": 0.75}).weights["d"] == 0.75
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"weights": {"a": 0.5', "cannot read weights"),
+        (b"\xff\xfe", "cannot read weights"),
+        ("{}", "expected a JSON object with a 'weights' mapping"),
+        ("[1.0]", "expected a JSON object with a 'weights' mapping"),
+        ('{"weights": [1.0]}', "expected a JSON object with a 'weights' mapping"),
+        ('{"weights": {"a": "x"}}', "weight for source 'a' is not a finite number: 'x'"),
+        ('{"weights": {"x": NaN}}', "weight for source 'x' is not a finite number: nan"),
+        ('{"weights": {"x": Infinity}}', "weight for source 'x' is not a finite number: inf"),
+        ('{"weights": {"a": true}}', "weight for source 'a' is not a finite number: True"),
+        ('{"weights": {"a": 0.5}}', "weights sum to 0.5, expected 1"),
+    ])
+    def test_from_json_rejects_bad_files_naming_them(self, tmp_path, content, message):
+        path = tmp_path / "w.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(EnsembleError) as info:
+            SimplexWeights.from_json(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
     def test_json_round_trip(self, tmp_path):
         w = SimplexWeights({"a": 0.25, "b": 0.75})
         path = tmp_path / "w.json"

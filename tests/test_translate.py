@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.translate import (BacktranslationRecord, CacheError, HttpProvider,
                                 MockProvider, PermanentTranslationError,
@@ -27,6 +28,14 @@ class CountingProvider:
     def translate(self, text, source, target):
         self.calls += 1
         return text
+
+
+# Any text without a lone surrogate (the cache refuses those), with line and
+# paragraph separators, NEL, tabs, carriage returns and astral characters
+# drawn often: JSON escapes some of them, and the file is split on b"\n".
+_CACHE_TEXT = st.text(st.characters(blacklist_categories=("Cs",))
+                      | st.sampled_from(["\u2028", "\u2029", "\u0085", "\t", "\r", "\n",
+                                         "\U0001f600", "\U0010ffff"]))
 
 
 class TestCache:
@@ -135,6 +144,29 @@ class TestCache:
             assert not path.exists()
             c.put("k2", "en", "es", "p", "x", "\U0001f600")  # a surrogate pair is fine
         assert TranslationCache(path).get("k2") == "\U0001f600"
+
+    @given(text=_CACHE_TEXT, result=_CACHE_TEXT,
+           damage=st.sampled_from(["none", "torn", "unterminated"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_put_reload_round_trip_property(self, tmp_path_factory, text, result, damage,
+                                            data):
+        path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+        with TranslationCache(path) as c:
+            c.put("k", "en", "es", "p", text, result)
+            c.put("last", "es", "en", "p", result, text)
+        raw = path.read_bytes()
+        last_line = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        if damage == "torn":  # cut inside the last line, before its newline
+            path.write_bytes(raw[:data.draw(st.integers(last_line + 1, len(raw) - 2))])
+        elif damage == "unterminated":
+            path.write_bytes(raw[:-1])
+        with TranslationCache(path) as reloaded:
+            assert reloaded.get("k") == result
+            assert reloaded.get("last") == (None if damage == "torn" else text)
+            reloaded.put("next", "en", "es", "p", text, result)
+        final = TranslationCache(path)
+        assert final.get("k") == result and final.get("next") == result
+        assert final.get("last") == (None if damage == "torn" else text)
 
     def test_key_includes_provider(self):
         assert cache_key("p1", "en", "es", "x") != cache_key("p2", "en", "es", "x")
