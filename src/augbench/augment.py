@@ -106,9 +106,13 @@ def bundled_thesaurus() -> Thesaurus:
     return Thesaurus.from_tsv(_DATA_DIR / "thesaurus.tsv")
 
 
+def read_stopwords(path: str | Path) -> frozenset[str]:
+    """The whitespace-separated words of a UTF-8 file, lowercased as `_eligible` needs."""
+    return frozenset(w.lower() for w in Path(path).read_text(encoding="utf-8").split())
+
+
 def bundled_stopwords() -> frozenset[str]:
-    words = (_DATA_DIR / "stopwords.txt").read_text(encoding="utf-8").split()
-    return frozenset(w.lower() for w in words)
+    return read_stopwords(_DATA_DIR / "stopwords.txt")
 
 
 def edit_count(alpha: float, length: int) -> int:
@@ -246,6 +250,10 @@ class AugmentSpec:
         if self.technique is AugTechnique.BACKTRANSLATE:
             if not self.languages:
                 raise AugmentError("backtranslation requires a nonempty language list")
+            if self.copies_per_original != 1:
+                # a second copy in one language would repeat the first (one cache key)
+                raise AugmentError(f"copies_per_original must be 1 for technique bt, "
+                                   f"got {self.copies_per_original}")
         elif self.languages:
             raise AugmentError(f"{self.technique.value} does not take languages")
 
@@ -283,9 +291,9 @@ def augment_dataset(
 ) -> AugmentRun:
     """Append k synthetic documents per Original train document.
 
-    Backtranslation with the all-languages strategy makes one copy per
-    language; round-robin assigns languages cyclically across documents in
-    corpus order.  Translation failures skip the document and are recorded.
+    Backtranslation makes one copy per language, or under round-robin one
+    per document, its language assigned cyclically in corpus order.
+    Translation failures skip the document and are recorded.
     """
     bt = spec.technique is AugTechnique.BACKTRANSLATE
     if bt and translator is None:
@@ -305,11 +313,10 @@ def augment_dataset(
     for pos, doc in enumerate(originals):
         if bt:
             if spec.language_strategy is LanguageStrategy.ALL_LANGUAGES:
-                jobs = [(lang, 0) for lang in spec.languages]
+                langs = spec.languages
             else:
-                lang = spec.languages[pos % len(spec.languages)]
-                jobs = [(lang, c) for c in range(spec.copies_per_original)]
-            for lang, copy in jobs:
+                langs = (spec.languages[pos % len(spec.languages)],)
+            for lang in langs:
                 try:
                     rec = _translate.backtranslate(
                         doc.text, lang, translator, cache, parent_id=doc.id
@@ -317,7 +324,7 @@ def augment_dataset(
                 except _translate.TranslationError as e:
                     run.skipped.append((doc.id, f"{lang}: {e}"))
                     continue
-                synthetics.append(_make_synthetic(doc, rec.final_text, spec, lang, copy))
+                synthetics.append(_make_synthetic(doc, rec.final_text, spec, lang, 0))
         else:
             # Only the RNG stream differs between copies of one parent.
             toks = tokenize(doc.text)

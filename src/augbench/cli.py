@@ -18,9 +18,12 @@ from . import ensemble as _ensemble
 from . import experiment as _experiment
 from . import translate as _translate
 
-log = logging.getLogger(__name__)
-
 API_KEY_ENV = "AUGBENCH_API_KEY"
+
+# What the library raises for bad input or a failed step.
+_ERRORS = (_analyze.AnalyzeError, _augment.AugmentError, _classify.ClassifyError,
+           _corpus.CorpusError, _ensemble.EnsembleError, _experiment.ExperimentError,
+           _translate.TranslationError)
 
 
 def _translation_options(command):
@@ -64,7 +67,17 @@ def _translation(spec: _augment.AugmentSpec | None, provider: str, endpoint: str
         yield translator, cache
 
 
-@click.group()
+class _Main(click.Group):
+    """A library or OS error ends any command with a one-line message, exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (*_ERRORS, OSError) as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Main)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Text augmentation, backtranslation, and low-resource classification harness."""
@@ -85,38 +98,23 @@ def ingest(imdb_dir: str, out: str):
 
 
 @main.command()
-@click.option("--technique", type=click.Choice(["sr", "ri", "rs", "rd", "bt"]), required=True)
-@click.option("--alpha", type=float, default=0.1, show_default=True)
-@click.option("--copies", type=int, default=1, show_default=True)
-@click.option("--langs", default="", help="Comma-separated pivot languages (bt only).")
-@click.option("--lang-strategy", type=click.Choice(["all", "roundrobin"]), default="all",
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+              required=True, help="Run YAML; only its augment: section is used.")
 @click.option("--thesaurus", "thesaurus_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--stopwords", "stopwords_path", type=click.Path(exists=True, dir_okay=False))
 @_translation_options
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def augment(technique, alpha, copies, langs, lang_strategy, seed, thesaurus_path,
-            stopwords_path, provider, endpoint, rps, max_retries, cache_path,
-            in_path, out_path):
+def augment(config_path, thesaurus_path, stopwords_path, provider, endpoint, rps,
+            max_retries, cache_path, in_path, out_path):
     """Append synthetic training examples to a JSONL corpus."""
+    spec = _run_config(config_path).augment
+    if spec is None:
+        raise click.BadParameter(f"{config_path}: no augment: section", param_hint="--config")
+    if stopwords_path:
+        spec.stopwords = _augment.read_stopwords(stopwords_path)
     corp = _corpus.ingest_jsonl(in_path)
-    stopword_set = (
-        frozenset(Path(stopwords_path).read_text(encoding="utf-8").split())
-        if stopwords_path else _augment.bundled_stopwords()
-    )
-    spec = _augment.AugmentSpec(
-        technique=technique,
-        alpha=alpha,
-        copies_per_original=copies,
-        languages=tuple(l for l in langs.split(",") if l),
-        language_strategy=lang_strategy,
-        seed=seed,
-        stopwords=stopword_set,
-    )
-    thesaurus = (_augment.Thesaurus.from_tsv(thesaurus_path)
-                 if thesaurus_path else _augment.bundled_thesaurus())
+    thesaurus = _augment.Thesaurus.from_tsv(thesaurus_path) if thesaurus_path else None
     with _translation(spec, provider, endpoint, rps, max_retries,
                       cache_path) as (translator, cache):
         run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
@@ -130,8 +128,7 @@ def _run_config(path: str) -> _experiment.ExperimentConfig:
     """A run YAML; an unknown key or a rejected value is a usage error naming it."""
     try:
         return _experiment.ExperimentConfig.from_yaml(path)
-    except (_experiment.ExperimentError, _augment.AugmentError,
-            _classify.ClassifyError) as e:
+    except _ERRORS as e:
         raise click.BadParameter(str(e), param_hint="--config") from e
 
 
@@ -167,14 +164,14 @@ def predict(model_path, in_path, splits, out_path):
 
 def _load_pred_args(pred_args: tuple[str, ...]) -> _classify.PredictionTable:
     table = _classify.PredictionTable()
+    sources = [arg.split("=", 1)[0] for arg in pred_args]
     for arg in pred_args:
         if "=" not in arg:
             raise click.UsageError(f"--preds takes source=path, got {arg!r}")
         source, path = arg.split("=", 1)
-        try:
-            table.merge(_classify.import_predictions(path, source))
-        except _classify.ClassifyError as e:
-            raise click.ClickException(str(e)) from e
+        if sources.count(source) > 1:
+            raise click.UsageError(f"--preds names source {source!r} more than once")
+        table.merge(_classify.import_predictions(path, source))
     return table
 
 
@@ -196,10 +193,7 @@ def ensemble():
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def ensemble_fit(pred_args, labels_path, out_path):
     table = _load_pred_args(pred_args)
-    try:
-        weights = _ensemble.fit_weights(table, _load_labels(labels_path))
-    except _ensemble.EnsembleError as e:
-        raise click.ClickException(str(e)) from e
+    weights = _ensemble.fit_weights(table, _load_labels(labels_path))
     weights.to_json(out_path, fitting_set=labels_path)
     click.echo(json.dumps(dict(weights.weights), sort_keys=True))
 
@@ -213,11 +207,8 @@ def ensemble_combine(pred_args, weights_path, out_path):
     table = _load_pred_args(pred_args)
     if not table.sources:
         raise click.ClickException("no predictions in any --preds file")
-    try:
-        weights = _ensemble.SimplexWeights.from_json(weights_path)
-        combined = _ensemble.combine(table, weights, table.doc_ids(table.sources[0]))
-    except _ensemble.EnsembleError as e:
-        raise click.ClickException(str(e)) from e
+    weights = _ensemble.SimplexWeights.from_json(weights_path)
+    combined = _ensemble.combine(table, weights, table.doc_ids(table.sources[0]))
     combined.to_csv(out_path, "ensemble")
     click.echo(f"wrote {len(combined)} combined predictions to {out_path}")
 
@@ -276,11 +267,8 @@ def analyze_regress(model_path, in_path, splits, target, l1_strength, out_path):
     else:
         y = np.array([1.0 if predict_fn(d.text) >= 0.5 else 0.0 for d in docs])
         target_kind = "model_prediction"
-    try:
-        lam = l1_strength if l1_strength is not None else _analyze.cross_validate_l1(X, y)
-        fit = _analyze.fit_l1_logistic(X, y, lam, target_kind=target_kind)
-    except _analyze.AnalyzeError as e:
-        raise click.ClickException(str(e)) from e
+    lam = l1_strength if l1_strength is not None else _analyze.cross_validate_l1(X, y)
+    fit = _analyze.fit_l1_logistic(X, y, lam, target_kind=target_kind)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

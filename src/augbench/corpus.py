@@ -24,6 +24,9 @@ class Origin:
     parent: Optional[str] = None
 
     def __post_init__(self):
+        for value in (self.technique, self.lang, self.parent):
+            if value is not None and not isinstance(value, str):
+                raise CorpusError(f"origin technique, lang and parent must be strings: {self}")
         if self.kind == "original":
             if self.technique or self.lang or self.parent:
                 raise CorpusError("original documents carry no synthesis metadata")
@@ -44,15 +47,12 @@ class Origin:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Origin":
-        if obj.get("kind") == "synthetic":
-            return cls(
-                kind="synthetic",
-                technique=obj["technique"],
-                lang=obj.get("lang"),
-                parent=obj["parent"],
-            )
-        return cls()
+    def from_json(cls, obj) -> "Origin":
+        """The origin `to_json` wrote; every other mapping or value raises CorpusError."""
+        if not isinstance(obj, dict):
+            raise CorpusError(f"origin must be a mapping, got {obj!r}")
+        return cls(kind=obj.get("kind"), technique=obj.get("technique"),
+                   lang=obj.get("lang"), parent=obj.get("parent"))
 
 
 ORIGINAL = Origin()
@@ -67,6 +67,8 @@ class Document:
     origin: Origin = ORIGINAL
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not isinstance(self.text, str):
+            raise CorpusError(f"document id and text must be strings, id is {self.id!r}")
         if self.label not in LABELS:
             raise CorpusError(f"bad label {self.label!r} for document {self.id!r}")
         if self.split not in SPLITS:
@@ -202,19 +204,16 @@ def ingest_jsonl(path: str | Path) -> Corpus:
 
 def export_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the JSONL interchange format, byte-deterministically."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for doc in corpus:
-                obj = {
-                    "id": doc.id,
-                    "text": doc.text,
-                    "label": doc.label,
-                    "split": doc.split,
-                    "origin": doc.origin.to_json(),
-                }
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-    except OSError as e:
-        raise CorpusError(f"cannot write corpus to {path}: {e}") from e
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for doc in corpus:
+            obj = {
+                "id": doc.id,
+                "text": doc.text,
+                "label": doc.label,
+                "split": doc.split,
+                "origin": doc.origin.to_json(),
+            }
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def subsample_balanced(corpus: Corpus, n: int, seed: int) -> Corpus:

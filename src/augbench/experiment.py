@@ -51,25 +51,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
-        """Load a YAML config.  Absent keys take the dataclass defaults; an
-        unknown key at the top level, under `augment:` or under `classifier:`,
-        or a value whose type does not match its field's (an int, a number, a
-        string, a list of integers or a list of strings; a bool is none of
-        them) raises ExperimentError; a value a section rejects raises that
-        section's error.  Every message names the file.  YAML `copies` is
-        `copies_per_original`."""
-        with open(path, encoding="utf-8") as fh:
-            raw = _section(yaml.safe_load(fh) or {}, cls, _TOP_KEYS, path, None)
-        if raw.get("augment"):
+        """Load a YAML config.  An absent or null key takes the dataclass
+        defaults; an unknown key at the top level, under `augment:` or under
+        `classifier:`, a value whose type does not match its field's (an int, a
+        number, a string, a mapping for a section, a list of integers or a list of
+        strings; a bool is none of them), or text that is not UTF-8 YAML raises
+        ExperimentError; a value a section rejects raises that section's error.
+        Every message names the file.  YAML `copies` is `copies_per_original`."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                loaded = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
+            raise ExperimentError(f"{path}: invalid YAML: {e}") from None
+        raw = _section({} if loaded is None else loaded, cls, _TOP_KEYS, path, None)
+        if raw.get("augment") is not None:
             a = _section(raw["augment"], AugmentSpec, _AUGMENT_KEYS, path, "augment")
             if "technique" not in a:
                 raise ExperimentError(f"{path}: augment needs a technique")
             if "languages" in a:
                 a["languages"] = tuple(a["languages"])
             raw["augment"] = _build(path, AugmentSpec, **a)
-        else:
-            raw["augment"] = None
-        if raw.get("classifier"):
+        if raw.get("classifier") is not None:
             raw["classifier"] = _build(path, TrainConfig, **_section(
                 raw["classifier"], TrainConfig, _CLASSIFIER_KEYS, path, "classifier"))
         else:
@@ -264,9 +266,11 @@ def run_low_resource_sweep(
 ) -> ExperimentReport:
     """The paper protocol: subsample, optionally augment, train, test; median over
     seeds.  A failed run is recorded in the report's failures, not raised."""
+    test_docs = corpus.split_docs("test")
+    if not test_docs:
+        raise ExperimentError("the corpus has no test documents to evaluate on")
     report = ExperimentReport()
-    test_rows = feature_rows((d.text for d in corpus.split_docs("test")),
-                             config.classifier.bits)
+    test_rows = feature_rows((d.text for d in test_docs), config.classifier.bits)
     for n in config.train_sizes:
         for seed in config.seeds:
             tag = f"n={n},seed={seed}"

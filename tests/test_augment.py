@@ -306,6 +306,14 @@ class TestAugmentSpec:
             AugmentSpec(**kwargs)
         assert str(info.value) == message
 
+    # all-languages ignored the copies; round-robin made byte-identical ones
+    @pytest.mark.parametrize("strategy", ["all", "roundrobin"])
+    def test_bt_takes_one_copy(self, strategy):
+        with pytest.raises(AugmentError) as info:
+            AugmentSpec(technique="bt", languages=("es", "fr"), language_strategy=strategy,
+                        copies_per_original=3)
+        assert str(info.value) == "copies_per_original must be 1 for technique bt, got 3"
+
 
 class TestAugmentDataset:
     def test_bt_all_languages_counts(self):

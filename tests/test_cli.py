@@ -7,10 +7,12 @@ import pytest
 import numpy as np
 from click.testing import CliRunner
 
+from augbench.augment import AugmentSpec, augment_dataset, bundled_thesaurus
 from augbench.classify import TrainConfig, train
 from augbench.cli import main
-from augbench.corpus import export_jsonl, ingest_jsonl
+from augbench.corpus import Corpus, export_jsonl, ingest_jsonl
 from augbench.synth import make_review_corpus
+from augbench.translate import MockProvider, TranslationCache, paper_cache_path
 
 
 @pytest.fixture
@@ -31,6 +33,19 @@ def _invoke(runner, args):
     return result
 
 
+def _fails_with(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+    assert f"Error: {message}" in result.output
+    assert len(result.output.splitlines()) == 1
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestIngest:
     def test_imdb_to_jsonl(self, runner, imdb_dir, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -38,19 +53,30 @@ class TestIngest:
         corp = ingest_jsonl(out)
         assert len(corp) == 6
 
+    def test_missing_subdirectory_fails_with_message(self, runner, imdb_dir, tmp_path):
+        for f in (imdb_dir / "train" / "pos").iterdir():
+            f.unlink()
+        (imdb_dir / "train" / "pos").rmdir()
+        out = tmp_path / "out.jsonl"
+        _fails_with(runner, ["ingest", "--imdb-dir", str(imdb_dir), "--out", str(out)],
+                    "missing required subdirectory: train/pos")
+        assert not out.exists()
+
 
 class TestAugmentCommand:
     def test_token_perturbation(self, runner, corpus_file, tmp_path):
         out = tmp_path / "aug.jsonl"
-        _invoke(runner, ["augment", "--technique", "rs", "--alpha", "0.2",
-                         "--copies", "1", "--seed", "3",
+        cfg = _write(tmp_path / "aug.yaml",
+                     "augment: {technique: rs, alpha: 0.2, copies: 1, seed: 3}\n")
+        _invoke(runner, ["augment", "--config", str(cfg),
                          "--in", str(corpus_file), "--out", str(out)])
         corp = ingest_jsonl(out)
         assert len(corp) == 40 + 30  # originals + one synthetic per train doc
 
     def test_backtranslate_mock(self, runner, corpus_file, tmp_path):
         out = tmp_path / "bt.jsonl"
-        _invoke(runner, ["augment", "--technique", "bt", "--langs", "es,fr",
+        cfg = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es, fr]}\n")
+        _invoke(runner, ["augment", "--config", str(cfg),
                          "--provider", "mock",
                          "--in", str(corpus_file), "--out", str(out)])
         corp = ingest_jsonl(out)
@@ -61,16 +87,18 @@ class TestAugmentCommand:
     def test_backtranslate_writes_cache(self, runner, corpus_file, tmp_path):
         out = tmp_path / "bt.jsonl"
         cache = tmp_path / "cache.jsonl"
-        _invoke(runner, ["augment", "--technique", "bt", "--langs", "es",
+        cfg = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")
+        _invoke(runner, ["augment", "--config", str(cfg),
                          "--provider", "mock", "--cache", str(cache),
                          "--in", str(corpus_file), "--out", str(out)])
         assert cache.exists()
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 60  # 2 legs x 30
 
     def test_backtranslate_closes_its_cache(self, runner, corpus_file, tmp_path):
+        aug = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _invoke(runner, ["augment", "--technique", "bt", "--langs", "es",
+            _invoke(runner, ["augment", "--config", str(aug),
                              "--cache", str(tmp_path / "cache.jsonl"),
                              "--in", str(corpus_file), "--out", str(tmp_path / "bt.jsonl")])
             cfg = tmp_path / "cfg.yaml"
@@ -89,16 +117,79 @@ class TestAugmentCommand:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("train_sizes: [10]\nseeds: [0]\nclassifier: {bits: 10, epochs: 1}\n"
                        "augment: {technique: bt, languages: [fr]}\n", encoding="utf-8")
+        aug = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")
         http = ["--provider", "http", "--endpoint", "http://127.0.0.1:1/translate",
                 "--rps", "1e9", "--in", str(corpus_file)]
         with mock.patch("requests.Session") as session_cls:
             session_cls.return_value.post.side_effect = echo
-            _invoke(runner, ["augment", "--technique", "bt", "--langs", "es", *http,
+            _invoke(runner, ["augment", "--config", str(aug), *http,
                              "--out", str(tmp_path / "bt.jsonl")])
             assert session_cls.return_value.close.call_count == 1
             _invoke(runner, ["run", "--config", str(cfg), *http,
                              "--out-dir", str(tmp_path / "out")])
             assert session_cls.return_value.close.call_count == 2
+
+    @pytest.mark.parametrize("section, spec", [
+        ("{technique: rs, alpha: 0.2, seed: 3}", dict(technique="rs", alpha=0.2, seed=3)),
+        ("{technique: bt, languages: [es, fr], seed: 2}",
+         dict(technique="bt", languages=("es", "fr"), seed=2)),
+    ])
+    def test_config_section_equals_library_call(self, runner, corpus_file, tmp_path,
+                                                 section, spec):
+        cfg = _write(tmp_path / "aug.yaml", f"seeds: [7]\naugment: {section}\n")
+        _invoke(runner, ["augment", "--config", str(cfg), "--cache", str(tmp_path / "cli.cache"),
+                         "--in", str(corpus_file), "--out", str(tmp_path / "cli.jsonl")])
+        spec = AugmentSpec(**spec)
+        if spec.technique.value == "bt":  # as the CLI opens its provider and cache
+            with TranslationCache(tmp_path / "api.cache") as cache:
+                cache.load(paper_cache_path())
+                run = augment_dataset(ingest_jsonl(corpus_file), spec,
+                                      translator=MockProvider(seed=spec.seed), cache=cache)
+            assert ((tmp_path / "cli.cache").read_bytes()
+                    == (tmp_path / "api.cache").read_bytes() != b"")
+        else:
+            run = augment_dataset(ingest_jsonl(corpus_file), spec)
+        export_jsonl(run.corpus, tmp_path / "api.jsonl")
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "api.jsonl").read_bytes()
+
+    def test_augment_flags_are_gone(self, runner, corpus_file, tmp_path):
+        result = runner.invoke(main, ["augment", "--technique", "rs", "--in", str(corpus_file),
+                                      "--out", str(tmp_path / "aug.jsonl")])
+        assert result.exit_code == 2 and "No such option" in result.output
+
+    def test_config_without_augment_section_is_usage_error(self, runner, corpus_file,
+                                                           tmp_path):
+        cfg = _write(tmp_path / "plain.yaml", "seeds: [0]\nclassifier: {bits: 10}\n")
+        out = tmp_path / "aug.jsonl"
+        result = runner.invoke(main, ["augment", "--config", str(cfg),
+                                      "--in", str(corpus_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"{cfg}: no augment: section" in result.output
+        assert not out.exists()
+
+    def test_stopwords_file_is_read_lowercased(self, runner, corpus_file, tmp_path):
+        # every thesaurus word a stopword: synonym replacement has nothing to edit
+        cfg = _write(tmp_path / "aug.yaml", "augment: {technique: sr}\n")
+        outputs = []
+        for case in (str.upper, str.lower):
+            stopwords = _write(tmp_path / f"{case.__name__}.txt",
+                               "\n".join(map(case, bundled_thesaurus().words())))
+            out = tmp_path / f"{case.__name__}.jsonl"
+            result = _invoke(runner, ["augment", "--config", str(cfg),
+                                      "--stopwords", str(stopwords),
+                                      "--in", str(corpus_file), "--out", str(out)])
+            assert "generated 30 synthetic documents (30 unmodified" in result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_repeated_id_fails_with_message(self, runner, tmp_path):
+        line = '{"id": "d", "text": "x", "label": "pos", "split": "train"}\n'
+        corpus = _write(tmp_path / "dup.jsonl", line + line)
+        cfg = _write(tmp_path / "aug.yaml", "augment: {technique: rs}\n")
+        _fails_with(runner, ["augment", "--config", str(cfg), "--in", str(corpus),
+                             "--out", str(tmp_path / "aug.jsonl")],
+                    f"{corpus}: duplicate id 'd' at line 2")
+        assert not (tmp_path / "aug.jsonl").exists()
 
 
 class TestTrainPredict:
@@ -143,6 +234,24 @@ class TestTrainPredict:
             for name in api.files:
                 assert cli[name].tobytes() == api[name].tobytes(), name
 
+    def test_one_label_corpus_fails_with_message(self, runner, tmp_path):
+        corpus = tmp_path / "pos.jsonl"
+        full = make_review_corpus(n_train=10, n_test=4, seed=0)
+        export_jsonl(Corpus(d for d in full if d.label == "pos"), corpus)
+        _fails_with(runner, ["train", "--in", str(corpus), "--model-out",
+                             str(tmp_path / "model.npz")],
+                    "training needs at least 2 documents covering both labels")
+        assert not (tmp_path / "model.npz").exists()
+
+    def test_predict_into_missing_directory_fails_with_message(self, runner, corpus_file,
+                                                               tmp_path):
+        model = tmp_path / "model.npz"
+        _invoke(runner, ["train", "--in", str(corpus_file), "--model-out", str(model)])
+        out = tmp_path / "nodir" / "p.csv"
+        _fails_with(runner, ["predict", "--model", str(model), "--in", str(corpus_file),
+                             "--out", str(out)],
+                    f"[Errno 2] No such file or directory: '{out}'")
+
     def test_config_typo_fails_naming_key(self, runner, corpus_file, tmp_path):
         cfg = tmp_path / "typo.yaml"
         cfg.write_text("classifier: {bits: 12, epoch: 2}\n", encoding="utf-8")
@@ -155,7 +264,7 @@ class TestTrainPredict:
         assert not model.exists()
 
 
-    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("command", ["train", "run", "augment"])
     @pytest.mark.parametrize("augment, named", [
         ("{technique: foo}", "unknown technique 'foo'; expected one of: sr, ri, rs, rd, bt"),
         ("{technique: bt, languages: [es], language_strategy: rr}",
@@ -165,8 +274,9 @@ class TestTrainPredict:
                                                   command, augment, named):
         cfg = tmp_path / "enum.yaml"
         cfg.write_text(f"augment: {augment}\n", encoding="utf-8")
-        out = ["--model-out", str(tmp_path / "model.npz")] if command == "train" else [
-            "--out-dir", str(tmp_path / "out")]
+        out = {"train": ["--model-out", str(tmp_path / "model.npz")],
+               "run": ["--out-dir", str(tmp_path / "out")],
+               "augment": ["--out", str(tmp_path / "out")]}[command]
         result = runner.invoke(main, [command, "--config", str(cfg), "--in", str(corpus_file),
                                       *out])
         assert result.exit_code == 2, result.output
@@ -176,7 +286,7 @@ class TestTrainPredict:
         assert not (tmp_path / "model.npz").exists() and not (tmp_path / "out").exists()
 
 
-    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize("command", ["train", "run", "augment"])
     @pytest.mark.parametrize("text, named", [
         ("valid_frac: lots\n", "valid_frac must be a number, got 'lots'"),
         ("classifier: {bits: twelve}\n", "classifier.bits must be an integer, got 'twelve'"),
@@ -195,13 +305,21 @@ class TestTrainPredict:
         ("classifier: {epochs: 0}\n", "epochs must be at least 1, got 0"),
         ("classifier: {learning_rate: 0.0}\n", "learning_rate must be positive, got 0.0"),
         ("classifier: {learning_rate: -0.1}\n", "learning_rate must be positive, got -0.1"),
+        # only null or absent means "default"
+        ("augment: []\n", "expected a mapping under augment:"),
+        ("augment: {}\n", "augment needs a technique"),
+        ("classifier: 0\n", "expected a mapping under classifier:"),
+        ("augment: {technique: bt, languages: [es], copies: 2}\n",
+         "copies_per_original must be 1 for technique bt, got 2"),
+        ("seeds: [0\n", "invalid YAML"),
     ])
     def test_config_wrong_type_is_usage_error(self, runner, corpus_file, tmp_path,
                                               command, text, named):
         cfg = tmp_path / "typed.yaml"
         cfg.write_text(text, encoding="utf-8")
-        out = ["--model-out", str(tmp_path / "model.npz")] if command == "train" else [
-            "--out-dir", str(tmp_path / "out")]
+        out = {"train": ["--model-out", str(tmp_path / "model.npz")],
+               "run": ["--out-dir", str(tmp_path / "out")],
+               "augment": ["--out", str(tmp_path / "out")]}[command]
         result = runner.invoke(main, [command, "--config", str(cfg), "--in", str(corpus_file),
                                       *out])
         assert result.exit_code == 2, result.output
@@ -251,11 +369,7 @@ class TestEnsembleCommands:
 
 
     def _fails_with(self, runner, args, message):
-        result = runner.invoke(main, ["ensemble", *args])
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)  # a message, not a traceback
-        assert f"Error: {message}" in result.output
-        assert len(result.output.splitlines()) == 1
+        _fails_with(runner, ["ensemble", *args], message)
 
     def test_combine_with_a_missing_prediction_fails_with_message(self, runner, tmp_path):
         (tmp_path / "a.csv").write_text("doc_id,p_positive\ns1,0.2\ns2,0.7\n",
@@ -307,6 +421,15 @@ class TestEnsembleCommands:
                          f"{weights}: {message}")
         assert not out.exists()
 
+    def test_repeated_source_name_is_usage_error(self, runner, tmp_path):
+        x = _write(tmp_path / "x.csv", "doc_id,p_positive\nd1,0.2\n")
+        y = _write(tmp_path / "y.csv", "doc_id,p_positive\nd1,0.9\n")
+        result = runner.invoke(main, ["ensemble", "report", "--preds", f"a={x}",
+                                      "--preds", f"b={x}", "--preds", f"a={y}"])
+        assert result.exit_code == 2, result.output
+        assert "--preds names source 'a' more than once" in result.output
+        assert "source,frac_confident" not in result.output
+
     def test_fit_with_one_source_fails_with_message(self, runner, tmp_path):
         labels = tmp_path / "labels.jsonl"
         export_jsonl(make_review_corpus(n_train=4, n_test=20, seed=0), labels)
@@ -346,6 +469,11 @@ class TestAnalyzeCommands:
         assert lines[0] == "rating,p_positive"
         assert len(lines) == 13
 
+        _fails_with(runner, ["analyze", "probe", "--model", str(model), "--template",
+                             "nobraces", "--out", str(tmp_path / "bad.csv")],
+                    "template must contain exactly one {} slot")
+        assert not (tmp_path / "bad.csv").exists()
+
 
 class TestRunCommand:
     def test_sweep_writes_report(self, runner, tmp_path):
@@ -378,6 +506,16 @@ class TestRunCommand:
         report = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
         assert report == ["n,technique,languages,k,seed,subsample,accuracy,error,"
                           "frac_confident,pred_std"]
+
+    def test_corpus_without_test_split_fails_with_message(self, runner, tmp_path):
+        corp_path = tmp_path / "corpus.jsonl"
+        export_jsonl(make_review_corpus(n_train=40, n_test=0, seed=0), corp_path)
+        cfg = _write(tmp_path / "cfg.yaml", "train_sizes: [20]\nseeds: [0]\n")
+        out_dir = tmp_path / "out"
+        _fails_with(runner, ["run", "--config", str(cfg), "--in", str(corp_path),
+                             "--out-dir", str(out_dir)],
+                    "the corpus has no test documents to evaluate on")
+        assert not out_dir.exists()
 
     def test_failed_training_run_exits_nonzero_after_writing_report(self, runner, tmp_path):
         corp_path = tmp_path / "corpus.jsonl"

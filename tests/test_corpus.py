@@ -104,6 +104,33 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="line 2"):
             ingest_jsonl(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        # a misspelled kind once loaded as an original, dropping its parent
+        ({"origin": {"kind": "synthetc", "technique": "sr", "parent": "a"}},
+         "unknown origin kind: 'synthetc'"),
+        ({"origin": {"kind": "original", "parent": "a"}},
+         "original documents carry no synthesis metadata"),
+        ({"origin": {"technique": "sr", "parent": "a"}}, "unknown origin kind: None"),
+        ({"origin": {"kind": "synthetic", "parent": "a"}},
+         "synthetic documents need technique and parent"),
+        ({"origin": {"kind": "synthetic", "technique": 5, "parent": "a"}},
+         "origin technique, lang and parent must be strings"),
+        ({"origin": {"kind": "synthetic", "technique": "sr", "parent": ["a"]}},
+         "origin technique, lang and parent must be strings"),
+        ({"origin": 5}, "origin must be a mapping, got 5"),
+        ({"id": 5}, "document id and text must be strings, id is 5"),
+        ({"text": None}, "document id and text must be strings, id is 'b'"),
+    ])
+    def test_bad_field_cites_line(self, tmp_path, fields, message):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "text": "x", "label": "pos", "split": "train"}
+        bad = {**good, "id": "b", **fields}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            ingest_jsonl(path)
+        assert str(info.value).startswith(f"{path}: malformed document at line 2: ")
+        assert message in str(info.value)
+
     def test_duplicate_id_names_the_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         line = json.dumps({"id": "dup", "text": "x", "label": "pos", "split": "train"})

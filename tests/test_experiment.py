@@ -80,6 +80,10 @@ class TestLowResourceSweep:
         assert [tag for tag, _ in report.timings] == [
             "n=10,seed=0", "n=10,seed=1", "n=5000,seed=0", "n=5000,seed=1"]
 
+    def test_corpus_without_test_split_rejected_before_any_run(self):
+        with pytest.raises(ExperimentError, match="no test documents"):
+            run_low_resource_sweep(_fast_config(), make_review_corpus(40, 0))
+
     def test_failed_training_recorded_not_fatal(self):
         # two documents cannot cover both labels once the validation split is carved
         cfg = _fast_config(train_sizes=[2, 20], seeds=[0])
@@ -306,6 +310,19 @@ class TestConfigParsing:
          "learning_rate must be positive, got 0.0"),
         ("classifier:\n  learning_rate: -0.1\n", ClassifyError,
          "learning_rate must be positive, got -0.1"),
+        ("augment:\n  technique: bt\n  languages: [es]\n  copies: 3\n", AugmentError,
+         "copies_per_original must be 1 for technique bt, got 3"),
+        # only null or absent means "default": these once loaded as no
+        # augmentation, default classifiers or ExperimentConfig()
+        ("augment: {}\n", ExperimentError, "augment needs a technique"),
+        ("augment: []\n", ExperimentError, "expected a mapping under augment:"),
+        ("augment: 0\n", ExperimentError, "expected a mapping under augment:"),
+        ("augment: false\n", ExperimentError, "expected a mapping under augment:"),
+        ("augment: ''\n", ExperimentError, "expected a mapping under augment:"),
+        ("classifier: []\n", ExperimentError, "expected a mapping under classifier:"),
+        ("classifier: 0\n", ExperimentError, "expected a mapping under classifier:"),
+        ("[]\n", ExperimentError, "expected a mapping at the top level"),
+        ("0\n", ExperimentError, "expected a mapping at the top level"),
     ])
     def test_rejected_value_names_file(self, tmp_path, text, error, message):
         path = tmp_path / "bad.yaml"
@@ -326,10 +343,23 @@ class TestConfigParsing:
         with pytest.raises(ClassifyError, match="cosine"):
             ExperimentConfig.from_yaml(path)
 
-    def test_empty_file_gives_dataclass_defaults(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "null\n", "augment:\nclassifier: null\n"])
+    def test_empty_file_gives_dataclass_defaults(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
-        path.write_text("", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         assert ExperimentConfig.from_yaml(path) == ExperimentConfig()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"seeds: [0\n", "expected ',' or ']'"),
+        (b"seeds: [0]\n\xff: 1\n", "can't decode byte 0xff"),
+    ])
+    def test_unreadable_yaml_names_file(self, tmp_path, content, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(content)
+        with pytest.raises(ExperimentError) as info:
+            ExperimentConfig.from_yaml(path)
+        assert str(info.value).startswith(f"{path}: invalid YAML: ")
+        assert message in str(info.value)
 
     def test_shipped_configs_load_unchanged(self):
         # the objects these files loaded to before loading became strict
