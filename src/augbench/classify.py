@@ -113,9 +113,11 @@ class LinearModel:
 
 
 def _sigmoid(z: float) -> float:
+    """In Python floats around `np.exp`: `math.exp` differs from it in the last
+    bit on some hosts, and model bytes depend on it."""
     if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
+        return 1.0 / (1.0 + float(np.exp(-z)))
+    e = float(np.exp(z))
     return e / (1.0 + e)
 
 
@@ -149,24 +151,33 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     order = list(range(len(docs)))
     total_steps = config.epochs * len(docs)
     step = 0
+    learning_rate, linear, l2 = config.learning_rate, config.lr_decay == "linear", config.l2
     for _ in range(config.epochs):
         rng.shuffle(order)
         for i in order:
-            lr = config.learning_rate
-            if config.lr_decay == "linear":
+            lr = learning_rate
+            if linear:
                 lr *= 1.0 - step / total_steps
             step += 1
             idx, vals = feats[i]
-            z = scale * float(w[idx] @ vals) + bias
+            wi = w[idx]
+            # BLAS ddot, as `wi @ vals` calls it, without matmul's dispatch
+            z = scale * float(wi.dot(vals)) + bias
             g = _sigmoid(z) - ys[i]
-            if config.l2 > 0.0 and lr > 0.0:
-                scale *= 1.0 - lr * config.l2
-                if scale < 1e-9:
-                    w *= scale
-                    scale = 1.0
             if lr > 0.0:
-                w[idx] -= lr * g * vals / scale
-                bias -= lr * g
+                if l2 > 0.0:
+                    scale *= 1.0 - lr * l2
+                    if scale < 1e-9:
+                        w *= scale
+                        scale = 1.0
+                        wi = w[idx]  # a copy: gather the rescaled weights
+                # the IEEE operations of w[idx] -= lr * g * vals / scale, in place
+                step_g = lr * g
+                t = vals * step_g
+                t /= scale
+                wi -= t
+                w[idx] = wi
+                bias -= step_g
     w *= scale  # in place: no second dense copy at the end of training
     return LinearModel(weights=w, bias=bias, config=config)
 

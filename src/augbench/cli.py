@@ -32,8 +32,10 @@ def _translation_options(command):
         click.option("--provider", type=click.Choice(["http", "mock", "replay"]),
                      default="mock", show_default=True),
         click.option("--endpoint", help="Translation endpoint URL (http provider)."),
-        click.option("--rps", type=float, default=10.0, show_default=True),
-        click.option("--max-retries", type=int, default=3, show_default=True),
+        click.option("--rps", type=click.FloatRange(min=0, min_open=True), default=10.0,
+                     show_default=True),
+        click.option("--max-retries", type=click.IntRange(min=1), default=3,
+                     show_default=True),
         click.option("--cache", "cache_path", type=click.Path(dir_okay=False)),
     )):
         command = option(command)
@@ -65,6 +67,16 @@ def _translation(spec: _augment.AugmentSpec | None, provider: str, endpoint: str
         cache = stack.enter_context(_translate.TranslationCache(cache_path))
         cache.load(_translate.paper_cache_path())
         yield translator, cache
+
+
+def _splits(ctx, param, value: str) -> tuple[str, ...]:
+    """The comma-separated split names of `--splits`; an unknown one is a usage error."""
+    names = tuple(value.split(","))
+    unknown = [n for n in names if n not in _corpus.SPLITS]
+    if unknown:
+        raise click.BadParameter(f"unknown split {unknown[0]!r}; splits are "
+                                 f"{', '.join(_corpus.SPLITS)}")
+    return names
 
 
 class _Main(click.Group):
@@ -150,14 +162,13 @@ def train(config_path, in_path, model_out):
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--splits", default="test", show_default=True)
+@click.option("--splits", default="test", show_default=True, callback=_splits)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def predict(model_path, in_path, splits, out_path):
     """Write doc_id,p_positive predictions for the selected splits."""
     model = _classify.LinearModel.load(model_path)
     corp = _corpus.ingest_jsonl(in_path)
-    table = _classify.predict_corpus(model, corp, "baseline",
-                                     splits=tuple(splits.split(",")))
+    table = _classify.predict_corpus(model, corp, "baseline", splits=splits)
     table.to_csv(out_path, "baseline")
     click.echo(f"wrote {len(table)} predictions to {out_path}")
 
@@ -241,7 +252,7 @@ def analyze():
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--splits", default="test", show_default=True)
+@click.option("--splits", default="test", show_default=True, callback=_splits)
 @click.option("--target", type=click.Choice(["label", "prediction"]), default="label",
               show_default=True)
 @click.option("--l1", "l1_strength", type=float, default=None,
@@ -253,9 +264,8 @@ def analyze_regress(model_path, in_path, splits, target, l1_strength, out_path):
 
     model = _classify.LinearModel.load(model_path)
     corp = _corpus.ingest_jsonl(in_path)
-    wanted = set(splits.split(","))
     docs = [d for d in corp
-            if d.split in wanted and d.label in ("pos", "neg") and d.text.strip()]
+            if d.split in splits and d.label in ("pos", "neg") and d.text.strip()]
     if not docs:
         raise click.UsageError("no labeled documents in the selected splits")
     predict_fn = _classify.predictor(model)

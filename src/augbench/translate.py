@@ -1,6 +1,7 @@
 """Backtranslation: pluggable translation providers, persistent cache, rate limiting."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -8,6 +9,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
 
@@ -46,11 +48,16 @@ class TranslationProvider(Protocol):
 
 
 def cache_key(provider_id: str, source: str, target: str, text: str) -> str:
-    h = hashlib.sha256()
-    for part in (provider_id, source, target, text):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    """sha256 hex of the UTF-8 parts, each followed by a NUL byte."""
+    return hashlib.sha256(
+        "\x00".join((provider_id, source, target, text, "")).encode("utf-8")).hexdigest()
+
+
+# A cache line is `json.dumps(entry, ensure_ascii=False, sort_keys=True)` and a
+# newline.  It is formatted around json's own string escaping: an encoder call
+# builds a new C encoder for every entry.
+_ENTRY_LINE = ('{{"key": {}, "provider": {}, "result": {}, "source": {}, "target": {}, '
+               '"text_hash": "{}"}}\n')
 
 
 class TranslationCache:
@@ -131,15 +138,9 @@ class TranslationCache:
             self._entries[key] = result
             return
         try:
-            entry = {
-                "key": key,
-                "source": source,
-                "target": target,
-                "provider": provider,
-                "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                "result": result,
-            }
-            line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+            line = _ENTRY_LINE.format(
+                *map(_json_string, (key, provider, result, source, target)),
+                hashlib.sha256(text.encode("utf-8")).hexdigest()).encode("utf-8")
         except UnicodeEncodeError as e:
             raise CacheError(f"cannot cache entry {key}: not valid UTF-8 ({e.reason})") from None
         try:
@@ -250,7 +251,8 @@ class HttpProvider:
     Expected response: {"translatedText": "..."}.  Retries timeouts (30 s per
     request), connection errors, 408, 429 and 5xx with backoff doubling from
     0.5 s, waiting at least a response's Retry-After seconds (both capped at
-    30 s); other 4xx fail immediately.  `close` (or leaving the provider as a
+    30 s); other 4xx fail immediately.  `max_retries` counts attempts in all
+    and must be at least 1.  `close` (or leaving the provider as a
     context manager) closes the session if the provider created it, not one
     passed in.
     `requests` is imported only when a provider is built.
@@ -267,6 +269,8 @@ class HttpProvider:
     ):
         import requests
 
+        if max_retries < 1:
+            raise ValueError("max_retries must be at least 1")
         self.endpoint = endpoint
         self.api_key = api_key
         self.provider_id = f"http:{endpoint}"
@@ -327,6 +331,12 @@ class HttpProvider:
         )
 
 
+@functools.cache
+def _rotation_seed(lang: str) -> int:
+    """MockProvider rotates a text's tokens for `lang` by this modulo their count."""
+    return derive_seed("rot", lang)
+
+
 class MockProvider:
     """Deterministic offline pseudo-translator for hermetic tests and dry runs.
 
@@ -342,10 +352,8 @@ class MockProvider:
         self.seed = seed
         self.noise_rate = noise_rate
         self.drift = bundled_thesaurus()
+        self._drift_words = frozenset(self.drift.words())  # lowercase, as stored
         self.provider_id = f"mock:{seed}:{noise_rate}"
-
-    def _rotation(self, lang: str, length: int) -> int:
-        return derive_seed("rot", lang) % length if length else 0
 
     def translate(self, text: str, source: str, target: str) -> str:
         tokens = text.split()
@@ -353,17 +361,18 @@ class MockProvider:
             return text
         if source == "en":
             lang = target
-            r = self._rotation(lang, len(tokens))
+            r = _rotation_seed(lang) % len(tokens)
             out = tokens[r:] + tokens[:r]
             n_subs = int(round(self.noise_rate * len(out)))
             if n_subs:
                 rng = random.Random(derive_seed(self.seed, lang, text))
-                candidates = [i for i, t in enumerate(out) if t in self.drift]
+                words = self._drift_words
+                candidates = [i for i, t in enumerate(out) if t.lower() in words]
                 for i in sorted(rng.sample(candidates, min(n_subs, len(candidates)))):
                     out[i] = rng.choice(self.drift.lookup(out[i]))
         else:
             lang = source
-            r = self._rotation(lang, len(tokens))
+            r = _rotation_seed(lang) % len(tokens)
             k = len(tokens) - r
             out = tokens[k:] + tokens[:k]
         return " ".join(out)

@@ -169,6 +169,52 @@ def test_train_equals_document_order_reference(technique, copies, shuffle):
     assert model.weights.tobytes() == w.tobytes() and model.bias == bias
 
 
+def _rescales(config, n_docs):
+    """How often `train` folds its lazy L2 scale into the weights: the scale
+    depends on the learning-rate schedule and l2 only, not on the data."""
+    scale, count, total_steps = 1.0, 0, config.epochs * n_docs
+    for step in range(total_steps):
+        lr = config.learning_rate
+        if config.lr_decay == "linear":
+            lr *= 1.0 - step / total_steps
+        if config.l2 > 0.0 and lr > 0.0:
+            scale *= 1.0 - lr * config.l2
+            if scale < 1e-9:
+                scale, count = 1.0, count + 1
+    return count
+
+
+@given(lr_decay=st.sampled_from(["linear", "constant"]),
+       rates=st.sampled_from([(0.1, 0.0), (0.1, 1e-6), (0.9, 0.5), (0.3, 2.0)]),
+       epochs=st.integers(3, 5), corpus_seed=st.integers(0, 3), seed=st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_train_equals_reference_with_and_without_rescale(lr_decay, rates, epochs,
+                                                         corpus_seed, seed):
+    learning_rate, l2 = rates
+    corp = make_review_corpus(n_train=40, n_test=0, seed=corpus_seed)
+    config = TrainConfig(bits=10, epochs=epochs, learning_rate=learning_rate,
+                         lr_decay=lr_decay, l2=l2, seed=seed)
+    # large l2 x learning_rate folds the scale into the weights mid-training
+    assert (_rescales(config, len(corp)) > 0) == (l2 * learning_rate > 0.1)
+    model = train(corp, config)
+    w, bias = _reference_train(corp, config)
+    assert model.weights.tobytes() == w.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
+
+@given(st.floats(allow_nan=False))
+@example(0.0)
+@example(-745.2)
+def test_sigmoid_equals_its_float64_form(z):
+    # _reference_train shares _sigmoid; this pins it to numpy scalar arithmetic
+    if z >= 0:
+        expected = 1.0 / (1.0 + np.exp(np.float64(-z)))
+    else:
+        e = np.exp(np.float64(z))
+        expected = e / (1.0 + e)
+    assert np.float64(_sigmoid(z)).tobytes() == np.float64(expected).tobytes()
+
+
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):
         corp = _toy_corpus()

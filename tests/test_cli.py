@@ -157,6 +157,24 @@ class TestAugmentCommand:
                                       "--out", str(tmp_path / "aug.jsonl")])
         assert result.exit_code == 2 and "No such option" in result.output
 
+    @pytest.mark.parametrize("command", ["augment", "run"])
+    @pytest.mark.parametrize("option, value", [("--rps", "0"), ("--rps", "-1"),
+                                               ("--max-retries", "0")])
+    def test_bad_rate_or_attempts_is_usage_error(self, runner, corpus_file, tmp_path,
+                                                 command, option, value):
+        cfg = _write(tmp_path / "cfg.yaml", "train_sizes: [10]\nseeds: [0]\n"
+                     "augment: {technique: bt, languages: [es]}\n")
+        out = ["--out", str(tmp_path / "bt.jsonl")] if command == "augment" else [
+            "--out-dir", str(tmp_path / "out")]
+        with mock.patch("requests.Session") as session_cls:
+            result = runner.invoke(main, [command, "--config", str(cfg), "--provider", "http",
+                                          "--endpoint", "http://127.0.0.1:1/translate",
+                                          option, value, "--in", str(corpus_file), *out])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        session_cls.assert_not_called()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "corpus.jsonl"]
+
     def test_config_without_augment_section_is_usage_error(self, runner, corpus_file,
                                                            tmp_path):
         cfg = _write(tmp_path / "plain.yaml", "seeds: [0]\nclassifier: {bits: 10}\n")
@@ -209,6 +227,18 @@ class TestTrainPredict:
                                       str(corpus_file), "--source", "x",
                                       "--out", str(tmp_path / "preds.csv")])
         assert result.exit_code == 2 and "No such option '--source'" in result.output
+
+    @pytest.mark.parametrize("splits", ["tst", "test,tst", "test,", ""])
+    def test_predict_unknown_split_is_usage_error(self, runner, corpus_file, tmp_path,
+                                                  splits):
+        model = tmp_path / "model.npz"
+        _invoke(runner, ["train", "--in", str(corpus_file), "--model-out", str(model)])
+        out = tmp_path / "preds.csv"
+        result = runner.invoke(main, ["predict", "--model", str(model), "--in",
+                                      str(corpus_file), "--splits", splits, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "splits are train, valid, test, unsup" in result.output
+        assert not out.exists()
 
     def test_model_written_to_the_path_given(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.bin"
@@ -461,6 +491,13 @@ class TestAnalyzeCommands:
             assert result.exit_code != 0, bad
             assert "l1 strengths must be finite and >= 0" in result.output
             assert not rejected.exists()
+
+        result = runner.invoke(main, ["analyze", "regress", "--model", str(model),
+                                      "--in", str(corp_path), "--splits", "test,tst",
+                                      "--l1", "0.01", "--out", str(rejected)])
+        assert result.exit_code == 2, result.output
+        assert "unknown split 'tst'; splits are train, valid, test, unsup" in result.output
+        assert not rejected.exists()
 
         probeout = tmp_path / "probe.csv"
         _invoke(runner, ["analyze", "probe", "--model", str(model),

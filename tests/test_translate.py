@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -8,8 +9,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.translate import (BacktranslationRecord, CacheError, HttpProvider,
-                                MockProvider, PermanentTranslationError,
+from augbench.augment import bundled_thesaurus, derive_seed
+from augbench.translate import (DEFAULT_LANGUAGES, BacktranslationRecord, CacheError,
+                                HttpProvider, MockProvider, PermanentTranslationError,
                                 ReplayProvider, TokenBucket, TransientTranslationError,
                                 TranslationCache, TranslationError, backtranslate,
                                 cache_key, paper_cache_path)
@@ -36,6 +38,11 @@ class CountingProvider:
 _CACHE_TEXT = st.text(st.characters(blacklist_categories=("Cs",))
                       | st.sampled_from(["\u2028", "\u2029", "\u0085", "\t", "\r", "\n",
                                          "\U0001f600", "\U0010ffff"]))
+
+
+# Cache key parts with NUL, a line separator and astral characters drawn often.
+_KEY_PART = st.text(st.characters(blacklist_categories=("Cs",))
+                    | st.sampled_from(["\x00", "\u2028", "\U0001f600"]))
 
 
 class TestCache:
@@ -171,6 +178,27 @@ class TestCache:
     def test_key_includes_provider(self):
         assert cache_key("p1", "en", "es", "x") != cache_key("p2", "en", "es", "x")
 
+    @given(st.lists(_KEY_PART, min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_key_equals_part_by_part_reference(self, parts):
+        h = hashlib.sha256()
+        for part in parts:
+            h.update(part.encode("utf-8"))
+            h.update(b"\x00")
+        assert cache_key(*parts) == h.hexdigest()
+
+    @given(key=_CACHE_TEXT, source=_CACHE_TEXT, text=_CACHE_TEXT, result=_CACHE_TEXT)
+    @settings(max_examples=100, deadline=None)
+    def test_put_line_equals_json_dumps(self, tmp_path_factory, key, source, text, result):
+        path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+        with TranslationCache(path) as c:
+            c.put(key, source, "en", "p", text, result)
+        entry = {"key": key, "source": source, "target": "en", "provider": "p",
+                 "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                 "result": result}
+        expected = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
 
 class TestBacktranslate:
     def test_identity_provider_round_trip(self):
@@ -245,7 +273,6 @@ class TestMockProvider:
         assert es != fr
 
     def test_edit_distance_bounded(self):
-        import random
         vocab = ["the", "movie", "was", "great", "awful", "story", "acting", "plot",
                  "director", "film", "boring", "ending", "scene", "good", "bad"]
         rng = random.Random(0)
@@ -256,6 +283,57 @@ class TestMockProvider:
             out = backtranslate(text, "fr", p).final_text
             dist = _edit_distance(text.split(), out.split())
             assert dist <= 0.25 * length
+
+
+def _reference_mock_translate(p, text, source, target):
+    """`MockProvider.translate` as it was before its per-language rotation
+    seeds and lowercase word set were kept."""
+    tokens = text.split()
+    if not tokens:
+        return text
+    if source == "en":
+        lang = target
+        r = derive_seed("rot", lang) % len(tokens)
+        out = tokens[r:] + tokens[:r]
+        n_subs = int(round(p.noise_rate * len(out)))
+        if n_subs:
+            rng = random.Random(derive_seed(p.seed, lang, text))
+            candidates = [i for i, t in enumerate(out) if t in p.drift]
+            for i in sorted(rng.sample(candidates, min(n_subs, len(candidates)))):
+                out[i] = rng.choice(p.drift.lookup(out[i]))
+    else:
+        lang = source
+        r = derive_seed("rot", lang) % len(tokens)
+        k = len(tokens) - r
+        out = tokens[k:] + tokens[:k]
+    return " ".join(out)
+
+
+_THESAURUS_WORDS = sorted(bundled_thesaurus().words())
+# Thesaurus words as stored, capitalised and upper-cased, glued to punctuation,
+# and words it does not hold, separated by runs of whitespace.
+_MOCK_TEXT = st.lists(
+    st.tuples(st.sampled_from(_THESAURUS_WORDS),
+              st.sampled_from([str, str.capitalize, str.upper]),
+              st.sampled_from(["", ",", ".", "!"]))
+    .map(lambda t: t[1](t[0]) + t[2])
+    | st.sampled_from(["the", "The", "film", ",", "!", "...", "\u0130"]),
+    max_size=40).flatmap(
+        lambda words: st.lists(st.sampled_from([" ", "  ", "\t", "\n"]),
+                               min_size=len(words), max_size=len(words))
+        .map(lambda seps: "".join(w + sep for w, sep in zip(words, seps))))
+
+
+@given(text=_MOCK_TEXT, seed=st.integers(0, 3),
+       noise_rate=st.sampled_from([0.0, 0.1, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_mock_translate_equals_reference_on_both_legs(text, seed, noise_rate):
+    p = MockProvider(seed=seed, noise_rate=noise_rate)
+    for lang in DEFAULT_LANGUAGES:
+        forward = p.translate(text, "en", lang)
+        assert forward == _reference_mock_translate(p, text, "en", lang)
+        assert p.translate(forward, lang, "en") == _reference_mock_translate(
+            p, forward, lang, "en")
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -365,6 +443,17 @@ class TestHttpProvider:
         with HttpProvider("http://127.0.0.1:1/translate", session=shared):
             pass
         shared.close.assert_not_called()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(max_retries=0), "max_retries must be at least 1"),
+        (dict(max_retries=-1), "max_retries must be at least 1"),
+        (dict(rate_limit=0.0), "rate must be positive"),
+    ])
+    def test_bad_settings_rejected_before_any_session(self, kwargs, message):
+        with mock.patch("requests.Session") as session_cls:
+            with pytest.raises(ValueError, match=message):
+                HttpProvider("http://127.0.0.1:1/translate", **kwargs)
+        session_cls.assert_not_called()
 
 
 class TestTokenBucket:
