@@ -78,15 +78,19 @@ class Thesaurus:
     def from_tsv(cls, path: str | Path) -> "Thesaurus":
         """Read `word<TAB>syn1,syn2,...` lines; blank lines and # comments skipped."""
         entries: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise AugmentError(f"{path}: bad thesaurus line {lineno}: {line!r}")
-                entries[parts[0].strip()] = [s.strip() for s in parts[1].split(",") if s.strip()]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    if not line.strip() or line.startswith("#"):
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) != 2:
+                        raise AugmentError(f"{path}: bad thesaurus line {lineno}: {line!r}")
+                    entries[parts[0].strip()] = [s.strip() for s in parts[1].split(",")
+                                                 if s.strip()]
+        except UnicodeDecodeError as e:
+            raise AugmentError(f"cannot decode {path} as UTF-8: {e}") from None
         return cls(entries)
 
     def lookup(self, word: str) -> list[str]:
@@ -107,8 +111,13 @@ def bundled_thesaurus() -> Thesaurus:
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:
-    """The whitespace-separated words of a UTF-8 file, lowercased as `_eligible` needs."""
-    return frozenset(w.lower() for w in Path(path).read_text(encoding="utf-8").split())
+    """The whitespace-separated words of a UTF-8 file, lowercased as
+    `eligible_positions` needs."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise AugmentError(f"cannot decode {path} as UTF-8: {e}") from None
+    return frozenset(w.lower() for w in text.split())
 
 
 def bundled_stopwords() -> frozenset[str]:
@@ -133,8 +142,8 @@ def _match_case(original: str, synonym: str, tokens: Sequence[str], i: int) -> s
     return synonym
 
 
-def _eligible(tokens: Sequence[str], thesaurus: Thesaurus,
-              stopwords: frozenset[str] | set[str]) -> list[int]:
+def eligible_positions(tokens: Sequence[str], thesaurus: Thesaurus,
+                       stopwords: frozenset[str] | set[str]) -> list[int]:
     """Positions of the tokens that SR and RI may edit: non-stopword words with synonyms."""
     return [
         i for i, t in enumerate(tokens)
@@ -142,20 +151,9 @@ def _eligible(tokens: Sequence[str], thesaurus: Thesaurus,
     ]
 
 
-def synonym_replace(
-    tokens: Sequence[str],
-    alpha: float,
-    thesaurus: Thesaurus,
-    stopwords: frozenset[str] | set[str],
-    rng_seed: int,
-) -> list[str]:
-    """Replace up to max(1, round(alpha*len)) eligible tokens with uniform synonyms."""
-    return _synonym_replace(tokens, _eligible(tokens, thesaurus, stopwords), alpha,
-                            thesaurus, rng_seed)
-
-
-def _synonym_replace(tokens: Sequence[str], eligible: list[int], alpha: float,
-                     thesaurus: Thesaurus, rng_seed: int) -> list[str]:
+def synonym_replace(tokens: Sequence[str], eligible: Sequence[int], alpha: float,
+                    thesaurus: Thesaurus, rng_seed: int) -> list[str]:
+    """Replace up to max(1, round(alpha*len)) of the `eligible` tokens with uniform synonyms."""
     out = list(tokens)
     if not eligible:
         return out
@@ -167,20 +165,9 @@ def _synonym_replace(tokens: Sequence[str], eligible: list[int], alpha: float,
     return out
 
 
-def random_insert(
-    tokens: Sequence[str],
-    alpha: float,
-    thesaurus: Thesaurus,
-    stopwords: frozenset[str] | set[str],
-    rng_seed: int,
-) -> list[str]:
-    """Insert max(1, round(alpha*len)) synonyms of random eligible tokens at random gaps."""
-    return _random_insert(tokens, _eligible(tokens, thesaurus, stopwords), alpha,
-                          thesaurus, rng_seed)
-
-
-def _random_insert(tokens: Sequence[str], eligible: list[int], alpha: float,
-                   thesaurus: Thesaurus, rng_seed: int) -> list[str]:
+def random_insert(tokens: Sequence[str], eligible: Sequence[int], alpha: float,
+                  thesaurus: Thesaurus, rng_seed: int) -> list[str]:
+    """Insert max(1, round(alpha*len)) synonyms of random `eligible` tokens at random gaps."""
     out = list(tokens)
     if not eligible:
         return out
@@ -329,13 +316,13 @@ def augment_dataset(
             # Only the RNG stream differs between copies of one parent.
             toks = tokenize(doc.text)
             if spec.technique in (AugTechnique.SYNONYM_REPLACE, AugTechnique.RANDOM_INSERT):
-                eligible = _eligible(toks, thesaurus, spec.stopwords)
+                eligible = eligible_positions(toks, thesaurus, spec.stopwords)
             for copy in range(spec.copies_per_original):
                 seed = derive_seed(spec.seed, doc.id, copy)
                 if spec.technique is AugTechnique.SYNONYM_REPLACE:
-                    new = _synonym_replace(toks, eligible, spec.alpha, thesaurus, seed)
+                    new = synonym_replace(toks, eligible, spec.alpha, thesaurus, seed)
                 elif spec.technique is AugTechnique.RANDOM_INSERT:
-                    new = _random_insert(toks, eligible, spec.alpha, thesaurus, seed)
+                    new = random_insert(toks, eligible, spec.alpha, thesaurus, seed)
                 elif spec.technique is AugTechnique.RANDOM_SWAP:
                     new = random_swap(toks, spec.alpha, seed)
                 else:

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import random
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -104,12 +105,16 @@ class LinearModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                weights=data["weights"],
-                bias=float(data["bias"]),
-                config=TrainConfig(**json.loads(str(data["config"]))),
-            )
+        """Read a model `save` wrote; any other file raises ClassifyError."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                return cls(
+                    weights=data["weights"],
+                    bias=float(data["bias"]),
+                    config=TrainConfig(**json.loads(str(data["config"]))),
+                )
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+            raise ClassifyError(f"{path}: not a model saved by augbench train") from None
 
 
 def _sigmoid(z: float) -> float:
@@ -296,23 +301,28 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
     """Read a `doc_id,p_positive` CSV produced by an external model; each
     doc_id may appear once."""
     table = PredictionTable()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["doc_id", "p_positive"]:
-            raise ClassifyError(f"{path}: expected header 'doc_id,p_positive'")
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ClassifyError(f"{path}: malformed row {rownum}")
-            try:
-                p = float(row[1])
-            except ValueError as e:
-                raise ClassifyError(f"{path}: bad probability at row {rownum}: {row[1]!r}") from e
-            if not 0.0 <= p <= 1.0:
-                raise ClassifyError(f"{path}: probability out of range at row {rownum}: {p}")
-            if table.get(row[0], source_id) is not None:
-                raise ClassifyError(f"{path}: repeated doc_id {row[0]!r} at row {rownum}")
-            table.add(row[0], source_id, p)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["doc_id", "p_positive"]:
+                raise ClassifyError(f"{path}: expected header 'doc_id,p_positive'")
+            for rownum, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise ClassifyError(f"{path}: malformed row {rownum}")
+                try:
+                    p = float(row[1])
+                except ValueError as e:
+                    raise ClassifyError(
+                        f"{path}: bad probability at row {rownum}: {row[1]!r}") from e
+                if not 0.0 <= p <= 1.0:
+                    raise ClassifyError(
+                        f"{path}: probability out of range at row {rownum}: {p}")
+                if table.get(row[0], source_id) is not None:
+                    raise ClassifyError(f"{path}: repeated doc_id {row[0]!r} at row {rownum}")
+                table.add(row[0], source_id, p)
+    except UnicodeDecodeError as e:
+        raise ClassifyError(f"cannot decode {path} as UTF-8: {e}") from None
     return table

@@ -179,26 +179,29 @@ def ingest_jsonl(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL interchange format."""
     docs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                doc = Document(
-                    id=obj["id"],
-                    text=obj["text"],
-                    label=obj["label"],
-                    split=obj["split"],
-                    origin=Origin.from_json(obj.get("origin", {"kind": "original"})),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as e:
-                raise CorpusError(f"{path}: malformed document at line {lineno}: {e}") from e
-            if doc.id in seen:
-                raise CorpusError(f"{path}: duplicate id {doc.id!r} at line {lineno}")
-            seen.add(doc.id)
-            docs.append(doc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    doc = Document(
+                        id=obj["id"],
+                        text=obj["text"],
+                        label=obj["label"],
+                        split=obj["split"],
+                        origin=Origin.from_json(obj.get("origin", {"kind": "original"})),
+                    )
+                except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as e:
+                    raise CorpusError(f"{path}: malformed document at line {lineno}: {e}") from e
+                if doc.id in seen:
+                    raise CorpusError(f"{path}: duplicate id {doc.id!r} at line {lineno}")
+                seen.add(doc.id)
+                docs.append(doc)
+    except UnicodeDecodeError as e:
+        raise CorpusError(f"cannot decode {path} as UTF-8: {e}") from None
     return Corpus(docs)
 
 

@@ -243,6 +243,10 @@ def run_single(
         prepared = result.corpus
         for doc_id, reason in result.skipped:
             log.warning("augment skipped %s: %s", doc_id, reason)
+        if result.skipped and not result.generated:
+            doc_id, reason = result.skipped[0]
+            raise ExperimentError(f"augmentation skipped all {len(result.skipped)} "
+                                  f"attempts and generated nothing; first {doc_id}: {reason}")
 
     clf_config = dataclasses.replace(config.classifier, seed=derive_seed(config.classifier.seed, "train", seed))
     model = train(prepared, clf_config)
@@ -265,7 +269,8 @@ def run_low_resource_sweep(
     cache=None,
 ) -> ExperimentReport:
     """The paper protocol: subsample, optionally augment, train, test; median over
-    seeds.  A failed run is recorded in the report's failures, not raised."""
+    seeds.  A failed run is recorded in the report's failures, not raised; an
+    augmentation that skipped every attempt and generated nothing fails its run."""
     test_docs = corpus.split_docs("test")
     if not test_docs:
         raise ExperimentError("the corpus has no test documents to evaluate on")
@@ -278,7 +283,8 @@ def run_low_resource_sweep(
             try:
                 sub = subsample_balanced(corpus, n, seed)
                 report.rows.append(run_single(sub, n, seed, config, provider, cache, test_rows))
-            except (ClassifyError, CorpusError, _translate.TranslationError) as e:
+            except (ClassifyError, CorpusError, ExperimentError,
+                    _translate.TranslationError) as e:
                 log.error("run %s failed: %s", tag, e)
                 report.failures.append((tag, str(e)))
             report.timings.append((tag, time.monotonic() - t0))

@@ -60,22 +60,31 @@ _ENTRY_LINE = ('{{"key": {}, "provider": {}, "result": {}, "source": {}, "target
                '"text_hash": "{}"}}\n')
 
 
+def _entry(line: bytes) -> Optional[tuple[str, str]]:
+    """The (key, result) of a cache line, None for a blank one; ValueError,
+    KeyError or TypeError for one that does not parse."""
+    if not line.strip():
+        return None
+    obj = json.loads(line)
+    return obj["key"], obj["result"]
+
+
 class TranslationCache:
     """Append-only JSONL cache keyed by (provider, source, target, text) hash.
 
     Entries: {"key","source","target","provider","text_hash","result"}.
     Later duplicate keys win on load; appends are crash-safe (one line per
-    entry, flushed as it is written).  A None path gives an in-memory cache.
-    The file stays open for appending from the first `put` until `close`;
-    the cache is also a context manager that closes it.
+    entry, flushed as it is written), also when several caches append to one
+    file in turn.  A None path gives an in-memory cache.  The file stays open for
+    appending from the first `put` until `close`; the cache is also a context
+    manager that closes it.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
-        # (size to cut the own file to, bytes to write first) before the next append
-        self._tail: Optional[tuple[int, bytes]] = None
         self._fh = None  # the append handle, opened by the first put
+        self._end: Optional[int] = None  # file size after this cache's last append
         if self.path is not None and self.path.exists():
             self.load(self.path)
 
@@ -95,35 +104,26 @@ class TranslationCache:
         """Merge entries from a JSONL cache file (e.g. a pre-seeded cache).
 
         A final line with no newline that does not parse is a `put` cut short
-        by a crash: it is skipped with a warning, and cut off the cache's own
-        file before the next append.  One that parses is kept, and the next
-        append to the own file ends it first.  A bad line anywhere else raises
-        CacheError.
+        by a crash: it is skipped with a warning (and `put` cuts it off before
+        appending to the file).  One that parses is kept.  A bad line anywhere
+        else raises CacheError.
         """
         n = 0
-        size = 0
-        tail = None
         try:
             with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    size += len(line)
                     try:
-                        if line.strip():
-                            obj = json.loads(line)
-                            self._entries[obj["key"]] = obj["result"]
-                            n += 1
-                    except (ValueError, KeyError) as e:
+                        entry = _entry(line)
+                    except (ValueError, KeyError, TypeError) as e:
                         if line.endswith(b"\n"):
                             raise CacheError(f"{path}: bad cache line {lineno}: {e}") from e
                         log.warning("%s: skipped torn final cache line %d", path, lineno)
-                        tail = (size - len(line), b"")
                         continue
-                    if not line.endswith(b"\n"):
-                        tail = (size, b"\n")
+                    if entry is not None:
+                        self._entries[entry[0]] = entry[1]
+                        n += 1
         except OSError as e:
             raise CacheError(f"cannot read cache {path}: {e}") from e
-        if tail is not None and Path(path) == self.path:
-            self._tail = tail
         return n
 
     def get(self, key: str) -> Optional[str]:
@@ -144,18 +144,41 @@ class TranslationCache:
         except UnicodeEncodeError as e:
             raise CacheError(f"cannot cache entry {key}: not valid UTF-8 ({e.reason})") from None
         try:
-            if self._tail is not None:
-                size, first = self._tail
-                os.truncate(self.path, size)
-                line = first + line
             if self._fh is None:
-                self._fh = open(self.path, "ab")
+                self._fh = open(self.path, "a+b")  # readable too: `_mend_tail` preads
+            size = os.fstat(self._fh.fileno()).st_size
+            if size != self._end:  # first append, or the file changed since the last
+                size, line = self._mend_tail(size, line)
+            self._end = None  # unknown until this append succeeds
             self._fh.write(line)
             self._fh.flush()  # a kill leaves at most this line torn
-            self._tail = None
+            self._end = size + len(line)
         except OSError as e:
             raise CacheError(f"cannot append to cache {self.path}: {e}") from e
         self._entries[key] = result
+
+    def _mend_tail(self, size: int, line: bytes) -> tuple[int, bytes]:
+        """Prepare `line` for appending to the file of `size` bytes.  A final
+        line without its newline is cut off if it does not parse (a torn
+        `put`) and ended if it does, as `load` reads it.  Returns the file's
+        new size and the bytes to append."""
+        fd = self._fh.fileno()
+        start = size  # where the final line starts: just after the last newline
+        while start > 0:
+            lo = max(0, start - (1 << 16))
+            cut = os.pread(fd, start - lo, lo).rfind(b"\n")
+            if cut >= 0:
+                start = lo + cut + 1
+                break
+            start = lo
+        if start == size:
+            return size, line
+        try:
+            _entry(os.pread(fd, size - start, start))
+        except (ValueError, KeyError, TypeError):
+            os.ftruncate(fd, start)
+            return start, line
+        return size, b"\n" + line
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -164,7 +187,6 @@ class TranslationCache:
 @dataclass
 class BacktranslationRecord:
     parent_id: Optional[str]
-    intermediate_text: str
     final_text: str
     cache_hits: int  # 0..2
     provider_calls: int
@@ -205,7 +227,6 @@ def backtranslate(
     final = leg(pivot, "en", intermediate, "backward")
     return BacktranslationRecord(
         parent_id=parent_id,
-        intermediate_text=intermediate,
         final_text=final,
         cache_hits=hits,
         provider_calls=calls,
@@ -311,11 +332,16 @@ class HttpProvider:
                 continue
             if resp.status_code == 200:
                 try:
-                    return resp.json()["translatedText"]
-                except (ValueError, KeyError) as e:
+                    translated = resp.json()["translatedText"]
+                except (ValueError, KeyError, TypeError) as e:
                     raise PermanentTranslationError(
                         f"malformed response from {self.endpoint}: {e}"
                     ) from e
+                if not isinstance(translated, str):
+                    raise PermanentTranslationError(
+                        f"malformed response from {self.endpoint}: translatedText "
+                        f"is {translated!r}, not a string")
+                return translated
             if resp.status_code in _RETRYABLE_STATUS or resp.status_code >= 500:
                 last_err = f"HTTP {resp.status_code}"
                 # an HTTP-date Retry-After is not read

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import settings
 
 from augbench.corpus import Corpus, Document
-from augbench.synth import make_review_corpus
 from augbench.translate import MockProvider, PermanentTranslationError
+
+from synth import make_review_corpus
 
 # Properties draw the same examples on every run, so a Tier-1 result does not
 # depend on the run; `database=None` keeps nothing between runs.

@@ -1,9 +1,9 @@
-"""Deterministic synthetic movie-review corpus for hermetic tests and dry runs."""
+"""Deterministic synthetic movie-review corpus for hermetic tests."""
 from __future__ import annotations
 
 import random
 
-from .corpus import Corpus, Document
+from augbench.corpus import Corpus, Document
 
 _POS_ADJ = ["great", "wonderful", "excellent", "amazing", "brilliant", "charming",
             "compelling", "delightful", "beautiful", "funny", "touching", "memorable"]

@@ -21,15 +21,16 @@ from scipy.stats import chi2
 
 from augbench.analyze import (cross_validate_l1, fit_l1_logistic, standardize)
 from augbench.augment import (AugmentSpec, Thesaurus, bundled_stopwords,
-                              bundled_thesaurus, augment_dataset, random_delete,
-                              random_insert, random_swap, synonym_replace)
+                              bundled_thesaurus, augment_dataset, eligible_positions,
+                              random_delete, random_insert, random_swap, synonym_replace)
 from augbench.classify import PredictionTable, TrainConfig, predict_corpus, train
 from augbench.corpus import export_jsonl, ingest_imdb_dir
 from augbench.ensemble import SimplexWeights, calibration_report, combine, fit_weights, log_loss
 from augbench.experiment import ExperimentConfig, run_low_resource_sweep
-from augbench.synth import make_review_corpus
 from augbench.translate import (DEFAULT_LANGUAGES, MockProvider, ReplayProvider,
                                 TranslationCache, backtranslate, paper_cache_path)
+
+from synth import make_review_corpus
 
 
 @contextmanager
@@ -184,11 +185,12 @@ def test_03_invariant_property_suites():
         for i in range(1000):
             toks = _random_tokens(rng, thesaurus)
             alpha = rng.random() * 0.5
-            sr = synonym_replace(toks, alpha, thesaurus, stops, i)
+            eligible = eligible_positions(toks, thesaurus, stops)
+            sr = synonym_replace(toks, eligible, alpha, thesaurus, i)
             assert len(sr) == len(toks)
             rs = random_swap(toks, alpha, i)
             assert sorted(rs) == sorted(toks)
-            ri = random_insert(toks, alpha, thesaurus, stops, i)
+            ri = random_insert(toks, eligible, alpha, thesaurus, i)
             assert len(ri) >= len(toks)
             it = iter(ri)
             assert all(t in it for t in toks)  # originals stay a subsequence

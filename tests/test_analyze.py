@@ -11,7 +11,8 @@ from augbench.analyze import (AnalyzeError, FEATURE_NAMES, RATING_POINTS, _fit_m
                               numeracy_probe, sentence_features, split_sentences,
                               standardize)
 from augbench.classify import TrainConfig, predictor, train
-from augbench.synth import make_review_corpus
+
+from synth import make_review_corpus
 
 
 class TestSplitSentences:

@@ -9,11 +9,12 @@ from scipy.stats import chisquare
 from augbench.augment import (AugmentError, AugmentSpec, AugTechnique, Thesaurus,
                               _is_punct_token, augment_dataset, bundled_stopwords,
                               bundled_thesaurus, detokenize, derive_seed, edit_count,
-                              random_delete, random_insert, random_swap, synonym_replace,
-                              tokenize)
+                              eligible_positions, random_delete, random_insert, random_swap,
+                              synonym_replace, tokenize)
 from augbench.corpus import export_jsonl
-from augbench.synth import make_review_corpus
 from augbench.translate import MockProvider, TranslationCache
+
+from synth import make_review_corpus
 
 TABLE1 = "A sad human comedy played out on the back roads of life."
 STOP = bundled_stopwords()
@@ -168,38 +169,43 @@ class TestSynonymReplace:
         th = Thesaurus({"sad": ["lamentable"], "back": ["backward"]})
         toks = tokenize(TABLE1)
         alpha = 2 / len(toks)
-        out = synonym_replace(toks, alpha, th, STOP, rng_seed=0)
+        out = synonym_replace(toks, eligible_positions(toks, th, STOP), alpha, th, rng_seed=0)
         assert out == tokenize(
             "A lamentable human comedy played out on the backward roads of life.")
 
     def test_empty_input_identity(self):
-        assert synonym_replace([], 0.0, Thesaurus(), STOP, 0) == []
+        assert synonym_replace([], [], 0.0, Thesaurus(), 0) == []
 
     def test_single_token_always_replaced(self):
         th = Thesaurus({"good": ["fine"]})
-        outs = {tuple(synonym_replace(["good"], 0.1, th, STOP, s)) for s in range(100)}
+        eligible = eligible_positions(["good"], th, STOP)
+        outs = {tuple(synonym_replace(["good"], eligible, 0.1, th, s)) for s in range(100)}
         assert outs == {("fine",)}
 
     def test_no_entries_returns_input(self):
         toks = ["qqqq", "zzzz"]
-        assert synonym_replace(toks, 0.5, Thesaurus(), STOP, 1) == toks
+        th = Thesaurus()
+        assert synonym_replace(toks, eligible_positions(toks, th, STOP), 0.5, th, 1) == toks
 
     def test_length_preserved(self):
         th = bundled_thesaurus()
         toks = tokenize(TABLE1)
+        eligible = eligible_positions(toks, th, STOP)
         for seed in range(20):
-            assert len(synonym_replace(toks, 0.3, th, STOP, seed)) == len(toks)
+            assert len(synonym_replace(toks, eligible, 0.3, th, seed)) == len(toks)
 
     def test_title_case_kept_at_sentence_start(self):
         th = Thesaurus({"great": ["wonderful"]})
-        out = synonym_replace(["Great", "stuff"], 0.1, th, STOP, 0)
+        toks = ["Great", "stuff"]
+        out = synonym_replace(toks, eligible_positions(toks, th, STOP), 0.1, th, 0)
         assert out[0] == "Wonderful"
 
     def test_deterministic(self):
         th = bundled_thesaurus()
         toks = tokenize(TABLE1)
-        assert synonym_replace(toks, 0.3, th, STOP, 42) == \
-               synonym_replace(toks, 0.3, th, STOP, 42)
+        eligible = eligible_positions(toks, th, STOP)
+        assert synonym_replace(toks, eligible, 0.3, th, 42) == \
+               synonym_replace(toks, eligible, 0.3, th, 42)
 
 
 def _is_subsequence(needle, haystack):
@@ -211,23 +217,24 @@ class TestRandomInsert:
     def test_table1_has_original_order(self):
         th = bundled_thesaurus()
         toks = tokenize(TABLE1)
-        out = random_insert(toks, 0.05, th, STOP, rng_seed=3)
+        out = random_insert(toks, eligible_positions(toks, th, STOP), 0.05, th, rng_seed=3)
         assert len(out) == len(toks) + 1
         assert _is_subsequence(toks, out)
 
     def test_empty_input(self):
-        assert random_insert([], 0.1, bundled_thesaurus(), STOP, 0) == []
+        assert random_insert([], [], 0.1, bundled_thesaurus(), 0) == []
 
     def test_no_eligible_token_returns_input(self):
         toks = ["qqqq", "zzzz"]
-        assert random_insert(toks, 0.1, Thesaurus(), STOP, 5) == toks
+        th = Thesaurus()
+        assert random_insert(toks, eligible_positions(toks, th, STOP), 0.1, th, 5) == toks
 
     @given(st.integers(min_value=0, max_value=2 ** 32))
     @settings(max_examples=200, deadline=None)
     def test_input_is_subsequence_of_output(self, seed):
         th = bundled_thesaurus()
         toks = tokenize("the great movie had an awful plot and a boring ending")
-        out = random_insert(toks, 0.3, th, STOP, seed)
+        out = random_insert(toks, eligible_positions(toks, th, STOP), 0.3, th, seed)
         assert _is_subsequence(toks, out)
 
 
@@ -415,7 +422,9 @@ class TestPerParentWork:
         for doc in corp:
             for copy in range(3):
                 seed = derive_seed(spec.seed, doc.id, copy)
-                new = edit(tokenize(doc.text), spec.alpha, thesaurus, spec.stopwords, seed)
+                toks = tokenize(doc.text)
+                eligible = eligible_positions(toks, thesaurus, spec.stopwords)
+                new = edit(toks, eligible, spec.alpha, thesaurus, seed)
                 assert got[f"{doc.id}#aug[{technique}:{copy}]"] == detokenize(new)
 
 

@@ -16,7 +16,8 @@ from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
 from augbench.corpus import Corpus, Document
 from augbench.ensemble import calibration_report
 from augbench.experiment import ExperimentConfig, run_low_resource_sweep
-from augbench.synth import make_review_corpus
+
+from synth import make_review_corpus
 
 # Recorded before featurization and scoring were rewritten; they pin the
 # hashing, the feature order, the SGD updates and the summation order.

@@ -8,11 +8,14 @@ import numpy as np
 from click.testing import CliRunner
 
 from augbench.augment import AugmentSpec, augment_dataset, bundled_thesaurus
-from augbench.classify import TrainConfig, train
+from augbench.analyze import (build_feature_matrix, cross_validate_l1, fit_l1_logistic,
+                              standardize)
+from augbench.classify import LinearModel, TrainConfig, predictor, train
 from augbench.cli import main
 from augbench.corpus import Corpus, export_jsonl, ingest_jsonl
-from augbench.synth import make_review_corpus
 from augbench.translate import MockProvider, TranslationCache, paper_cache_path
+
+from synth import make_review_corpus
 
 
 @pytest.fixture
@@ -61,6 +64,29 @@ class TestIngest:
         _fails_with(runner, ["ingest", "--imdb-dir", str(imdb_dir), "--out", str(out)],
                     "missing required subdirectory: train/pos")
         assert not out.exists()
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("args", [
+        ["train", "--in", "{bad}", "--model-out", "{tmp}/m.npz"],
+        ["augment", "--config", "{cfg}", "--thesaurus", "{bad}", "--in", "{corpus}",
+         "--out", "{tmp}/a.jsonl"],
+        ["augment", "--config", "{cfg}", "--stopwords", "{bad}", "--in", "{corpus}",
+         "--out", "{tmp}/a.jsonl"],
+        ["ensemble", "report", "--preds", "a={bad}"],
+    ], ids=["corpus", "thesaurus", "stopwords", "predictions"])
+    def test_non_utf8_file_fails_naming_it(self, runner, corpus_file, tmp_path, args):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\xe9\tbistro\n".encode("latin-1"))
+        cfg = _write(tmp_path / "aug.yaml", "augment: {technique: sr}\n")
+        args = [a.format(bad=bad, cfg=cfg, corpus=corpus_file, tmp=tmp_path) for a in args]
+        _fails_with(runner, args, f"cannot decode {bad} as UTF-8")
+
+    def test_text_file_as_model_fails_naming_it(self, runner, corpus_file, tmp_path):
+        model = _write(tmp_path / "model.npz", "not a model\n")
+        _fails_with(runner, ["predict", "--model", str(model), "--in", str(corpus_file),
+                             "--out", str(tmp_path / "p.csv")],
+                    f"{model}: not a model saved by augbench train")
 
 
 class TestAugmentCommand:
@@ -512,6 +538,26 @@ class TestAnalyzeCommands:
         assert not (tmp_path / "bad.csv").exists()
 
 
+    def test_regress_cross_validates_by_lowest_mean_loss(self, runner, tmp_path):
+        corp_path = tmp_path / "corpus.jsonl"
+        corp = make_review_corpus(n_train=60, n_test=60, seed=2)
+        export_jsonl(corp, corp_path)
+        model = tmp_path / "model.npz"
+        _invoke(runner, ["train", "--in", str(corp_path), "--model-out", str(model)])
+        regout = tmp_path / "reg.json"
+        _invoke(runner, ["analyze", "regress", "--model", str(model),
+                         "--in", str(corp_path), "--out", str(regout)])
+
+        docs = corp.split_docs("test")
+        predict_fn = predictor(LinearModel.load(model))
+        X, _, _ = standardize(build_feature_matrix([d.text for d in docs], predict_fn))
+        y = np.array([1.0 if d.label == "pos" else 0.0 for d in docs])
+        lam = cross_validate_l1(X, y)
+        assert json.loads(regout.read_text(encoding="utf-8")) == \
+            fit_l1_logistic(X, y, lam, target_kind="true_label").as_dict()
+        assert lam != cross_validate_l1(X, y, se_multiplier=2.0)  # the rules differ here
+
+
 class TestRunCommand:
     def test_sweep_writes_report(self, runner, tmp_path):
         corp_path = tmp_path / "corpus.jsonl"
@@ -540,6 +586,18 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "FAILED n=50,seed=0" in result.output
         assert "FAILED n=50,seed=1" in result.output
+        report = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert report == ["n,technique,languages,k,seed,subsample,accuracy,error,"
+                          "frac_confident,pred_std"]
+
+    def test_all_skipped_augmentation_exits_nonzero(self, runner, corpus_file, tmp_path):
+        cfg = _write(tmp_path / "cfg.yaml", "train_sizes: [10]\nseeds: [0]\n"
+                     "augment: {technique: bt, languages: [es, fr]}\n")
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--in", str(corpus_file),
+                                      "--out-dir", str(out_dir), "--provider", "replay"])
+        assert result.exit_code == 1, result.output
+        assert "FAILED n=10,seed=0: augmentation skipped all " in result.output
         report = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
         assert report == ["n,technique,languages,k,seed,subsample,accuracy,error,"
                           "frac_confident,pred_std"]

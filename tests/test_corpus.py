@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from augbench.corpus import (Corpus, CorpusError, Document, Origin, carve_validation,
                              export_jsonl, ingest_imdb_dir, ingest_jsonl,
                              subsample_balanced)
-from augbench.synth import make_review_corpus
+
+from synth import make_review_corpus
 
 
 class TestDocument:

@@ -13,8 +13,9 @@ from augbench.corpus import Corpus, Document
 from augbench.ensemble import (CalibrationReport, EnsembleError, SimplexWeights,
                                calibration_report, combine, fit_weights, log_loss,
                                tta_generate)
-from augbench.synth import make_review_corpus
 from augbench.translate import MockProvider, TranslationCache
+
+from synth import make_review_corpus
 
 
 def _table(rows):

@@ -11,8 +11,10 @@ from augbench.classify import ClassifyError, TrainConfig
 from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
                                  ReportRow, run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import carve_validation
-from augbench.synth import make_review_corpus
-from augbench.translate import DEFAULT_LANGUAGES, MockProvider, TranslationCache
+from augbench.translate import (DEFAULT_LANGUAGES, MockProvider, ReplayProvider,
+                                TranslationCache)
+
+from synth import make_review_corpus
 
 # Recorded before the prediction table, the sweep loop and the TTA pipeline
 # were rewritten; they pin report rows, prediction order and every TTA output.
@@ -70,6 +72,25 @@ class TestLowResourceSweep:
         assert len(report.rows) == 1
         assert report.rows[0].k == 2
         assert not report.failures
+
+    def test_all_skipped_augmentation_fails_the_run(self, micro_corpus):
+        cfg = _fast_config(train_sizes=[10], seeds=[0, 1],
+                           augment=AugmentSpec(technique="bt", languages=("es", "fr")))
+        report = run_low_resource_sweep(cfg, micro_corpus, provider=ReplayProvider("mock:0"),
+                                        cache=TranslationCache())
+        assert report.rows == []
+        assert [tag for tag, _ in report.failures] == ["n=10,seed=0", "n=10,seed=1"]
+        assert all(why.startswith("augmentation skipped all ") for _, why in report.failures)
+
+    def test_partly_skipped_augmentation_still_reports(self, micro_corpus, fr_down_provider,
+                                                       caplog):
+        cfg = _fast_config(train_sizes=[10], seeds=[0],
+                           augment=AugmentSpec(technique="bt", languages=("es", "fr")))
+        report = run_low_resource_sweep(cfg, micro_corpus, provider=fr_down_provider,
+                                        cache=TranslationCache())
+        assert not report.failures
+        assert [(r.languages, r.k) for r in report.rows] == [("es+fr", 2)]
+        assert any(m.startswith("augment skipped ") for m in caplog.messages)
 
     def test_failed_run_recorded_not_fatal(self):
         corp = make_review_corpus(n_train=10, n_test=4)

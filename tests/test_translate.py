@@ -9,7 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.augment import bundled_thesaurus, derive_seed
+from augbench.augment import AugmentSpec, augment_dataset, bundled_thesaurus, derive_seed
+from augbench.corpus import Corpus, Document
 from augbench.translate import (DEFAULT_LANGUAGES, BacktranslationRecord, CacheError,
                                 HttpProvider, MockProvider, PermanentTranslationError,
                                 ReplayProvider, TokenBucket, TransientTranslationError,
@@ -110,6 +111,54 @@ class TestCache:
         path.write_bytes(b"{not json}\n" + path.read_bytes())
         with pytest.raises(CacheError, match="bad cache line 1"):
             TranslationCache(path)
+
+    @pytest.mark.parametrize("damage", ["torn", "unterminated"])
+    def test_two_caches_share_one_file(self, tmp_path, damage):
+        path = tmp_path / "cache.jsonl"
+        with TranslationCache(path) as a, TranslationCache(path) as b:
+            a.put("a1", "en", "es", "p", "x", "y")
+            b.put("b1", "en", "es", "p", "x", "y")
+            last = path.read_bytes().splitlines(keepends=True)[-1]
+            with open(path, "ab") as fh:  # a third writer's final line, cut or unended
+                fh.write(last[:20] if damage == "torn" else last.replace(b"b1", b"c1")[:-1])
+            a.put("a2", "en", "es", "p", "x", "y")
+            b.put("b2", "en", "es", "p", "x", "y")
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and all(line.endswith(b"}") for line in raw.splitlines())
+        reloaded = TranslationCache(path)
+        assert [reloaded.get(k) for k in ("a1", "b1", "a2", "b2")] == ["y"] * 4
+        assert reloaded.get("c1") == (None if damage == "torn" else "y")
+
+    def test_tail_read_only_after_another_writer(self, tmp_path, monkeypatch):
+        import augbench.translate as translate
+
+        reads = []
+        pread = translate.os.pread
+        monkeypatch.setattr(translate.os, "pread", lambda *a: reads.append(a) or pread(*a))
+        path = tmp_path / "cache.jsonl"
+        with TranslationCache(path) as a, TranslationCache(path) as b:
+            for i in range(3):
+                a.put(f"a{i}", "en", "es", "p", "x", "y")
+            assert reads == []  # an empty file, then only its own appends
+            b.put("b", "en", "es", "p", "x", "y")
+            a.put("a3", "en", "es", "p", "x", "y")
+            assert len(reads) == 2  # each cache's first look at the other's line
+            a.put("a4", "en", "es", "p", "x", "y")
+            assert len(reads) == 2
+
+    def test_torn_line_cut_when_loaded_under_another_spelling(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = TranslationCache(path)  # no file yet
+        with TranslationCache(path) as writer:
+            writer.put("k1", "en", "es", "p", "x", "y")
+            writer.put("k2", "en", "es", "p", "x", "y")
+        path.write_bytes(path.read_bytes()[:-10])
+        (tmp_path / "sub").mkdir()
+        assert cache.load(tmp_path / "sub" / ".." / "cache.jsonl") == 1
+        with cache:
+            cache.put("k3", "en", "es", "p", "x", "y")
+        reloaded = TranslationCache(path)
+        assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("y", None, "y")
 
     def test_one_handle_flushed_after_every_line(self, tmp_path, monkeypatch):
         import augbench.translate as translate
@@ -268,8 +317,8 @@ class TestMockProvider:
         assert a == b
 
     def test_languages_differ(self):
-        es = backtranslate(TABLE1, "es", MockProvider(seed=0)).intermediate_text
-        fr = backtranslate(TABLE1, "fr", MockProvider(seed=0)).intermediate_text
+        es = MockProvider(seed=0).translate(TABLE1, "en", "es")
+        fr = MockProvider(seed=0).translate(TABLE1, "en", "fr")
         assert es != fr
 
     def test_edit_distance_bounded(self):
@@ -443,6 +492,23 @@ class TestHttpProvider:
         with HttpProvider("http://127.0.0.1:1/translate", session=shared):
             pass
         shared.close.assert_not_called()
+
+    @pytest.mark.parametrize("value", [None, 5, ["x"]])
+    def test_non_string_translation_skips_the_document(self, value):
+        response = mock.Mock(status_code=200)
+        response.json.return_value = {"translatedText": value}
+        session = mock.Mock()
+        session.post.return_value = response
+        with HttpProvider("http://127.0.0.1:1/translate", rate_limit=1e9,
+                          session=session) as p:
+            with pytest.raises(PermanentTranslationError, match="translatedText is"):
+                p.translate("hi", "en", "es")
+            assert session.post.call_count == 1  # not retried
+            corp = Corpus([Document(id="a", text="a good film", label="pos", split="train")])
+            run = augment_dataset(corp, AugmentSpec(technique="bt", languages=("es",)),
+                                  translator=p, cache=TranslationCache())
+        assert run.generated == 0
+        assert [doc_id for doc_id, _ in run.skipped] == ["a"]
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(max_retries=0), "max_retries must be at least 1"),
