@@ -301,12 +301,14 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
     """Read a `doc_id,p_positive` CSV produced by an external model; each
     doc_id may appear once."""
     table = PredictionTable()
+    rownum = 0  # the last row read
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["doc_id", "p_positive"]:
                 raise ClassifyError(f"{path}: expected header 'doc_id,p_positive'")
+            rownum = 1
             for rownum, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -325,4 +327,6 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
                 table.add(row[0], source_id, p)
     except UnicodeDecodeError as e:
         raise ClassifyError(f"cannot decode {path} as UTF-8: {e}") from None
+    except csv.Error as e:
+        raise ClassifyError(f"{path}: unreadable row {rownum + 1}: {e}") from None
     return table

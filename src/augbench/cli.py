@@ -216,10 +216,12 @@ def ensemble_fit(pred_args, labels_path, out_path):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def ensemble_combine(pred_args, weights_path, out_path):
     table = _load_pred_args(pred_args)
-    if not table.sources:
+    # every doc id any source holds, in first-seen order
+    doc_ids = list(dict.fromkeys(d for source in table.sources for d in table.doc_ids(source)))
+    if not doc_ids:
         raise click.ClickException("no predictions in any --preds file")
     weights = _ensemble.SimplexWeights.from_json(weights_path)
-    combined = _ensemble.combine(table, weights, table.doc_ids(table.sources[0]))
+    combined = _ensemble.combine(table, weights, doc_ids)
     combined.to_csv(out_path, "ensemble")
     click.echo(f"wrote {len(combined)} combined predictions to {out_path}")
 

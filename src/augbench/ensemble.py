@@ -280,10 +280,8 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
     losses = [loss(c) for c in candidates]
     best = min(losses)
     tied = [c for c, l in zip(candidates, losses) if l <= best + _TIE_TOL]
-    tied.sort(key=lambda c: int(np.count_nonzero(c > _EPS)))
-    fewest = int(np.count_nonzero(tied[0] > _EPS))
-    tied = [c for c in tied if int(np.count_nonzero(c > _EPS)) == fewest]
-    chosen = tied[0]  # vertex candidates were generated in source order
+    # the first of the fewest nonzero weights: vertex candidates come in source order
+    chosen = min(tied, key=lambda c: int(np.count_nonzero(c > _EPS)))
     return SimplexWeights({s: float(chosen[i]) for i, s in enumerate(sources)})
 
 

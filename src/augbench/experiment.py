@@ -64,18 +64,16 @@ class ExperimentConfig:
         except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise ExperimentError(f"{path}: invalid YAML: {e}") from None
         raw = _section({} if loaded is None else loaded, cls, _TOP_KEYS, path, None)
-        if raw.get("augment") is not None:
+        if "augment" in raw:
             a = _section(raw["augment"], AugmentSpec, _AUGMENT_KEYS, path, "augment")
             if "technique" not in a:
                 raise ExperimentError(f"{path}: augment needs a technique")
             if "languages" in a:
                 a["languages"] = tuple(a["languages"])
             raw["augment"] = _build(path, AugmentSpec, **a)
-        if raw.get("classifier") is not None:
+        if "classifier" in raw:
             raw["classifier"] = _build(path, TrainConfig, **_section(
                 raw["classifier"], TrainConfig, _CLASSIFIER_KEYS, path, "classifier"))
-        else:
-            raw.pop("classifier", None)
         return _build(path, cls, **raw)
 
 
@@ -106,7 +104,8 @@ def _build(path, make, **fields):
 
 def _section(raw, cls, keys: Mapping[str, str], path, section: Optional[str]) -> dict:
     """The mapping `raw` from a config section as `cls` field values, checked to
-    hold only `keys` (YAML key -> field) with values of their fields' `_TYPES`."""
+    hold only `keys` (YAML key -> field) with values of their fields' `_TYPES`.
+    A null value is left out, so that its field takes the default."""
     where = f"under {section}:" if section else "at the top level"
     if not isinstance(raw, dict):
         raise ExperimentError(f"{path}: expected a mapping {where}")
@@ -115,6 +114,8 @@ def _section(raw, cls, keys: Mapping[str, str], path, section: Optional[str]) ->
     for key, value in raw.items():
         if key not in keys:
             raise ExperimentError(f"{path}: unknown key {key!r} {where}")
+        if value is None:
+            continue
         check = _TYPES.get(types[keys[key]])
         if check and not _typed(value, check[0], check[1]):
             name = f"{section}.{key}" if section else key

@@ -1,9 +1,14 @@
-"""Deterministic synthetic movie-review corpus for hermetic tests."""
+"""Deterministic synthetic movie-review corpus, and the pivot languages of
+`configs/low_resource_backtranslate.yaml`, for hermetic tests."""
 from __future__ import annotations
 
 import random
 
 from augbench.corpus import Corpus, Document
+
+# Table 2 names 9 pivot languages for its 10-language row; the tenth is not
+# published, so "it" fills the slot (see README, "Experiment configs").
+TABLE2_LANGUAGES = ("es", "fr", "de", "af", "ru", "cs", "et", "ht", "bn", "it")
 
 _POS_ADJ = ["great", "wonderful", "excellent", "amazing", "brilliant", "charming",
             "compelling", "delightful", "beautiful", "funny", "touching", "memorable"]

@@ -27,10 +27,10 @@ from augbench.classify import PredictionTable, TrainConfig, predict_corpus, trai
 from augbench.corpus import export_jsonl, ingest_imdb_dir
 from augbench.ensemble import SimplexWeights, calibration_report, combine, fit_weights, log_loss
 from augbench.experiment import ExperimentConfig, run_low_resource_sweep
-from augbench.translate import (DEFAULT_LANGUAGES, MockProvider, ReplayProvider,
-                                TranslationCache, backtranslate, paper_cache_path)
+from augbench.translate import (MockProvider, ReplayProvider, TranslationCache, backtranslate,
+                                paper_cache_path)
 
-from synth import make_review_corpus
+from synth import TABLE2_LANGUAGES, make_review_corpus
 
 
 @contextmanager
@@ -298,7 +298,7 @@ def test_05_low_resource_comparison_table():
         cfg_kw = dict(train_sizes=[50, 1000], seeds=[0, 1, 2],
                       classifier=TrainConfig(bits=16, epochs=2))
         baseline = run_low_resource_sweep(ExperimentConfig(**cfg_kw), corp)
-        bt_spec = AugmentSpec(technique="bt", languages=DEFAULT_LANGUAGES)
+        bt_spec = AugmentSpec(technique="bt", languages=TABLE2_LANGUAGES)
         cache = TranslationCache()
         augmented = run_low_resource_sweep(
             ExperimentConfig(augment=bt_spec, **cfg_kw), corp,
@@ -337,8 +337,7 @@ def test_06_cached_spanish_backtranslation_replay():
             "es", ReplayProvider(), cache)
         assert rec.final_text == ("A sad human comedy that develops in the "
                                   "secondary roads of life.")
-        assert rec.cache_hits == 2
-        assert rec.provider_calls == 0
+        assert rec.cache_hits == 2  # the replay provider fails any live call
 
 
 # -- 7. L1 support recovery at cross-validated penalty ------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import random
 import tempfile
@@ -486,6 +487,13 @@ class TestImportPredictions:
         path = tmp_path / "p.csv"
         path.write_text("doc_id,p_positive\nd1,0.2\nd2,0.5\nd1,0.9\n", encoding="utf-8")
         with pytest.raises(ClassifyError, match="repeated doc_id 'd1' at row 4"):
+            import_predictions(path, "ext")
+
+    def test_field_over_the_csv_limit_cites_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(f"doc_id,p_positive\na,0.1\n{'x' * (csv.field_size_limit() + 1)},0.2\n",
+                        encoding="utf-8")
+        with pytest.raises(ClassifyError, match=f"{path}: unreadable row 3: field larger"):
             import_predictions(path, "ext")
 
     def test_bad_header_rejected(self, tmp_path):

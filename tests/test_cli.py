@@ -120,6 +120,14 @@ class TestAugmentCommand:
         assert cache.exists()
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 60  # 2 legs x 30
 
+    @pytest.mark.parametrize("line", ['{"key": [1], "result": "x"}', '{"key": "k", "result": 5}'])
+    def test_bad_cache_line_fails_with_message(self, runner, corpus_file, tmp_path, line):
+        cfg = _write(tmp_path / "bt.yaml", "augment: {technique: bt, languages: [es]}\n")
+        cache = _write(tmp_path / "bad.jsonl", line + "\n")
+        _fails_with(runner, ["augment", "--config", str(cfg), "--cache", str(cache),
+                             "--in", str(corpus_file), "--out", str(tmp_path / "bt.jsonl")],
+                    f"{cache}: bad cache line 1: ")
+
     def test_backtranslate_closes_its_cache(self, runner, corpus_file, tmp_path):
         aug = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -427,14 +435,16 @@ class TestEnsembleCommands:
     def _fails_with(self, runner, args, message):
         _fails_with(runner, ["ensemble", *args], message)
 
-    def test_combine_with_a_missing_prediction_fails_with_message(self, runner, tmp_path):
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_combine_with_a_missing_prediction_fails_with_message(self, runner, tmp_path,
+                                                                   order):
         (tmp_path / "a.csv").write_text("doc_id,p_positive\ns1,0.2\ns2,0.7\n",
                                         encoding="utf-8")
         (tmp_path / "b.csv").write_text("doc_id,p_positive\ns1,0.4\n", encoding="utf-8")
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"weights": {"a": 0.5, "b": 0.5}}), encoding="utf-8")
-        self._fails_with(runner, ["combine", "--preds", f"a={tmp_path / 'a.csv'}",
-                                  "--preds", f"b={tmp_path / 'b.csv'}",
+        preds = [arg for name in order for arg in ("--preds", f"{name}={tmp_path / name}.csv")]
+        self._fails_with(runner, ["combine", *preds,
                                   "--weights", str(weights), "--out", str(tmp_path / "c.csv")],
                          "missing predictions for 1 (doc, source) pairs: ('s2', 'b')")
 
@@ -457,6 +467,12 @@ class TestEnsembleCommands:
         preds.write_text("doc_id,p_positive\nd1,0.2\nd1,0.9\n", encoding="utf-8")
         self._fails_with(runner, ["report", "--preds", f"p={preds}"],
                          f"{preds}: repeated doc_id 'd1' at row 3")
+
+    def test_doc_id_over_the_csv_field_limit_fails_with_message(self, runner, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text(f"doc_id,p_positive\n{'x' * 131073},0.2\n", encoding="utf-8")
+        self._fails_with(runner, ["report", "--preds", f"p={preds}"],
+                         f"{preds}: unreadable row 2: field larger than field limit (131072)")
 
     @pytest.mark.parametrize("content,message", [
         ('{"weights": {"x": NaN}}', "weight for source 'x' is not a finite number: nan"),

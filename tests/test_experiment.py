@@ -11,10 +11,9 @@ from augbench.classify import ClassifyError, TrainConfig
 from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
                                  ReportRow, run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import carve_validation
-from augbench.translate import (DEFAULT_LANGUAGES, MockProvider, ReplayProvider,
-                                TranslationCache)
+from augbench.translate import MockProvider, ReplayProvider, TranslationCache
 
-from synth import make_review_corpus
+from synth import TABLE2_LANGUAGES, make_review_corpus
 
 # Recorded before the prediction table, the sweep loop and the TTA pipeline
 # were rewritten; they pin report rows, prediction order and every TTA output.
@@ -336,6 +335,7 @@ class TestConfigParsing:
         # only null or absent means "default": these once loaded as no
         # augmentation, default classifiers or ExperimentConfig()
         ("augment: {}\n", ExperimentError, "augment needs a technique"),
+        ("augment: {technique: null}\n", ExperimentError, "augment needs a technique"),
         ("augment: []\n", ExperimentError, "expected a mapping under augment:"),
         ("augment: 0\n", ExperimentError, "expected a mapping under augment:"),
         ("augment: false\n", ExperimentError, "expected a mapping under augment:"),
@@ -370,6 +370,18 @@ class TestConfigParsing:
         path.write_text(text, encoding="utf-8")
         assert ExperimentConfig.from_yaml(path) == ExperimentConfig()
 
+    @pytest.mark.parametrize("text, want", [
+        ("valid_frac: null\n", ExperimentConfig()),
+        ("train_sizes: null\n", ExperimentConfig()),
+        ("augment: {technique: sr, alpha: null}\n",
+         ExperimentConfig(augment=AugmentSpec(technique="sr"))),
+        ("classifier: {bits: null}\n", ExperimentConfig()),
+    ])
+    def test_null_key_takes_the_default(self, tmp_path, text, want):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert ExperimentConfig.from_yaml(path) == want
+
     @pytest.mark.parametrize("content, message", [
         (b"seeds: [0\n", "expected ',' or ']'"),
         (b"seeds: [0]\n\xff: 1\n", "can't decode byte 0xff"),
@@ -391,7 +403,7 @@ class TestConfigParsing:
             "low_resource_eda.yaml": ExperimentConfig(**base, augment=AugmentSpec(
                 technique="sr", alpha=0.1, copies_per_original=4)),
             "low_resource_backtranslate.yaml": ExperimentConfig(**base, augment=AugmentSpec(
-                technique="bt", languages=DEFAULT_LANGUAGES, language_strategy="all")),
+                technique="bt", languages=TABLE2_LANGUAGES, language_strategy="all")),
         }
         assert sorted(p.name for p in CONFIGS.glob("*.yaml")) == sorted(want)
         for name, config in want.items():

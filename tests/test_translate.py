@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from augbench.augment import AugmentSpec, augment_dataset, bundled_thesaurus, derive_seed
 from augbench.corpus import Corpus, Document
-from augbench.translate import (DEFAULT_LANGUAGES, BacktranslationRecord, CacheError,
-                                HttpProvider, MockProvider, PermanentTranslationError,
-                                ReplayProvider, TokenBucket, TransientTranslationError,
-                                TranslationCache, TranslationError, backtranslate,
-                                cache_key, paper_cache_path)
+from augbench.translate import (BacktranslationRecord, CacheError, HttpProvider, MockProvider,
+                                PermanentTranslationError, ReplayProvider, TokenBucket,
+                                TransientTranslationError, TranslationCache, TranslationError,
+                                backtranslate, cache_key, paper_cache_path)
+
+from synth import TABLE2_LANGUAGES
 
 TABLE1 = "A sad human comedy played out on the back roads of life."
 TABLE1_BT_ES = "A sad human comedy that develops in the secondary roads of life."
@@ -66,11 +67,26 @@ class TestCache:
         final = TranslationCache(path)
         assert final.get("a") == "y" and final.get("b") == "v"
 
-    def test_bad_cache_line_reports_path(self, tmp_path):
+    @pytest.mark.parametrize("line", ["{not json}", '{"key": [1], "result": "x"}',
+                                      '{"key": "k", "result": 5}', '{"key": "k"}',
+                                      '["k", "x"]', '"k"'])
+    def test_bad_cache_line_reports_path(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
-        path.write_text("{not json}\n", encoding="utf-8")
-        with pytest.raises(CacheError, match="bad.jsonl"):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CacheError, match=f"{path}: bad cache line 1: "):
             TranslationCache(path)
+
+    def test_torn_final_line_of_the_wrong_type_skipped_and_cut(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        with TranslationCache(path) as c:
+            c.put("a", "en", "es", "p", "x", "y")
+        path.write_bytes(path.read_bytes() + b'{"key": "k", "result": 5}')
+        with TranslationCache(path) as torn:
+            assert len(torn) == 1 and torn.get("k") is None
+            assert "torn final cache line 2" in caplog.text
+            torn.put("b", "en", "es", "p", "u", "v")
+        final = TranslationCache(path)
+        assert (len(final), final.get("a"), final.get("b")) == (2, "y", "v")
 
     def test_torn_final_line_skipped_and_repaired(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -154,7 +170,8 @@ class TestCache:
             writer.put("k2", "en", "es", "p", "x", "y")
         path.write_bytes(path.read_bytes()[:-10])
         (tmp_path / "sub").mkdir()
-        assert cache.load(tmp_path / "sub" / ".." / "cache.jsonl") == 1
+        cache.load(tmp_path / "sub" / ".." / "cache.jsonl")
+        assert len(cache) == 1
         with cache:
             cache.put("k3", "en", "es", "p", "x", "y")
         reloaded = TranslationCache(path)
@@ -251,9 +268,10 @@ class TestCache:
 
 class TestBacktranslate:
     def test_identity_provider_round_trip(self):
-        rec = backtranslate("some text", "es", CountingProvider())
+        provider = CountingProvider()
+        rec = backtranslate("some text", "es", provider)
         assert rec.final_text == "some text"
-        assert rec.provider_calls == 2
+        assert provider.calls == 2
         assert rec.cache_hits == 0
 
     def test_second_call_served_fully_from_cache(self):
@@ -263,8 +281,7 @@ class TestBacktranslate:
         second = backtranslate("hello there", "fr", provider, cache)
         assert second.final_text == first.final_text
         assert second.cache_hits == 2
-        assert second.provider_calls == 0
-        assert provider.calls == 2
+        assert provider.calls == 2  # all from the first call
 
     def test_pivot_en_rejected(self):
         with pytest.raises(TranslationError):
@@ -279,8 +296,7 @@ class TestBacktranslate:
         cache.load(paper_cache_path())
         rec = backtranslate(TABLE1, "es", ReplayProvider(), cache)
         assert rec.final_text == TABLE1_BT_ES
-        assert rec.cache_hits == 2
-        assert rec.provider_calls == 0
+        assert rec.cache_hits == 2  # the replay provider fails any live call
 
     def test_paper_replay_bengali(self):
         cache = TranslationCache()
@@ -291,8 +307,9 @@ class TestBacktranslate:
     def test_different_provider_never_reuses_cache(self):
         cache = TranslationCache()
         backtranslate("shared text", "es", CountingProvider("p1"), cache)
-        rec = backtranslate("shared text", "es", CountingProvider("p2"), cache)
-        assert rec.cache_hits == 0 and rec.provider_calls == 2
+        p2 = CountingProvider("p2")
+        rec = backtranslate("shared text", "es", p2, cache)
+        assert rec.cache_hits == 0 and p2.calls == 2
 
 
 def _edit_distance(a, b):
@@ -306,9 +323,10 @@ def _edit_distance(a, b):
 
 
 class TestMockProvider:
-    def test_zero_noise_round_trip_identity(self):
-        p = MockProvider(seed=0, noise_rate=0.0)
-        for text in ["the movie was great", "a b c d e", "one"]:
+    def test_round_trip_identity_without_thesaurus_words(self):
+        p = MockProvider(seed=0)
+        for text in ["it was what it was", "a b c d e f g h i j k", "one"]:
+            assert not any(t in p.drift for t in text.split())  # nothing to replace
             assert backtranslate(text, "es", p).final_text == text
 
     def test_round_trip_deterministic(self):
@@ -344,7 +362,7 @@ def _reference_mock_translate(p, text, source, target):
         lang = target
         r = derive_seed("rot", lang) % len(tokens)
         out = tokens[r:] + tokens[:r]
-        n_subs = int(round(p.noise_rate * len(out)))
+        n_subs = int(round(0.1 * len(out)))
         if n_subs:
             rng = random.Random(derive_seed(p.seed, lang, text))
             candidates = [i for i, t in enumerate(out) if t in p.drift]
@@ -373,12 +391,11 @@ _MOCK_TEXT = st.lists(
         .map(lambda seps: "".join(w + sep for w, sep in zip(words, seps))))
 
 
-@given(text=_MOCK_TEXT, seed=st.integers(0, 3),
-       noise_rate=st.sampled_from([0.0, 0.1, 0.25]))
+@given(text=_MOCK_TEXT, seed=st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_mock_translate_equals_reference_on_both_legs(text, seed, noise_rate):
-    p = MockProvider(seed=seed, noise_rate=noise_rate)
-    for lang in DEFAULT_LANGUAGES:
+def test_mock_translate_equals_reference_on_both_legs(text, seed):
+    p = MockProvider(seed=seed)
+    for lang in TABLE2_LANGUAGES:
         forward = p.translate(text, "en", lang)
         assert forward == _reference_mock_translate(p, text, "en", lang)
         assert p.translate(forward, lang, "en") == _reference_mock_translate(
@@ -539,3 +556,20 @@ class TestTokenBucket:
             bucket.acquire()
         # 1 token free, 4 more at 0.5 s apart
         assert abs(sum(slept) - 2.0) < 1e-9
+
+    def test_idle_time_banks_no_more_than_one_grant(self):
+        now = [0.0]
+        slept = []
+
+        def sleep(t):
+            slept.append(t)
+            now[0] += t
+
+        bucket = TokenBucket(rate=2.0, clock=lambda: now[0], sleep=sleep)
+        bucket.acquire()
+        now[0] += 0.2
+        bucket.acquire()  # 0.3 s early
+        now[0] += 10.0
+        bucket.acquire()  # after a long idle: at once, then at the rate again
+        bucket.acquire()
+        assert slept == pytest.approx([0.3, 0.5])
