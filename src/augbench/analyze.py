@@ -85,6 +85,17 @@ class RegressionFit:
         }
 
 
+def _residual(neg_z: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`1.0 / (1.0 + np.exp(neg_z)) - Y`, sigmoid(z) - y, computed in `out`.
+
+    `out` is passed by position: a ufunc parses an `out=` keyword at a cost
+    that matters at a few hundred elements."""
+    np.exp(neg_z, out)
+    np.add(1.0, out, out)
+    np.divide(1.0, out, out)
+    return np.subtract(out, Y, out)
+
+
 def _fit_many(X: np.ndarray, Y: np.ndarray, strengths: Sequence[float], max_sweeps: int,
               tol: float) -> tuple[np.ndarray, np.ndarray]:
     """r L1 logistic fits in lockstep: X (r, n, d), Y (r, n) -> W (r, d), B (r,).
@@ -103,26 +114,32 @@ def _fit_many(X: np.ndarray, Y: np.ndarray, strengths: Sequence[float], max_swee
     lo, hi = -lams / lips, lams / lips  # soft-threshold band
     Xt = np.ascontiguousarray(X.transpose(2, 0, 1))
     W, B, W_out, B_out = np.zeros((d, r)), np.zeros(r), np.zeros((r, d)), np.zeros(r)
-    # neg_z holds -z (negating every update keeps its bits), so exp(neg_z) is exp(-z)
-    neg_z, prod, live = np.zeros((r, n)), np.empty((r, n)), np.arange(r)
+    # neg_z holds -z (negating every update keeps its bits), so exp(neg_z) is exp(-z).
+    # The (r, n) residual and product are written in place; the (r,) steps are not,
+    # since `out=` costs more than it saves on arrays that small.
+    neg_z, live = np.zeros((r, n)), np.arange(r)
+    resid, prod = np.empty((r, n)), np.empty((r, n))
+    coords = list(zip(Xt, W, lips, lo, hi))  # coordinate j's rows, one view each
     for _ in range(max_sweeps):
-        delta_b = -(np.add.reduce(1.0 / (1.0 + np.exp(neg_z)) - Y, axis=1) / n) / 0.25
+        delta_b = -(np.add.reduce(_residual(neg_z, Y, resid), 1) / n) / 0.25
         B += delta_b
         neg_z -= delta_b[:, None]
         W_start = W.copy()
-        for j in range(d):
-            np.multiply(Xt[j], 1.0 / (1.0 + np.exp(neg_z)) - Y, out=prod)
-            x = W[j] - np.add.reduce(prod, axis=1) / n / lips[j]
-            new = x - np.minimum(np.maximum(x, lo[j]), hi[j])  # +0.0 inside the band
-            neg_z -= np.multiply(Xt[j], (new - W[j])[:, None], out=prod)
-            W[j] = new
+        for x_j, w_j, lip_j, lo_j, hi_j in coords:
+            grad_sum = np.add.reduce(np.multiply(x_j, _residual(neg_z, Y, resid), prod), 1)
+            x = w_j - grad_sum / n / lip_j
+            new = x - np.minimum(np.maximum(x, lo_j), hi_j)  # +0.0 inside the band
+            neg_z -= np.multiply(x_j, (new - w_j)[:, None], prod)
+            w_j[...] = new
         done = np.maximum(np.abs(delta_b), np.abs(W - W_start).max(axis=0, initial=0.0)) < tol
         if done.any():
             W_out[live[done]], B_out[live[done]] = W[:, done].T, B[done]
-            live, Y, B, neg_z, prod = (a[~done] for a in (live, Y, B, neg_z, prod))
+            live, Y, B, neg_z = (a[~done] for a in (live, Y, B, neg_z))
             Xt, W, lips, lo, hi = (a[:, ~done] for a in (Xt, W, lips, lo, hi))
             if not live.size:
                 break
+            resid, prod = np.empty_like(neg_z), np.empty_like(neg_z)
+            coords = list(zip(Xt, W, lips, lo, hi))
     W_out[live], B_out[live] = W.T, B
     return W_out, B_out
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
+import sys
 import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -25,6 +27,9 @@ class ClassifyError(Exception):
 # memo holds; one holding over _GRAM_MEMO_LIMIT n-grams is emptied on next use.
 _GRAM_MEMO_LIMIT = 1 << 13
 _GRAM_MEMOS: dict[int, dict[str, int]] = {}
+# Each n-gram is hashed by a copy of this initialized state: the same digest as
+# a new `hashlib.blake2b(gram, digest_size=8)`, without setting up its parameters.
+_BLAKE2B = hashlib.blake2b(digest_size=8)
 
 
 def featurize(text: str, bits: int = 18) -> dict[int, int]:
@@ -35,7 +40,7 @@ def featurize(text: str, bits: int = 18) -> dict[int, int]:
     then bigram (i, i+1); scores sum in that order, so model bytes depend on it.
     Indices are memoized per process (`_GRAM_MEMOS`), not hashed on every call.
     """
-    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    new_hash, from_bytes = _BLAKE2B.copy, int.from_bytes
     mask = (1 << bits) - 1
     memo = _GRAM_MEMOS.setdefault(bits, {})
     if len(memo) > _GRAM_MEMO_LIMIT:
@@ -51,8 +56,9 @@ def featurize(text: str, bits: int = 18) -> dict[int, int]:
     for gram in grams:
         idx = known(gram)
         if idx is None:
-            idx = memo[gram] = from_bytes(
-                blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") & mask
+            h = new_hash()
+            h.update(gram.encode("utf-8"))
+            idx = memo[gram] = from_bytes(h.digest(), "big") & mask
         counts[idx] = get(idx, 0) + 1
     return counts
 
@@ -85,6 +91,10 @@ class TrainConfig:
             raise ClassifyError(f"epochs must be at least 1, got {self.epochs}")
         if not self.learning_rate > 0:
             raise ClassifyError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise ClassifyError(f"learning_rate must be finite, got {self.learning_rate}")
+        if not (self.l2 >= 0 and math.isfinite(self.l2)):
+            raise ClassifyError(f"l2 must be finite and at least 0, got {self.l2}")
 
 
 @dataclass
@@ -205,8 +215,28 @@ def predict(model: LinearModel, text: str) -> float:
     return _score(model, feature_row(text, model.config.bits))
 
 
+# Each `predictor` keeps its own text -> score memo, since both regression targets
+# score the same sentences.  One holding over this many texts is emptied at its
+# next miss.
+_PREDICT_MEMO_LIMIT = 1 << 13
+
+
 def predictor(model: LinearModel) -> Callable[[str], float]:
-    return lambda text: predict(model, text)
+    """`predict` with `model` bound, calling it once per distinct text.
+
+    A score is kept from a text's first use, so it reflects the weights of that
+    moment; nothing in augbench changes a model after `train` returns it.
+    """
+    memo: dict[str, float] = {}
+
+    def predict_fn(text: str) -> float:
+        p = memo.get(text)
+        if p is None:
+            if len(memo) > _PREDICT_MEMO_LIMIT:
+                memo.clear()
+            p = memo[text] = predict(model, text)
+        return p
+    return predict_fn
 
 
 class PredictionTable:
@@ -302,6 +332,9 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
     doc_id may appear once."""
     table = PredictionTable()
     rownum = 0  # the last row read
+    # `to_csv` writes ids of any length.  The csv module's field limit is
+    # process-wide, so it is lifted only while this file is read.
+    field_limit = csv.field_size_limit(sys.maxsize)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -329,4 +362,6 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
         raise ClassifyError(f"cannot decode {path} as UTF-8: {e}") from None
     except csv.Error as e:
         raise ClassifyError(f"{path}: unreadable row {rownum + 1}: {e}") from None
+    finally:
+        csv.field_size_limit(field_limit)
     return table

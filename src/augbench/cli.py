@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,14 +27,21 @@ _ERRORS = (_analyze.AnalyzeError, _augment.AugmentError, _classify.ClassifyError
            _translate.TranslationError)
 
 
+def _rate(ctx, param, value: float) -> float:
+    """`--rps`; NaN passes a range check, and then no request would ever wait."""
+    if not (value > 0 and math.isfinite(value)):
+        raise click.BadParameter(f"{value} is not a finite number above 0")
+    return value
+
+
 def _translation_options(command):
     """The provider and cache options of the commands that backtranslate."""
     for option in reversed((
         click.option("--provider", type=click.Choice(["http", "mock", "replay"]),
                      default="mock", show_default=True),
         click.option("--endpoint", help="Translation endpoint URL (http provider)."),
-        click.option("--rps", type=click.FloatRange(min=0, min_open=True), default=10.0,
-                     show_default=True),
+        click.option("--rps", type=float, callback=_rate, default=10.0, show_default=True,
+                     help="Requests per second (http provider): finite, above 0."),
         click.option("--max-retries", type=click.IntRange(min=1), default=3,
                      show_default=True),
         click.option("--cache", "cache_path", type=click.Path(dir_okay=False)),

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import time
@@ -229,8 +230,8 @@ class TokenBucket:
     comes at least 1/`rate` seconds after the previous one."""
 
     def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (rate > 0 and math.isfinite(rate)):  # a NaN rate would never wait
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.rate = rate
         self._next = clock()  # the earliest time of the next grant
         self._clock = clock

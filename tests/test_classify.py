@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import inspect
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -257,6 +259,18 @@ class TestTrain:
         accs = [train_acc(l2) for l2 in (1.0, 0.01, 0.0)]
         assert accs[0] <= accs[1] <= accs[2]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # each once trained: as l2=0, or to NaN weights
+        (dict(l2=-0.5), "l2 must be finite and at least 0, got -0.5"),
+        (dict(l2=float("nan")), "l2 must be finite and at least 0, got nan"),
+        (dict(l2=float("inf")), "l2 must be finite and at least 0, got inf"),
+        (dict(learning_rate=float("inf")), "learning_rate must be finite, got inf"),
+        (dict(learning_rate=float("nan")), "learning_rate must be positive, got nan"),
+    ])
+    def test_bad_rate_or_penalty_rejected(self, kwargs, message):
+        with pytest.raises(ClassifyError, match=re.escape(message)):
+            TrainConfig(**kwargs)
+
     def test_save_load_round_trip(self, tmp_path):
         corp = _toy_corpus()
         model = train(corp, TrainConfig(bits=12))
@@ -269,9 +283,10 @@ class TestTrain:
 
     @given(config=st.builds(
                TrainConfig, bits=st.integers(1, 16), epochs=st.integers(1, 10**6),
-               learning_rate=st.floats(min_value=0.0, exclude_min=True),
+               learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                lr_decay=st.sampled_from(["linear", "constant"]),
-               l2=st.floats(allow_nan=False), seed=st.integers(-2**63, 2**64)),
+               l2=st.floats(min_value=0.0, allow_infinity=False),
+               seed=st.integers(-2**63, 2**64)),
            bias=st.floats(), weights_seed=st.integers(0, 2**32 - 1),
            special=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]),
                             max_size=4))
@@ -310,6 +325,48 @@ class TestPredict:
         assert predict(model, "some fixed text") == predict(model, "some fixed text")
 
 
+def _random_model(bits):
+    # Magnitudes from 1e-8 to 1 keep scores off the saturated ends of the
+    # sigmoid while making any change in summation order show in the last
+    # bits of most probabilities.
+    rng = np.random.default_rng(7)
+    weights = rng.standard_normal(1 << bits) * 10.0 ** rng.integers(-8, 1, 1 << bits)
+    return LinearModel(weights=weights, bias=float(rng.standard_normal()),
+                       config=TrainConfig(bits=bits))
+
+
+_PREDICTOR_TEXTS = ["a good film", "A GOOD FILM", "a bad film", "", "film.", "good. bad!"]
+_PREDICTOR_MODEL = _random_model(10)
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("limit", [None, 0, 2])  # None: the shipped limit
+    @given(st.lists(st.sampled_from(_PREDICTOR_TEXTS), max_size=20))
+    @example(_PREDICTOR_TEXTS * 2)
+    @settings(max_examples=100, deadline=None)
+    def test_predict_once_per_distinct_text(self, limit, texts):
+        model, calls = _PREDICTOR_MODEL, []
+
+        def counting_predict(m, text):
+            calls.append(text)
+            return predict(m, text)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setattr(classify, "_PREDICT_MEMO_LIMIT", limit)
+            mp.setattr(classify, "predict", counting_predict)
+            predict_fn = classify.predictor(model)
+            memo = inspect.getclosurevars(predict_fn).nonlocals["memo"]
+            for text in texts:
+                assert predict_fn(text) == predict(model, text)
+                # emptied before a miss once over the limit
+                assert len(memo) <= classify._PREDICT_MEMO_LIMIT + 1
+        if limit is None:
+            assert calls == list(dict.fromkeys(texts))
+        else:  # a text is scored again only after the memo was emptied
+            assert set(calls) == set(texts) and len(calls) <= len(texts)
+
+
 def _reference_predict(model, text):
     """The original scalar loop: bias, then each w[i]*count left to right."""
     score = model.bias
@@ -321,14 +378,7 @@ def _reference_predict(model, text):
 class TestBitExactness:
     @pytest.fixture
     def random_model(self):
-        # Magnitudes from 1e-8 to 1 keep scores off the saturated ends of the
-        # sigmoid while making any change in summation order show in the last
-        # bits of most probabilities.
-        bits = 12
-        rng = np.random.default_rng(7)
-        weights = rng.standard_normal(1 << bits) * 10.0 ** rng.integers(-8, 1, 1 << bits)
-        return LinearModel(weights=weights, bias=float(rng.standard_normal()),
-                           config=TrainConfig(bits=bits))
+        return _random_model(12)
 
     def test_predict_equals_scalar_loop(self, random_model, micro_corpus):
         texts = [d.text for d in micro_corpus] + ["", "a", "good good good bad"]
@@ -489,12 +539,22 @@ class TestImportPredictions:
         with pytest.raises(ClassifyError, match="repeated doc_id 'd1' at row 4"):
             import_predictions(path, "ext")
 
-    def test_field_over_the_csv_limit_cites_row(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text(f"doc_id,p_positive\na,0.1\n{'x' * (csv.field_size_limit() + 1)},0.2\n",
-                        encoding="utf-8")
-        with pytest.raises(ClassifyError, match=f"{path}: unreadable row 3: field larger"):
-            import_predictions(path, "ext")
+    def test_id_over_the_default_csv_field_limit_round_trips(self, tmp_path):
+        limit = csv.field_size_limit()
+        long_id = "x" * 131_073  # one over the csv module's default field limit
+        t = PredictionTable()
+        t.add("a", "s", 0.1)
+        t.add(long_id, "s", 0.25)
+        t.to_csv(tmp_path / "p.csv", "s")
+        back = import_predictions(tmp_path / "p.csv", "s")
+        assert [(d, back.get(d, "s")) for d in back.doc_ids("s")] == [("a", 0.1), (long_id, 0.25)]
+        # the limit is process-wide: restored after reading, and after failing
+        assert csv.field_size_limit() == limit
+        (tmp_path / "bad.csv").write_text(f"doc_id,p_positive\n{long_id},2.0\n",
+                                          encoding="utf-8")
+        with pytest.raises(ClassifyError, match="probability out of range at row 2"):
+            import_predictions(tmp_path / "bad.csv", "s")
+        assert csv.field_size_limit() == limit
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -193,6 +193,7 @@ class TestAugmentCommand:
 
     @pytest.mark.parametrize("command", ["augment", "run"])
     @pytest.mark.parametrize("option, value", [("--rps", "0"), ("--rps", "-1"),
+                                               ("--rps", "nan"), ("--rps", "inf"),
                                                ("--max-retries", "0")])
     def test_bad_rate_or_attempts_is_usage_error(self, runner, corpus_file, tmp_path,
                                                  command, option, value):
@@ -369,6 +370,7 @@ class TestTrainPredict:
         ("classifier: {epochs: 0}\n", "epochs must be at least 1, got 0"),
         ("classifier: {learning_rate: 0.0}\n", "learning_rate must be positive, got 0.0"),
         ("classifier: {learning_rate: -0.1}\n", "learning_rate must be positive, got -0.1"),
+        ("classifier: {l2: -0.5}\n", "l2 must be finite and at least 0, got -0.5"),
         # only null or absent means "default"
         ("augment: []\n", "expected a mapping under augment:"),
         ("augment: {}\n", "augment needs a technique"),
@@ -468,11 +470,17 @@ class TestEnsembleCommands:
         self._fails_with(runner, ["report", "--preds", f"p={preds}"],
                          f"{preds}: repeated doc_id 'd1' at row 3")
 
-    def test_doc_id_over_the_csv_field_limit_fails_with_message(self, runner, tmp_path):
+    def test_doc_id_over_the_default_csv_field_limit_is_combined(self, runner, tmp_path):
+        long_id = "x" * 131_073  # one over the csv module's default field limit
         preds = tmp_path / "p.csv"
-        preds.write_text(f"doc_id,p_positive\n{'x' * 131073},0.2\n", encoding="utf-8")
-        self._fails_with(runner, ["report", "--preds", f"p={preds}"],
-                         f"{preds}: unreadable row 2: field larger than field limit (131072)")
+        preds.write_text(f"doc_id,p_positive\n{long_id},0.2\n", encoding="utf-8")
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"weights": {"p": 1.0}}), encoding="utf-8")
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, ["ensemble", "combine", "--preds", f"p={preds}",
+                                      "--weights", str(weights), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text(encoding="utf-8") == f"doc_id,p_positive\n{long_id},0.2\n"
 
     @pytest.mark.parametrize("content,message", [
         ('{"weights": {"x": NaN}}', "weight for source 'x' is not a finite number: nan"),

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from augbench import ensemble
@@ -220,6 +220,32 @@ class TestFitWeights:
         t = _table([("a", "s1", 0.5), ("b", "s2", 0.5)])
         with pytest.raises(EnsembleError):
             fit_weights(t, {"a": "pos", "b": "neg"})
+
+
+def _reference_log_loss(p, y):
+    """`log_loss` as the clip/mean formula it replaced."""
+    p = np.clip(p, ensemble._EPS, 1.0 - ensemble._EPS)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+class TestLogLoss:
+    @given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+           special=st.lists(st.sampled_from([0.0, 1.0, ensemble._EPS, 1.0 - ensemble._EPS,
+                                             5e-324, np.nextafter(1.0, 0.0)]), max_size=8),
+           column=st.booleans())
+    @example(n=1, seed=0, special=[0.0], column=False)
+    @example(n=1, seed=0, special=[1.0], column=True)
+    @example(n=5000, seed=1, special=[0.0, 1.0, 1.0, 0.0], column=False)
+    @settings(max_examples=200, deadline=None)
+    def test_bits_equal_clip_mean_reference(self, n, seed, special, column):
+        rng = np.random.default_rng(seed)
+        mat = rng.random((n, 2))
+        y = (rng.random(n) < 0.5).astype(float)
+        for value, i in zip(special, rng.integers(0, n, len(special))):
+            mat[i, 0] = value
+        p = mat[:, 0] if column else mat[:, 0].copy()  # a strided column, as callers pass
+        got, want = log_loss(p, y), _reference_log_loss(p, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def _scipy_fminbound(func, lo, hi, xatol):

@@ -330,6 +330,11 @@ class TestConfigParsing:
          "learning_rate must be positive, got 0.0"),
         ("classifier:\n  learning_rate: -0.1\n", ClassifyError,
          "learning_rate must be positive, got -0.1"),
+        ("classifier:\n  learning_rate: .inf\n", ClassifyError,
+         "learning_rate must be finite, got inf"),
+        ("classifier:\n  l2: -0.5\n", ClassifyError, "l2 must be finite and at least 0, got -0.5"),
+        ("classifier:\n  l2: .nan\n", ClassifyError, "l2 must be finite and at least 0, got nan"),
+        ("classifier:\n  l2: .inf\n", ClassifyError, "l2 must be finite and at least 0, got inf"),
         ("augment:\n  technique: bt\n  languages: [es]\n  copies: 3\n", AugmentError,
          "copies_per_original must be 1 for technique bt, got 3"),
         # only null or absent means "default": these once loaded as no

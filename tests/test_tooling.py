@@ -96,6 +96,34 @@ def test_tta_pipeline_is_traced_as_perfbench_calls_it():
     assert result.returncode == 0, result.stderr
 
 
+# perfbench/child.py scores sentences through `classify.predictor(model)` and
+# perfbench/run.py reports `classify.predict` calls: the predictor must call
+# `predict` through the module namespace, where the tracer wraps it, once per
+# distinct text.
+_PREDICTOR_SPANS = """
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from augbench import classify
+from augbench.classify import TrainConfig, train
+from synth import make_review_corpus
+model = train(make_review_corpus(20, 0), TrainConfig(bits=10, epochs=1))
+predict_fn = classify.predictor(model)
+def predicts():
+    return sum(1 for span in tracer.spans if span[0] == "classify.predict")
+first = predict_fn("a good film. a bad plot!")
+assert predicts() == 1, predicts()
+assert predict_fn("a good film. a bad plot!") == first and predicts() == 1
+predict_fn("a bad plot!")
+assert predicts() == 2, predicts()
+"""
+
+
+def test_predictor_is_traced_once_per_distinct_text():
+    result = _run_with_perfbench(_PREDICTOR_SPANS)
+    assert result.returncode == 0, result.stderr
+
+
 # perfbench/run.py reports `classify.featurize` and `augment.tokenize` spans and
 # calls.  Training still featurizes each document in its own call (the gram
 # memo inside featurize only shares hashes), so featurize metrics stay

@@ -531,6 +531,8 @@ class TestHttpProvider:
         (dict(max_retries=0), "max_retries must be at least 1"),
         (dict(max_retries=-1), "max_retries must be at least 1"),
         (dict(rate_limit=0.0), "rate must be positive"),
+        (dict(rate_limit=float("nan")), "rate must be positive and finite, got nan"),
+        (dict(rate_limit=float("inf")), "rate must be positive and finite, got inf"),
     ])
     def test_bad_settings_rejected_before_any_session(self, kwargs, message):
         with mock.patch("requests.Session") as session_cls:
@@ -556,6 +558,12 @@ class TestTokenBucket:
             bucket.acquire()
         # 1 token free, 4 more at 0.5 s apart
         assert abs(sum(slept) - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rate_that_would_not_space_grants_rejected(self, rate):
+        # with a fake clock, a NaN rate granted every request at once
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            TokenBucket(rate, clock=lambda: 0.0, sleep=lambda t: None)
 
     def test_idle_time_banks_no_more_than_one_grant(self):
         now = [0.0]
