@@ -145,9 +145,10 @@ def _match_case(original: str, synonym: str, tokens: Sequence[str], i: int) -> s
 def eligible_positions(tokens: Sequence[str], thesaurus: Thesaurus,
                        stopwords: frozenset[str] | set[str]) -> list[int]:
     """Positions of the tokens that SR and RI may edit: non-stopword words with synonyms."""
+    entries = thesaurus._entries  # `t in thesaurus` without lowercasing `t` again
     return [
         i for i, t in enumerate(tokens)
-        if t.lower() not in stopwords and t in thesaurus and not _is_punct_token(t)
+        if (low := t.lower()) not in stopwords and low in entries and not _is_punct_token(t)
     ]
 
 

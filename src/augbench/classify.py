@@ -9,6 +9,7 @@ import random
 import sys
 import zipfile
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -22,14 +23,55 @@ class ClassifyError(Exception):
     pass
 
 
-# n-gram -> index per `bits` value, shared by every call in the process.  An
-# entry is a pure function of (n-gram, bits), so no output depends on what a
-# memo holds; one holding over _GRAM_MEMO_LIMIT n-grams is emptied on next use.
-_GRAM_MEMO_LIMIT = 1 << 13
-_GRAM_MEMOS: dict[int, dict[str, int]] = {}
+# Per `bits` value, one memo shared by every call in the process (see
+# `_FeatureMemo`).  Each entry is a pure function of its key and `bits`, so no
+# output depends on what a memo holds; one holding over _FEATURE_MEMO_LIMIT
+# chunks, tokens and successors together is emptied on next use.
+_FEATURE_MEMO_LIMIT = 1 << 13
+_FEATURE_MEMOS: dict[int, "_FeatureMemo"] = {}
 # Each n-gram is hashed by a copy of this initialized state: the same digest as
 # a new `hashlib.blake2b(gram, digest_size=8)`, without setting up its parameters.
 _BLAKE2B = hashlib.blake2b(digest_size=8)
+
+# A token's entry: (unigram index, lowercase form, {the next token's lowercase
+# form: bigram index}).
+_TokenEntry = tuple[int, str, dict[str, int]]
+
+
+class _FeatureMemo:
+    """Whitespace chunk -> its tokens' entries, and lowercase token -> entry.
+
+    Tokens are keyed by their lowercase form, so "The" and "the" share one
+    entry: every distinct n-gram is hashed once until the memo is emptied.
+    """
+
+    __slots__ = ("chunks", "tokens", "size", "mask")
+
+    def __init__(self, bits: int):
+        self.chunks: dict[str, tuple[_TokenEntry, ...]] = {}
+        self.tokens: dict[str, _TokenEntry] = {}
+        self.size = 0  # chunks + tokens + successors
+        self.mask = (1 << bits) - 1
+
+    def index(self, gram: str) -> int:
+        """The n-gram's index: its blake2b digest's first 8 bytes, masked."""
+        h = _BLAKE2B.copy()
+        h.update(gram.encode("utf-8"))
+        return int.from_bytes(h.digest(), "big") & self.mask
+
+    def add_chunk(self, chunk: str) -> tuple[_TokenEntry, ...]:
+        """Memoize the entries of `chunk`'s tokens, by the one token rule."""
+        entries = []
+        for tok in tokenize(chunk):
+            low = tok.lower()
+            entry = self.tokens.get(low)
+            if entry is None:
+                entry = self.tokens[low] = (self.index(low), low, {})
+                self.size += 1
+            entries.append(entry)
+        self.size += 1
+        entries = self.chunks[chunk] = tuple(entries)
+        return entries
 
 
 def featurize(text: str, bits: int = 18) -> dict[int, int]:
@@ -38,28 +80,35 @@ def featurize(text: str, bits: int = 18) -> dict[int, int]:
     An n-gram's index is the first 8 bytes of its blake2b digest, big-endian,
     masked to `bits` bits.  Keys are inserted in a fixed order, unigram i and
     then bigram (i, i+1); scores sum in that order, so model bytes depend on it.
-    Indices are memoized per process (`_GRAM_MEMOS`), not hashed on every call.
+    Indices are memoized per process (`_FEATURE_MEMOS`) by whitespace chunk,
+    so a chunk seen before is neither tokenized nor lowercased again, and a
+    bigram seen before is neither built as a string nor hashed.
     """
-    new_hash, from_bytes = _BLAKE2B.copy, int.from_bytes
-    mask = (1 << bits) - 1
-    memo = _GRAM_MEMOS.setdefault(bits, {})
-    if len(memo) > _GRAM_MEMO_LIMIT:
-        memo.clear()
-    tokens = [t.lower() for t in tokenize(text)]
-    grams: list[str] = []
-    for tok, nxt in zip(tokens, tokens[1:]):
-        grams.append(tok)
-        grams.append(tok + " " + nxt)
-    grams += tokens[-1:]  # the last token has no bigram
+    memo = _FEATURE_MEMOS.get(bits)
+    if memo is None or memo.size > _FEATURE_MEMO_LIMIT:
+        memo = _FEATURE_MEMOS[bits] = _FeatureMemo(bits)
+    chunks = memo.chunks
+    seq: list[_TokenEntry] = []
+    for chunk in text.split():
+        entries = chunks.get(chunk)
+        seq += entries if entries is not None else memo.add_chunk(chunk)
     counts: dict[int, int] = {}
-    get, known = counts.get, memo.get
-    for gram in grams:
-        idx = known(gram)
+    if not seq:
+        return counts
+    get = counts.get
+    prev = seq[0]
+    for entry in islice(seq, 1, None):
+        uni, low, successors = prev
+        counts[uni] = get(uni, 0) + 1
+        nxt = entry[1]
+        idx = successors.get(nxt)
         if idx is None:
-            h = new_hash()
-            h.update(gram.encode("utf-8"))
-            idx = memo[gram] = from_bytes(h.digest(), "big") & mask
+            idx = successors[nxt] = memo.index(f"{low} {nxt}")
+            memo.size += 1
         counts[idx] = get(idx, 0) + 1
+        prev = entry
+    uni = prev[0]  # the last token has no bigram
+    counts[uni] = get(uni, 0) + 1
     return counts
 
 
@@ -118,13 +167,18 @@ class LinearModel:
         """Read a model `save` wrote; any other file raises ClassifyError."""
         try:
             with np.load(path, allow_pickle=False) as data:
-                return cls(
+                model = cls(
                     weights=data["weights"],
                     bias=float(data["bias"]),
                     config=TrainConfig(**json.loads(str(data["config"]))),
                 )
         except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
             raise ClassifyError(f"{path}: not a model saved by augbench train") from None
+        w, dim = model.weights, 1 << model.config.bits
+        if w.dtype != np.float64 or w.shape != (dim,):
+            raise ClassifyError(f"{path}: weights must be a 1-D float64 array of length "
+                                f"2**bits = {dim}, got {w.dtype} of shape {w.shape}")
+        return model
 
 
 def _sigmoid(z: float) -> float:
@@ -197,22 +251,52 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     return LinearModel(weights=w, bias=bias, config=config)
 
 
-def _score(model: LinearModel, row: FeatureRow) -> float:
-    """Sigmoid of bias + w[i]*count summed left to right in row order.
+# `predict_corpus` scores rows in blocks of up to _SCORE_BLOCK rows.  A block
+# is also cut before its padded size would pass _SCORE_CELLS cells, so one long
+# document does not pad many short ones; a longer row makes a block alone.
+_SCORE_BLOCK = 64
+_SCORE_CELLS = 1 << 13
 
-    `np.add.accumulate` adds sequentially; a pairwise sum (`np.sum`), a dot
+
+def _blocks(rows: Iterable[FeatureRow]) -> Iterable[list[FeatureRow]]:
+    block: list[FeatureRow] = []
+    width = 0
+    for row in rows:
+        n = len(row[0])
+        if block and (len(block) == _SCORE_BLOCK
+                      or (len(block) + 1) * (max(width, n) + 1) > _SCORE_CELLS):
+            yield block
+            block, width = [], 0
+        block.append(row)
+        width = max(width, n)
+    if block:
+        yield block
+
+
+def _scores(model: LinearModel, rows: Sequence[FeatureRow]) -> list[float]:
+    """Sigmoid of bias + w[i]*count summed left to right in row order, per row.
+
+    Column r of `terms` is the bias, row r's terms and then -0.0 padding up to
+    the longest row.  `np.add.accumulate` down the columns adds each column's
+    terms in order, and x + -0.0 == x for every x, so the padding leaves each
+    row's sequential additions unchanged.  A pairwise sum (`np.sum`), a dot
     product or a sparse matvec would round differently.
     """
-    idx, vals = row
-    terms = np.empty(len(idx) + 1)
+    weights = model.weights
+    width = max([len(idx) for idx, _ in rows]) + 1
+    terms = np.empty((width, len(rows)))
     terms[0] = model.bias
-    np.multiply(model.weights[idx], vals, out=terms[1:])
-    return _sigmoid(np.add.accumulate(terms)[-1])
+    for r, (idx, vals) in enumerate(rows):
+        n = len(idx) + 1
+        np.multiply(weights[idx], vals, out=terms[1:n, r])
+        if n < width:
+            terms[n:, r] = -0.0
+    return [_sigmoid(z) for z in np.add.accumulate(terms)[-1].tolist()]
 
 
 def predict(model: LinearModel, text: str) -> float:
     """P(positive) for a single text: sigmoid of the linear score."""
-    return _score(model, feature_row(text, model.config.bits))
+    return _scores(model, [feature_row(text, model.config.bits)])[0]
 
 
 # Each `predictor` keeps its own text -> score memo, since both regression targets
@@ -310,20 +394,24 @@ def feature_rows(texts: Iterable[str], bits: int) -> dict[str, FeatureRow]:
 def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,
                    splits: Iterable[str] = ("test",),
                    rows: Optional[Mapping[str, FeatureRow]] = None) -> PredictionTable:
-    """Score every document in `splits`.
+    """Score every document in `splits` by `predict`'s path, a block of rows at a time.
 
-    `rows` may hold feature rows built with `model.config.bits` and keyed by
-    text (see `feature_rows`); a text without one is featurized here.
+    Each block's scores carry the bits of `predict` on each of its texts (see
+    `_scores`).  `rows` may hold feature rows built with `model.config.bits`
+    and keyed by text (see `feature_rows`); a text without one is featurized
+    here, when its block is scored.
     """
     table = PredictionTable()
     rows = rows if rows is not None else {}
+    bits = model.config.bits
     wanted = set(splits)
-    for d in corpus:
-        if d.split in wanted:
-            row = rows.get(d.text)
-            if row is None:
-                row = feature_row(d.text, model.config.bits)
-            table.add(d.id, source_id, _score(model, row))
+    docs = [d for d in corpus if d.split in wanted]
+    scores: list[float] = []
+    for block in _blocks(rows[d.text] if d.text in rows else feature_row(d.text, bits)
+                         for d in docs):
+        scores += _scores(model, block)
+    for d, p in zip(docs, scores):
+        table.add(d.id, source_id, p)
     return table
 
 

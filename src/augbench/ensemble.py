@@ -303,7 +303,7 @@ def calibration_report(preds: PredictionTable, source: str,
     pred_std = float(np.std(p))
     accuracy = None
     if labels is not None:
-        labeled = [(pp, labels[d]) for pp, d in zip(p, doc_ids) if d in labels]
+        labeled = [(pp, labels[d]) for pp, d in zip(p.tolist(), doc_ids) if d in labels]
         if labeled:
             accuracy = float(np.mean([
                 (pp >= 0.5) == (lab == "pos") for pp, lab in labeled

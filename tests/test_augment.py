@@ -163,6 +163,20 @@ class TestEditCount:
         assert edit_count(0.1, 16) == 2
 
 
+_ELIGIBLE_WORDS = ["good", "Good", "GOOD", "the", "The", "İ", "i̇", "straße",
+                   "STRASSE", "!", "_", "good!", ""]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_ELIGIBLE_WORDS), st.text(max_size=4)), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_eligible_positions_equal_stopword_and_thesaurus_tests(tokens):
+    th = Thesaurus({"good": ["fine"], "the": ["a"], "i̇": ["x"], "straße": ["road"]})
+    stopwords = frozenset({"the", "strasse"})
+    assert eligible_positions(tokens, th, stopwords) == [
+        i for i, t in enumerate(tokens)
+        if t.lower() not in stopwords and t in th and not _is_punct_token(t)]
+
+
 class TestSynonymReplace:
     def test_table1_example(self):
         # with only two eligible words and n=2, exactly those are replaced

@@ -107,18 +107,25 @@ class TestGramMemo:
     @given(st.lists(st.tuples(_family_text, st.sampled_from([1, 3, 10, 18])), max_size=12))
     @example([("a good film", 12), ("", 12), ("A GOOD FILM!", 12), ("a good film", 3),
               ("\u0130 \u0301", 12), ("y _ z", 12)])
+    @example([("good,bad film.!", 12), ("good , bad film . !", 12), ("good,bad film.!", 12),
+              ("film.! good,bad", 12)])
+    @example([("film film. film, .film", 10), ("The film. the FILM", 10), ("the,the the", 10)])
     @settings(max_examples=150, deadline=None)
     def test_featurize_equals_memo_free_reference(self, limit, calls):
         with pytest.MonkeyPatch.context() as mp:
             if limit is not None:
-                mp.setattr(classify, "_GRAM_MEMO_LIMIT", limit)
+                mp.setattr(classify, "_FEATURE_MEMO_LIMIT", limit)
             for text, bits in calls:
                 f = featurize(text, bits)
                 assert list(f.items()) == list(_reference_featurize(text, bits).items())
                 # emptied at the start of a call once over the limit, so it
-                # holds at most the limit plus this text's n-grams
-                memo = classify._GRAM_MEMOS[bits]
-                assert len(memo) <= classify._GRAM_MEMO_LIMIT + 2 * len(tokenize(text))
+                # holds at most the limit plus this text's chunks, tokens and
+                # bigrams, each at most one per token
+                memo = classify._FEATURE_MEMOS[bits]
+                entries = (len(memo.chunks) + len(memo.tokens)
+                           + sum(len(successors) for _, _, successors in memo.tokens.values()))
+                assert entries == memo.size
+                assert entries <= classify._FEATURE_MEMO_LIMIT + 3 * len(tokenize(text))
 
 
 def _reference_train(corpus, config):
@@ -271,6 +278,17 @@ class TestTrain:
         with pytest.raises(ClassifyError, match=re.escape(message)):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("weights", [
+        np.zeros(10), np.zeros((1 << 9, 2)), np.zeros(1 << 10, dtype=np.float32),
+        np.zeros(1 << 10, dtype=np.int64), np.zeros(1 << 11), np.float64(0.0),
+    ], ids=["short", "2-d", "float32", "int64", "long", "scalar"])
+    def test_load_rejects_weights_of_wrong_shape_or_type(self, tmp_path, weights):
+        path = tmp_path / "model.npz"
+        LinearModel(weights=weights, bias=0.0, config=TrainConfig(bits=10)).save(path)
+        with pytest.raises(ClassifyError, match=re.escape(
+                f"{path}: weights must be a 1-D float64 array of length 2**bits = 1024")):
+            LinearModel.load(path)
+
     def test_save_load_round_trip(self, tmp_path):
         corp = _toy_corpus()
         model = train(corp, TrainConfig(bits=12))
@@ -394,6 +412,36 @@ class TestBitExactness:
         assert len(table) == len(docs)
         for d in docs:
             assert table.get(d.id, "s") == _reference_predict(random_model, d.text)
+
+    # block sizes in rows and cells; None: the shipped value.  8 cells cut
+    # blocks by padded size, so a long row makes a block alone.
+    @pytest.mark.parametrize("block,cells", [(1, None), (2, None), (None, None), (None, 8)])
+    @given(texts=st.lists(st.one_of(st.just(""), _family_text), min_size=1, max_size=150),
+           bias=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-4, 4)),
+           weights_seed=st.integers(0, 2**32 - 1),
+           special=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+                            max_size=64))
+    @example(texts=["", "", "good"], bias=-0.0, weights_seed=0, special=[-0.0] * 64)
+    @settings(max_examples=60, deadline=None)
+    def test_predict_corpus_equals_scalar_loop_in_any_blocks(self, block, cells, texts, bias,
+                                                             weights_seed, special):
+        bits = 6  # 64 buckets: texts share and collide on indices
+        weights = _random_model(bits).weights
+        np.random.default_rng(weights_seed).shuffle(weights)
+        positions = np.random.default_rng(weights_seed).permutation(1 << bits)
+        weights[positions[:len(special)]] = special
+        model = LinearModel(weights=weights, bias=bias, config=TrainConfig(bits=bits))
+        corp = Corpus([Document(id=f"d{i}", text=t, label="pos", split="test")
+                       for i, t in enumerate(texts)])
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(classify, "_SCORE_BLOCK", block)
+            if cells is not None:
+                mp.setattr(classify, "_SCORE_CELLS", cells)
+            table = predict_corpus(model, corp, "s")
+        for i, text in enumerate(texts):
+            want = _reference_predict(model, text)
+            assert np.float64(table.get(f"d{i}", "s")).tobytes() == np.float64(want).tobytes()
 
     def test_feature_row_follows_featurize_order(self):
         text = "one two three two one"

@@ -89,6 +89,15 @@ class TestUnreadableInputs:
                     f"{model}: not a model saved by augbench train")
 
 
+    def test_model_with_wrong_weights_length_fails_naming_it(self, runner, corpus_file,
+                                                              tmp_path):
+        model = tmp_path / "model.npz"
+        LinearModel(weights=np.zeros(10), bias=0.0, config=TrainConfig(bits=18)).save(model)
+        _fails_with(runner, ["predict", "--model", str(model), "--in", str(corpus_file),
+                             "--out", str(tmp_path / "p.csv")],
+                    f"{model}: weights must be a 1-D float64 array of length 2**bits = 262144")
+
+
 class TestAugmentCommand:
     def test_token_perturbation(self, runner, corpus_file, tmp_path):
         out = tmp_path / "aug.jsonl"

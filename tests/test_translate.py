@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -144,6 +149,45 @@ class TestCache:
         reloaded = TranslationCache(path)
         assert [reloaded.get(k) for k in ("a1", "b1", "a2", "b2")] == ["y"] * 4
         assert reloaded.get("c1") == (None if damage == "torn" else "y")
+
+    def test_second_process_mends_the_first_ones_torn_line(self, tmp_path):
+        # Each child appends through its own cache.  The first is killed just
+        # after a put has written part of its line, so the file ends torn.
+        first = """if True:
+            import os, signal, sys
+            from augbench.translate import TranslationCache
+            cache = TranslationCache(sys.argv[1])
+            cache.put("a1", "en", "es", "p", "x", "y1")
+            cache.put("a2", "en", "es", "p", "x", "y2")
+            with open(sys.argv[1], "rb") as fh:
+                last = fh.read().splitlines(keepends=True)[-1]
+            with open(sys.argv[1], "ab") as fh:
+                fh.write(last.replace(b"a2", b"a3")[:30])
+            os.kill(os.getpid(), signal.SIGKILL)
+        """
+        second = """if True:
+            import sys
+            from augbench.translate import TranslationCache
+            with TranslationCache(sys.argv[1]) as cache:
+                assert len(cache) == 2
+                cache.put("b1", "en", "es", "p", "x", "z1")
+                cache.put("b2", "en", "es", "p", "x", "z2")
+        """
+        import augbench
+
+        path = tmp_path / "cache.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(Path(augbench.__file__).parent.parent))
+        runs = [subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                               capture_output=True, text=True, timeout=60)
+                for code in (first, second)]
+        assert runs[0].returncode == -signal.SIGKILL, runs[0].stderr
+        assert runs[1].returncode == 0, runs[1].stderr
+        assert "skipped torn final cache line 3" in runs[1].stderr
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and all(line.endswith(b"}") for line in raw.splitlines())
+        reloaded = TranslationCache(path)
+        assert len(reloaded) == 4
+        assert [reloaded.get(k) for k in ("a1", "a2", "b1", "b2")] == ["y1", "y2", "z1", "z2"]
 
     def test_tail_read_only_after_another_writer(self, tmp_path, monkeypatch):
         import augbench.translate as translate
