@@ -99,12 +99,6 @@ class Thesaurus:
     def words(self) -> list[str]:
         return list(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._entries
-
 
 def bundled_thesaurus() -> Thesaurus:
     return Thesaurus.from_tsv(_DATA_DIR / "thesaurus.tsv")
@@ -145,7 +139,7 @@ def _match_case(original: str, synonym: str, tokens: Sequence[str], i: int) -> s
 def eligible_positions(tokens: Sequence[str], thesaurus: Thesaurus,
                        stopwords: frozenset[str] | set[str]) -> list[int]:
     """Positions of the tokens that SR and RI may edit: non-stopword words with synonyms."""
-    entries = thesaurus._entries  # `t in thesaurus` without lowercasing `t` again
+    entries = thesaurus._entries  # `thesaurus.lookup(t)` without lowercasing `t` again
     return [
         i for i, t in enumerate(tokens)
         if (low := t.lower()) not in stopwords and low in entries and not _is_punct_token(t)

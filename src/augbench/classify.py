@@ -251,10 +251,9 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     return LinearModel(weights=w, bias=bias, config=config)
 
 
-# `predict_corpus` scores rows in blocks of up to _SCORE_BLOCK rows.  A block
-# is also cut before its padded size would pass _SCORE_CELLS cells, so one long
-# document does not pad many short ones; a longer row makes a block alone.
-_SCORE_BLOCK = 64
+# `score_texts` scores rows in blocks, each cut before its padded size would
+# pass _SCORE_CELLS cells, so one long document does not pad many short ones;
+# a longer row makes a block alone.
 _SCORE_CELLS = 1 << 13
 
 
@@ -263,8 +262,7 @@ def _blocks(rows: Iterable[FeatureRow]) -> Iterable[list[FeatureRow]]:
     width = 0
     for row in rows:
         n = len(row[0])
-        if block and (len(block) == _SCORE_BLOCK
-                      or (len(block) + 1) * (max(width, n) + 1) > _SCORE_CELLS):
+        if block and (len(block) + 1) * (max(width, n) + 1) > _SCORE_CELLS:
             yield block
             block, width = [], 0
         block.append(row)
@@ -294,9 +292,25 @@ def _scores(model: LinearModel, rows: Sequence[FeatureRow]) -> list[float]:
     return [_sigmoid(z) for z in np.add.accumulate(terms)[-1].tolist()]
 
 
+def score_texts(model: LinearModel, texts: Iterable[str],
+                rows: Mapping[str, FeatureRow]) -> dict[str, float]:
+    """P(positive) of each distinct text in `texts`, keyed in first-seen order.
+
+    A text's row is taken from `rows` (built with `model.config.bits`, as by
+    `feature_rows`) or else featurized when its block of rows is scored; each
+    score carries the bits of scoring its row alone (see `_scores`).
+    """
+    distinct = list(dict.fromkeys(texts))
+    bits = model.config.bits
+    scores: list[float] = []
+    for block in _blocks(rows[t] if t in rows else feature_row(t, bits) for t in distinct):
+        scores += _scores(model, block)
+    return dict(zip(distinct, scores))
+
+
 def predict(model: LinearModel, text: str) -> float:
     """P(positive) for a single text: sigmoid of the linear score."""
-    return _scores(model, [feature_row(text, model.config.bits)])[0]
+    return score_texts(model, (text,), {})[text]
 
 
 # Each `predictor` keeps its own text -> score memo, since both regression targets
@@ -394,24 +408,14 @@ def feature_rows(texts: Iterable[str], bits: int) -> dict[str, FeatureRow]:
 def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,
                    splits: Iterable[str] = ("test",),
                    rows: Optional[Mapping[str, FeatureRow]] = None) -> PredictionTable:
-    """Score every document in `splits` by `predict`'s path, a block of rows at a time.
-
-    Each block's scores carry the bits of `predict` on each of its texts (see
-    `_scores`).  `rows` may hold feature rows built with `model.config.bits`
-    and keyed by text (see `feature_rows`); a text without one is featurized
-    here, when its block is scored.
-    """
+    """Score every document in `splits` through `score_texts`, each distinct
+    text once; `rows` are passed on to it."""
     table = PredictionTable()
-    rows = rows if rows is not None else {}
-    bits = model.config.bits
     wanted = set(splits)
     docs = [d for d in corpus if d.split in wanted]
-    scores: list[float] = []
-    for block in _blocks(rows[d.text] if d.text in rows else feature_row(d.text, bits)
-                         for d in docs):
-        scores += _scores(model, block)
-    for d, p in zip(docs, scores):
-        table.add(d.id, source_id, p)
+    scores = score_texts(model, (d.text for d in docs), rows or {})
+    for d in docs:
+        table.add(d.id, source_id, scores[d.text])
     return table
 
 

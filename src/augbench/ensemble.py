@@ -233,19 +233,18 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
     (single-source) solution also evaluated; the returned candidate therefore
     never fits worse than the best single source.  Ties within 1e-12 prefer
     fewer nonzero weights, then earlier source order (`preds.sources`).
-    Deterministic.
+    Deterministic.  It fits on every labeled document that any source holds;
+    one that a source lacks raises EnsembleError, as in `combine`.
     """
     sources = preds.sources
     if len(sources) < 2:
         raise EnsembleError("weight fitting needs at least 2 sources")
-    doc_ids = [d for d in preds.doc_ids(sources[0]) if d in labels]
-    mat = preds.matrix(doc_ids, sources)
-    covered = ~np.isnan(mat).any(axis=1)
-    if not covered.any():
-        raise EnsembleError("no labeled documents covered by all sources")
-    mat = mat[covered]
-    y = np.array([1.0 if labels[d] == "pos" else 0.0
-                  for d, c in zip(doc_ids, covered) if c])
+    doc_ids = [d for d in dict.fromkeys(d for s in sources for d in preds.doc_ids(s))
+               if d in labels]
+    if not doc_ids:
+        raise EnsembleError("no labeled documents in any source")
+    mat = _pred_matrix(preds, sources, doc_ids)
+    y = np.array([1.0 if labels[d] == "pos" else 0.0 for d in doc_ids])
 
     def loss(w: np.ndarray) -> float:
         return log_loss(mat @ w, y)

@@ -15,7 +15,7 @@ import yaml
 
 from .augment import AugmentError, AugmentSpec, AugTechnique, derive_seed
 from .classify import (ClassifyError, FeatureRow, LinearModel, PredictionTable, TrainConfig,
-                       feature_rows, predict, predict_corpus, train)
+                       feature_rows, predict_corpus, score_texts, train)
 from .corpus import Corpus, CorpusError, carve_validation, subsample_balanced
 from .ensemble import (CalibrationReport, SimplexWeights, calibration_report,
                        combine, fit_weights, log_loss, tta_generate)
@@ -308,9 +308,10 @@ def run_tta_pipeline(
     cache,
     model: LinearModel,
 ) -> TtaResult:
-    """Backtranslate test/valid docs, score each original and each round trip
-    with `model`, fit weights on valid, combine on test, and report each
-    source's calibration.  A skipped round trip takes its parent's prediction.
+    """Backtranslate test/valid docs, score each original and then its round
+    trips in one `score_texts` call, fit weights on valid, combine on test, and
+    report each source's calibration.  A skipped round trip takes its parent's
+    prediction.
 
     Predictions of an external model are ensembled with `fit_weights` and
     `combine` directly (`augbench ensemble fit/combine/report`).
@@ -320,13 +321,11 @@ def run_tta_pipeline(
     preds = PredictionTable()
     originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
     for d in originals:
-        scored = {d.text: predict(model, d.text)}
-        preds.add(d.id, "baseline", scored[d.text])
-        for lang in languages:
-            text = variants.get((d.id, lang), d.text)
-            if text not in scored:
-                scored[text] = predict(model, text)
-            preds.add(d.id, f"tta:{lang}", scored[text])
+        trips = [variants.get((d.id, lang), d.text) for lang in languages]
+        scores = score_texts(model, [d.text, *trips], {})
+        preds.add(d.id, "baseline", scores[d.text])
+        for lang, text in zip(languages, trips):
+            preds.add(d.id, f"tta:{lang}", scores[text])
 
     labels = {d.id: d.label for d in originals}
     valid_ids = [d.id for d in originals if d.split == "valid"]

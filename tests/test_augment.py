@@ -174,7 +174,7 @@ def test_eligible_positions_equal_stopword_and_thesaurus_tests(tokens):
     stopwords = frozenset({"the", "strasse"})
     assert eligible_positions(tokens, th, stopwords) == [
         i for i, t in enumerate(tokens)
-        if t.lower() not in stopwords and t in th and not _is_punct_token(t)]
+        if t.lower() not in stopwords and th.lookup(t) and not _is_punct_token(t)]
 
 
 class TestSynonymReplace:

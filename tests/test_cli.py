@@ -459,6 +459,19 @@ class TestEnsembleCommands:
                                   "--weights", str(weights), "--out", str(tmp_path / "c.csv")],
                          "missing predictions for 1 (doc, source) pairs: ('s2', 'b')")
 
+    def test_fit_with_a_missing_prediction_fails_with_message(self, runner, tmp_path):
+        # a.csv holds d1-d4 and b.csv d1-d2, all four labeled: fitting on d1 and
+        # d2 alone would drop half the fitting set without a word
+        a = _write(tmp_path / "a.csv", "doc_id,p_positive\nd1,0.9\nd2,0.1\nd3,0.8\nd4,0.3\n")
+        b = _write(tmp_path / "b.csv", "doc_id,p_positive\nd1,0.6\nd2,0.4\n")
+        labels = _write(tmp_path / "l.jsonl", "".join(
+            json.dumps({"id": f"d{i}", "text": "t", "label": label, "split": "valid"}) + "\n"
+            for i, label in enumerate(["pos", "neg", "pos", "neg"], start=1)))
+        self._fails_with(runner, ["fit", "--preds", f"a={a}", "--preds", f"b={b}",
+                                  "--labels", str(labels), "--out", str(tmp_path / "w.json")],
+                         "missing predictions for 2 (doc, source) pairs: ('d3', 'b'), ('d4', 'b')")
+        assert not (tmp_path / "w.json").exists()
+
     def test_combine_without_predictions_fails_with_message(self, runner, tmp_path):
         (tmp_path / "a.csv").write_text("doc_id,p_positive\n", encoding="utf-8")
         weights = tmp_path / "w.json"

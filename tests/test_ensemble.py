@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,22 @@ class TestFitWeights:
         t = _table([("a", "s1", 0.5)])
         with pytest.raises(EnsembleError):
             fit_weights(t, {"a": "pos"})
+
+    def test_labeled_doc_a_source_lacks_is_an_error(self):
+        # fitted on every labeled document any source holds, not on those all hold
+        t = _table([(d, "a", 0.5) for d in ("d1", "d2", "d3", "d4")]
+                   + [(d, "b", 0.5) for d in ("d1", "d2")])
+        labels = {"d1": "pos", "d2": "neg", "d3": "pos", "d4": "neg"}
+        with pytest.raises(EnsembleError, match=re.escape(
+                "missing predictions for 2 (doc, source) pairs: ('d3', 'b'), ('d4', 'b')")):
+            fit_weights(t, labels)
+        # an unlabeled document a source lacks is not in the fitting set
+        assert fit_weights(t, {"d1": "pos", "d2": "neg"}).weights == {"a": 1.0, "b": 0.0}
+
+    def test_no_labeled_docs(self):
+        t = _table([("a", "s1", 0.5), ("a", "s2", 0.5)])
+        with pytest.raises(EnsembleError, match="no labeled documents in any source"):
+            fit_weights(t, {"b": "pos"})
 
     def test_no_common_labeled_docs(self):
         t = _table([("a", "s1", 0.5), ("b", "s2", 0.5)])

@@ -201,15 +201,15 @@ class TestTtaPipeline:
     def test_each_distinct_text_scored_once(self, monkeypatch):
         # round trips that return the original: every TTA column equals the
         # baseline, and each original is scored once, not once per language
-        from augbench import experiment
+        from augbench import classify
         from augbench.classify import train
 
         corp = self._prepared()
         model = train(corp, TrainConfig(bits=12, epochs=2))
-        scored = []
-        predict = experiment.predict
-        monkeypatch.setattr(experiment, "predict",
-                            lambda m, text: scored.append(text) or predict(m, text))
+        featurized = []
+        featurize = classify.featurize
+        monkeypatch.setattr(classify, "featurize",
+                            lambda text, bits: featurized.append(text) or featurize(text, bits))
         langs = ["es", "fr", "de"]
         result = run_tta_pipeline(corp, langs, IdentityProvider(), TranslationCache(),
                                   model=model)
@@ -218,7 +218,8 @@ class TestTtaPipeline:
         for lang in langs:
             assert preds.doc_ids(f"tta:{lang}") == ids
             assert all(preds.get(d, f"tta:{lang}") == preds.get(d, "baseline") for d in ids)
-        assert len(scored) == len(ids)
+        texts = {d.id: d.text for d in corp}
+        assert featurized == [texts[d] for d in ids]
 
     def test_skipped_variant_takes_parent_prediction(self, fr_down_provider, caplog):
         from augbench.classify import train

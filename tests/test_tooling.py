@@ -302,3 +302,27 @@ def test_every_public_definition_is_reached():
     assert len(defined) > 50  # the walk still finds them
     unreached = [name for name in defined if name.rpartition(".")[2] not in named]
     assert not unreached, unreached
+
+
+def _referrers(name: str) -> list[str]:
+    """`module.function` of each use of `name` in src/augbench, by innermost function."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) == name:
+            found.append(f"{path.stem}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted((ROOT / "src" / "augbench").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_rows_are_scored_only_through_score_texts():
+    # README: there is one scoring path.  Every batch of texts, one text
+    # included, reaches the blocked sums through `classify.score_texts`.
+    for name in ("_scores", "_blocks"):
+        assert _referrers(name) == ["classify.score_texts"], name

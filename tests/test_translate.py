@@ -370,7 +370,7 @@ class TestMockProvider:
     def test_round_trip_identity_without_thesaurus_words(self):
         p = MockProvider(seed=0)
         for text in ["it was what it was", "a b c d e f g h i j k", "one"]:
-            assert not any(t in p.drift for t in text.split())  # nothing to replace
+            assert not any(p.drift.lookup(t) for t in text.split())  # nothing to replace
             assert backtranslate(text, "es", p).final_text == text
 
     def test_round_trip_deterministic(self):
@@ -409,7 +409,7 @@ def _reference_mock_translate(p, text, source, target):
         n_subs = int(round(0.1 * len(out)))
         if n_subs:
             rng = random.Random(derive_seed(p.seed, lang, text))
-            candidates = [i for i, t in enumerate(out) if t in p.drift]
+            candidates = [i for i, t in enumerate(out) if p.drift.lookup(t)]
             for i in sorted(rng.sample(candidates, min(n_subs, len(candidates)))):
                 out[i] = rng.choice(p.drift.lookup(out[i]))
     else:
