@@ -20,8 +20,9 @@ log = logging.getLogger(__name__)
 _EPS = 1e-12
 _SIMPLEX_TOL = 1e-9
 _TIE_TOL = 1e-12
-_MAX_SWEEPS = 500
-_SWEEP_TOL = 1e-10
+_KKT_TOL = 1e-10
+_NEWTON_STEPS = 100
+_STEP_TOL = 1e-12
 
 
 class EnsembleError(Exception):
@@ -146,95 +147,71 @@ def log_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(-(np.add.reduce(terms, None) / terms.size))  # axis=None, by position
 
 
-_SQRT_EPS = np.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
-_FMIN_MAXITER = 500
+def _newton_simplex(mat: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Minimize `log_loss(mat @ w, y)` over the simplex from `w`: active-set
+    Newton steps on the support of `w` under sum(w) = 1.
 
-
-def _fminbound(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Minimize a scalar `func` on [lo, hi]: Brent's bounded method (Brent
-    1973, *Algorithms for Minimization without Derivatives*, ch. 5), ported
-    step for step from scipy 1.17's `_minimize_scalar_bounded` with
-    `maxiter=500`, so `(x, func(x))` equals that of `minimize_scalar(func,
-    bounds=(lo, hi), method="bounded", options={"xatol": xatol})`."""
-    a, b = lo, hi
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if np.abs(e) > tol1:  # try a parabolic fit through the last three points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = True
-        if golden:  # golden-section step into the larger part
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN_MEAN * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    The bordered (m+1) x (m+1) system is solved by least squares, so
+    duplicate sources (a singular Hessian) are fine.  A ratio test stops a
+    step at the first weight that reaches 0; a weight left at or below `_EPS`
+    is set to exactly 0 and leaves the support.  A step is halved until the
+    loss falls.  At a stationary point the source of lowest gradient joins
+    the support, unless it is within `_KKT_TOL` of the support's mean
+    gradient (the KKT conditions, Boyd & Vandenberghe 2004, sec. 5.5.3).  The
+    derivatives leave out clipped rows (p at `_EPS` or `1 - _EPS`), where the
+    clip makes the loss flat.
+    """
+    n = len(y)
+    on = w > 0
+    f = log_loss(mat @ w, y)
+    for _ in range(_NEWTON_STEPS):
+        p = mat @ w
+        free = (p > _EPS) & (p < 1.0 - _EPS)
+        p = np.where(free, p, 0.5)
+        g = mat.T @ np.where(free, (p - y) / (p * (1.0 - p)), 0.0) / n
+        h = np.where(free, y / p**2 + (1.0 - y) / (1.0 - p)**2, 0.0)
+        idx = np.flatnonzero(on)
+        m = len(idx)
+        a = mat[:, idx]
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = (a.T * h) @ a / n
+        kkt[m, m] = 0.0
+        d = np.linalg.lstsq(kkt, np.append(-g[idx], 0.0), rcond=None)[0][:m]
+        t = np.min(w[idx][d < 0] / -d[d < 0], initial=1.0)  # the ratio test
+        while t * np.abs(d).max() > _STEP_TOL:
+            trial = w.copy()
+            trial[idx] += t * d
+            trial[trial <= _EPS] = 0.0  # the blocking weight, and any that near-ties it
+            trial /= trial.sum()  # an ill-conditioned solve can miss sum(d) = 0
+            f_trial = log_loss(mat @ trial, y)
+            if f_trial < f:
+                w, f = trial, f_trial
+                on &= w > 0
+                break
+            t /= 2
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _FMIN_MAXITER:
-            break
-    return xf, fx
+            out = np.flatnonzero(~on)
+            if not len(out):
+                return w
+            j = out[np.argmin(g[out])]
+            if g[j] >= g[idx].mean() - _KKT_TOL:
+                return w
+            on[j] = True
+    return w
 
 
 def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWeights:
     """Simplex weights minimizing mean binary log-loss on the labeled documents.
 
-    Pairwise coordinate descent from the uniform point, with every vertex
-    (single-source) solution also evaluated; the returned candidate therefore
-    never fits worse than the best single source.  Ties within 1e-12 prefer
-    fewer nonzero weights, then earlier source order (`preds.sources`).
-    Deterministic.  It fits on every labeled document that any source holds;
-    one that a source lacks raises EnsembleError, as in `combine`.
+    The candidates are every vertex (single source) and `_newton_simplex` run
+    from the best vertex and from the uniform point: where a source predicts
+    exactly 0 or 1 the clipped loss is not convex, so one start can stop at a
+    worse point than the other.  No fit is worse than the best single source.
+    Ties within 1e-12 prefer fewer nonzero weights, then earlier source order
+    (`preds.sources`), so a vertex optimum comes out as exact 1.0 and 0.0
+    weights.  Deterministic.  It fits on every labeled document that any
+    source holds; one that a source lacks raises EnsembleError, as in
+    `combine`.
     """
     sources = preds.sources
     if len(sources) < 2:
@@ -250,40 +227,11 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
         return log_loss(mat @ w, y)
 
     k = len(sources)
-    candidates: list[np.ndarray] = []
-    for i in range(k):  # vertices, in source order
-        v = np.zeros(k)
-        v[i] = 1.0
-        candidates.append(v)
-
-    w = np.full(k, 1.0 / k)
-    current = loss(w)
-    for _ in range(_MAX_SWEEPS):
-        best_sweep = current
-        for i in range(k):
-            for j in range(i + 1, k):
-                # move mass t from j to i; simplex preserved for t in [-w_i, w_j]
-                if w[i] + w[j] <= 0:
-                    continue
-
-                def pair_loss(t):
-                    trial = w.copy()
-                    trial[i] += t
-                    trial[j] -= t
-                    return loss(trial)
-
-                t, fun = _fminbound(pair_loss, -w[i], w[j], xatol=1e-12)
-                if fun < current - _EPS:
-                    w[i] += t
-                    w[j] -= t
-                    np.clip(w, 0.0, None, out=w)
-                    w /= w.sum()
-                    current = loss(w)
-        if best_sweep - current < _SWEEP_TOL:
-            break
-    candidates.append(w)
-
+    candidates = list(np.eye(k))  # vertices, in source order
     losses = [loss(c) for c in candidates]
+    for start in (candidates[int(np.argmin(losses))], np.full(k, 1.0 / k)):
+        candidates.append(_newton_simplex(mat, y, start))
+        losses.append(loss(candidates[-1]))
     best = min(losses)
     tied = [c for c, l in zip(candidates, losses) if l <= best + _TIE_TOL]
     # the first of the fewest nonzero weights: vertex candidates come in source order

@@ -339,7 +339,9 @@ def run_tta_pipeline(
     valid = preds.matrix(valid_ids, sources)
     y = np.array([1.0 if labels[i] == "pos" else 0.0 for i in valid_ids])
     valid_losses = {s: log_loss(valid[:, j], y) for j, s in enumerate(sources)}
-    valid_losses["ensemble"] = log_loss(valid @ np.array([weights.weights[s] for s in sources]), y)
+    # the loss of what `combine` produces, which adds the sources in sorted order
+    ensembled = combine(preds, weights, valid_ids).matrix(valid_ids, ["ensemble"])[:, 0]
+    valid_losses["ensemble"] = log_loss(ensembled, y)
 
     preds.merge(combined)
     calibration = {s: calibration_report(preds, s, labels) for s in preds.sources}

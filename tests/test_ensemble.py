@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,6 +204,12 @@ class TestFitWeights:
                 vertex_loss = log_loss(np.array([t.get(d, s) for d in docs]), y)
                 assert fitted_loss <= vertex_loss + 1e-9
 
+    def test_vertex_optimum_is_exact(self):
+        labels = {f"d{i}": "pos" if i % 2 == 0 else "neg" for i in range(20)}
+        t = _table([(d, "good", 0.9 if lab == "pos" else 0.1) for d, lab in labels.items()]
+                   + [(d, "bad", 0.5) for d in labels])
+        assert fit_weights(t, labels).weights == {"bad": 0.0, "good": 1.0}
+
     def test_deterministic(self):
         rng = random.Random(3)
         t, labels = _random_table(rng, 30, 4)
@@ -265,52 +270,92 @@ class TestLogLoss:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def _scipy_fminbound(func, lo, hi, xatol):
-    """The reference for `ensemble._fminbound`: scipy's bounded Brent method."""
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return res.x, res.fun
+def _pairwise_scipy_loss(mat, y):
+    """The loss of the reference fit: pairwise coordinate descent from the
+    uniform point, each pair a scipy bounded Brent search (the solver
+    `fit_weights` ran before its active-set Newton routine)."""
+    def loss(w):
+        return log_loss(mat @ w, y)
+
+    k = mat.shape[1]
+    w = np.full(k, 1.0 / k)
+    current = loss(w)
+    for _ in range(500):
+        before = current
+        for i in range(k):
+            for j in range(i + 1, k):
+                if w[i] + w[j] <= 0:
+                    continue
+
+                def pair_loss(t):
+                    trial = w.copy()
+                    trial[i] += t
+                    trial[j] -= t
+                    return loss(trial)
+
+                res = minimize_scalar(pair_loss, bounds=(-w[i], w[j]), method="bounded",
+                                      options={"xatol": 1e-12})
+                if res.fun < current - 1e-12:
+                    w[i] += res.x
+                    w[j] -= res.x
+                    np.clip(w, 0.0, None, out=w)
+                    w /= w.sum()
+                    current = loss(w)
+        if before - current < 1e-10:
+            break
+    return current
 
 
-def _pair_problem(seed, n_docs, n_sources):
-    """A `fit_weights` pair problem: the log-loss of moving mass t from source
-    j to source i of a random simplex point, as a function of t."""
+def _fit_problem(seed, n_docs, n_sources, kind, lo=0.0):
+    """A fitting table with predictions in [lo, 1 - lo]: `kind` "exact" sets
+    some to exactly 0.0 or 1.0, "duplicate" repeats sources, "rounded" rounds
+    to 0.1.  Returns the table, its labels and its (doc x source) matrix and
+    0/1 labels in `fit_weights` order."""
     rng = np.random.default_rng(seed)
-    mat = rng.random((n_docs, n_sources))
+    mat = lo + (1.0 - 2.0 * lo) * rng.random((n_docs, n_sources))
+    if kind == "exact":
+        hit = rng.random(mat.shape) < 0.3
+        mat[hit] = rng.integers(0, 2, hit.sum())
+    elif kind == "duplicate":
+        mat = mat[:, rng.integers(0, n_sources, n_sources)]
+    elif kind == "rounded":
+        mat = np.round(mat, 1)
     y = (rng.random(n_docs) < 0.5).astype(float)
-    w = rng.dirichlet(np.ones(n_sources))
-    i, j = sorted(rng.choice(n_sources, 2, replace=False))
-
-    def pair_loss(t):
-        trial = w.copy()
-        trial[i] += t
-        trial[j] -= t
-        return log_loss(mat @ trial, y)
-
-    return pair_loss, w[i], w[j]
+    docs = [f"d{i}" for i in range(n_docs)]
+    t = _table([(d, f"s{j}", float(mat[i, j])) for i, d in enumerate(docs)
+                for j in range(n_sources)])
+    labels = {d: "pos" if y[i] else "neg" for i, d in enumerate(docs)}
+    return t, labels, mat, y
 
 
-class TestFminbound:
-    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
+def _weight_vector(w, n_sources):
+    return np.array([w.weights[f"s{j}"] for j in range(n_sources)])
+
+
+class TestFitOptimality:
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 59),
            n_sources=st.integers(2, 6),
-           bounds=st.sampled_from(["pair", "lo_zero", "hi_zero", "tiny"]),
-           xatol=st.sampled_from([1e-12, 1e-5]))
+           kind=st.sampled_from(["plain", "exact", "duplicate", "rounded"]))
+    @example(seed=0, n_docs=30, n_sources=5, kind="exact")
+    @example(seed=0, n_docs=30, n_sources=5, kind="duplicate")
     @settings(max_examples=300, deadline=None)
-    def test_equals_scipy(self, seed, n_docs, n_sources, bounds, xatol):
-        func, wi, wj = _pair_problem(seed, n_docs, n_sources)
-        lo, hi = {"pair": (-wi, wj), "lo_zero": (-0.0, wj), "hi_zero": (-wi, 0.0),
-                  "tiny": (-wi * 1e-11, wj * 1e-11)}[bounds]
-        x, fx = ensemble._fminbound(func, lo, hi, xatol=xatol)
-        ref_x, ref_fx = _scipy_fminbound(func, lo, hi, xatol)
-        assert x == ref_x and fx == ref_fx
+    def test_never_worse_than_vertices_or_scipy_reference(self, seed, n_docs, n_sources,
+                                                          kind):
+        t, labels, mat, y = _fit_problem(seed, n_docs, n_sources, kind)
+        fitted = log_loss(mat @ _weight_vector(fit_weights(t, labels), n_sources), y)
+        assert all(fitted <= log_loss(mat[:, j], y) for j in range(n_sources))
+        assert fitted <= _pairwise_scipy_loss(mat, y) + 1e-12
 
-    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
-           n_sources=st.integers(2, 6))
-    @settings(max_examples=100, deadline=None)
-    def test_fit_weights_equals_scipy_reference(self, seed, n_docs, n_sources):
-        t, labels = _random_table(random.Random(seed), n_docs, n_sources)
-        with mock.patch.object(ensemble, "_fminbound", _scipy_fminbound):
-            expected = fit_weights(t, labels)
-        assert fit_weights(t, labels).weights == expected.weights
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 59),
+           n_sources=st.integers(2, 11), kind=st.sampled_from(["plain", "duplicate"]))
+    @settings(max_examples=200, deadline=None)
+    def test_kkt_gap(self, seed, n_docs, n_sources, kind):
+        # no clipping in [1e-3, 1 - 1e-3]: the loss is smooth and convex there
+        t, labels, mat, y = _fit_problem(seed, n_docs, n_sources, kind, lo=1e-3)
+        w = _weight_vector(fit_weights(t, labels), n_sources)
+        p = mat @ w
+        grad = mat.T @ ((p - y) / (p * (1.0 - p))) / n_docs
+        assert grad[w > 0].max() - grad.min() <= 1e-6
 
 
 def _brute_force_report(ps, labels=None):

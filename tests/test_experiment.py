@@ -198,6 +198,26 @@ class TestTtaPipeline:
             assert result.combined.get(d, "ensemble") == pytest.approx(
                 result.predictions.get(d, "baseline"))
 
+    def test_ensemble_valid_loss_is_that_of_the_combined_predictions(self, monkeypatch):
+        # interior weights: summed in `preds.sources` order instead of combine's
+        # sorted order, the weighted sum differs in the last bits
+        from augbench import experiment
+        from augbench.classify import train
+        from augbench.ensemble import SimplexWeights, combine, log_loss
+
+        corp = self._prepared()
+        model = train(corp, TrainConfig(bits=12, epochs=2))
+        weights = SimplexWeights({"baseline": 0.3, "tta:es": 0.45, "tta:fr": 0.25})
+        monkeypatch.setattr(experiment, "fit_weights", lambda preds, labels: weights)
+        result = run_tta_pipeline(corp, ["fr", "es"], MockProvider(0), TranslationCache(),
+                                  model=model)
+        valid = [d.id for d in corp.split_docs("valid")]
+        labels = {d.id: d.label for d in corp}
+        combined = combine(result.predictions, weights, valid)
+        want = log_loss(np.array([combined.get(d, "ensemble") for d in valid]),
+                        np.array([1.0 if labels[d] == "pos" else 0.0 for d in valid]))
+        assert np.float64(result.valid_losses["ensemble"]).tobytes() == np.float64(want).tobytes()
+
     def test_each_distinct_text_scored_once(self, monkeypatch):
         # round trips that return the original: every TTA column equals the
         # baseline, and each original is scored once, not once per language
