@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -216,9 +217,19 @@ def numeracy_probe(
     predict_fn: Callable[[str], float],
     template: str = "Rating {}/10",
 ) -> list[tuple[str, float]]:
-    """Evaluate the model on "Rating x/10" strings for x in 0..10 plus 6.5."""
-    if template.count("{}") != 1:
-        raise AnalyzeError("template must contain exactly one {} slot")
+    """Evaluate the model on "Rating x/10" strings for x in 0..10 plus 6.5.
+
+    `template` holds exactly one replacement field, a bare `{}`; a literal
+    brace is written `{{` or `}}`.
+    """
+    try:
+        fields = [(name, spec, conversion) for _, name, spec, conversion
+                  in string.Formatter().parse(template) if name is not None]
+    except ValueError:  # an unmatched brace
+        fields = []
+    if fields != [("", "", None)]:
+        raise AnalyzeError("template must contain exactly one {} slot "
+                           "(write a literal brace as {{ or }})")
     rows = []
     for x in RATING_POINTS:
         label = str(int(x)) if float(x).is_integer() else str(x)

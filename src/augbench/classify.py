@@ -8,7 +8,7 @@ import math
 import random
 import sys
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -251,61 +251,29 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     return LinearModel(weights=w, bias=bias, config=config)
 
 
-# `score_texts` scores rows in blocks, each cut before its padded size would
-# pass _SCORE_CELLS cells, so one long document does not pad many short ones;
-# a longer row makes a block alone.
-_SCORE_CELLS = 1 << 13
-
-
-def _blocks(rows: Iterable[FeatureRow]) -> Iterable[list[FeatureRow]]:
-    block: list[FeatureRow] = []
-    width = 0
-    for row in rows:
-        n = len(row[0])
-        if block and (len(block) + 1) * (max(width, n) + 1) > _SCORE_CELLS:
-            yield block
-            block, width = [], 0
-        block.append(row)
-        width = max(width, n)
-    if block:
-        yield block
-
-
-def _scores(model: LinearModel, rows: Sequence[FeatureRow]) -> list[float]:
-    """Sigmoid of bias + w[i]*count summed left to right in row order, per row.
-
-    Column r of `terms` is the bias, row r's terms and then -0.0 padding up to
-    the longest row.  `np.add.accumulate` down the columns adds each column's
-    terms in order, and x + -0.0 == x for every x, so the padding leaves each
-    row's sequential additions unchanged.  A pairwise sum (`np.sum`), a dot
-    product or a sparse matvec would round differently.
-    """
-    weights = model.weights
-    width = max([len(idx) for idx, _ in rows]) + 1
-    terms = np.empty((width, len(rows)))
-    terms[0] = model.bias
-    for r, (idx, vals) in enumerate(rows):
-        n = len(idx) + 1
-        np.multiply(weights[idx], vals, out=terms[1:n, r])
-        if n < width:
-            terms[n:, r] = -0.0
-    return [_sigmoid(z) for z in np.add.accumulate(terms)[-1].tolist()]
-
-
 def score_texts(model: LinearModel, texts: Iterable[str],
                 rows: Mapping[str, FeatureRow]) -> dict[str, float]:
     """P(positive) of each distinct text in `texts`, keyed in first-seen order.
 
     A text's row is taken from `rows` (built with `model.config.bits`, as by
-    `feature_rows`) or else featurized when its block of rows is scored; each
-    score carries the bits of scoring its row alone (see `_scores`).
+    `feature_rows`) or else featurized.  Its score is the sigmoid of the bias
+    and then each w[i]*count, added left to right in row order by
+    `np.add.accumulate`; a pairwise sum (`np.sum`), a dot product or a sparse
+    matvec would round differently.  One `terms` buffer serves every row and
+    grows only when a longer row arrives.
     """
-    distinct = list(dict.fromkeys(texts))
-    bits = model.config.bits
-    scores: list[float] = []
-    for block in _blocks(rows[t] if t in rows else feature_row(t, bits) for t in distinct):
-        scores += _scores(model, block)
-    return dict(zip(distinct, scores))
+    weights, bits = model.weights, model.config.bits
+    terms = np.empty(0)
+    scores: dict[str, float] = {}
+    for text in dict.fromkeys(texts):
+        idx, vals = rows[text] if text in rows else feature_row(text, bits)
+        n = len(idx) + 1
+        if n > len(terms):
+            terms = np.empty(n)
+        terms[0] = model.bias
+        np.multiply(weights[idx], vals, out=terms[1:n])
+        scores[text] = _sigmoid(float(np.add.accumulate(terms[:n])[-1]))
+    return scores
 
 
 def predict(model: LinearModel, text: str) -> float:

@@ -127,15 +127,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self._docs)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
-
-    def get(self, doc_id: str) -> Document:
-        try:
-            return self._docs[self._index[doc_id]]
-        except KeyError:
-            raise CorpusError(f"no document with id {doc_id!r}") from None
-
     def split_docs(self, split: str) -> list[Document]:
         return [d for d in self._docs if d.split == split]
 

@@ -204,9 +204,7 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
     """Simplex weights minimizing mean binary log-loss on the labeled documents.
 
     The candidates are every vertex (single source) and `_newton_simplex` run
-    from the best vertex and from the uniform point: where a source predicts
-    exactly 0 or 1 the clipped loss is not convex, so one start can stop at a
-    worse point than the other.  No fit is worse than the best single source.
+    from the uniform point, so no fit is worse than the best single source.
     Ties within 1e-12 prefer fewer nonzero weights, then earlier source order
     (`preds.sources`), so a vertex optimum comes out as exact 1.0 and 0.0
     weights.  Deterministic.  It fits on every labeled document that any
@@ -229,9 +227,8 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
     k = len(sources)
     candidates = list(np.eye(k))  # vertices, in source order
     losses = [loss(c) for c in candidates]
-    for start in (candidates[int(np.argmin(losses))], np.full(k, 1.0 / k)):
-        candidates.append(_newton_simplex(mat, y, start))
-        losses.append(loss(candidates[-1]))
+    candidates.append(_newton_simplex(mat, y, np.full(k, 1.0 / k)))
+    losses.append(loss(candidates[-1]))
     best = min(losses)
     tied = [c for c, l in zip(candidates, losses) if l <= best + _TIE_TOL]
     # the first of the fewest nonzero weights: vertex candidates come in source order

@@ -206,10 +206,11 @@ def test_03_invariant_property_suites():
             out = augment_dataset(
                 corp, AugmentSpec(technique="rd", alpha=0.2, copies_per_original=3,
                                   seed=seed)).corpus
+            by_id = {d.id: d for d in out}
             for d in out:
                 if d.origin.kind != "synthetic":
                     continue
-                parent = out.get(d.origin.parent)
+                parent = by_id[d.origin.parent]
                 assert d.label == parent.label and d.split == parent.split
                 generated += 1
 

@@ -377,6 +377,22 @@ class TestNumeracyProbe:
         with pytest.raises(AnalyzeError):
             numeracy_probe(lambda t: 0.5, template="{} and {}")
 
+    # One `{}` among other fields, unmatched braces or only escaped ones: the
+    # template holds exactly one bare field or is rejected before any scoring.
+    @pytest.mark.parametrize("template", [
+        "{x} {}", "Rating {}/10 {", "Rating {}/10 }", "Rating {0}/10 {}", "Rating {{}}/10",
+        "Rating {}/10 {!r}", "Rating {:>3}/10 {}", "Rating {:{}}/10"])
+    def test_template_with_other_fields_or_braces_rejected(self, template):
+        seen = []
+        with pytest.raises(AnalyzeError, match="exactly one {} slot"):
+            numeracy_probe(lambda t: seen.append(t) or 0.5, template=template)
+        assert not seen
+
+    def test_literal_braces_around_the_slot(self):
+        seen = []
+        numeracy_probe(lambda t: seen.append(t) or 0.5, template="{{Rating}} {}/10")
+        assert seen[0] == "{Rating} 0/10"
+
     def test_template_instantiation(self):
         seen = []
         numeracy_probe(lambda t: seen.append(t) or 0.5, template="Rating {}/10")

@@ -354,10 +354,11 @@ class TestAugmentDataset:
     def test_labels_inherited_and_parents_resolve(self):
         corp = make_review_corpus(n_train=100, n_test=10)
         run = augment_dataset(corp, AugmentSpec(technique="sr", copies_per_original=2))
+        by_id = {d.id: d for d in run.corpus}
         for doc in run.corpus:
             if doc.origin.kind != "synthetic":
                 continue
-            parent = run.corpus.get(doc.origin.parent)
+            parent = by_id[doc.origin.parent]
             assert parent.is_original
             assert parent.label == doc.label
 

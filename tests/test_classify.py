@@ -413,19 +413,18 @@ class TestBitExactness:
         for d in docs:
             assert table.get(d.id, "s") == _reference_predict(random_model, d.text)
 
-    # block sizes in cells; None: the shipped value.  1 cell makes every block
-    # one row; 4 cells make blocks of two rows of at most one feature each
-    # (more only of texts without features, such as "" and " "); 8 cells cut
-    # blocks of short rows by padded size, so a long row makes a block alone.
-    @pytest.mark.parametrize("cells", [1, 4, 8, None])
+    # `score_texts` reuses one terms buffer, so a row shorter than an earlier
+    # one must sum only its own terms, not what the longer row left behind.
     @given(texts=st.lists(st.one_of(st.just(""), _family_text), min_size=1, max_size=150),
            bias=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-4, 4)),
            weights_seed=st.integers(0, 2**32 - 1),
            special=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
                             max_size=64))
     @example(texts=["", "", "good"], bias=-0.0, weights_seed=0, special=[-0.0] * 64)
+    @example(texts=["the good film , the bad film !", "good film", "", "bad", " "],
+             bias=0.5, weights_seed=0, special=[])
     @settings(max_examples=60, deadline=None)
-    def test_predict_corpus_equals_scalar_loop_in_any_blocks(self, cells, texts, bias,
+    def test_predict_corpus_equals_scalar_loop_for_any_texts(self, texts, bias,
                                                              weights_seed, special):
         bits = 6  # 64 buckets: texts share and collide on indices
         weights = _random_model(bits).weights
@@ -435,10 +434,7 @@ class TestBitExactness:
         model = LinearModel(weights=weights, bias=bias, config=TrainConfig(bits=bits))
         corp = Corpus([Document(id=f"d{i}", text=t, label="pos", split="test")
                        for i, t in enumerate(texts)])
-        with pytest.MonkeyPatch.context() as mp:
-            if cells is not None:
-                mp.setattr(classify, "_SCORE_CELLS", cells)
-            table = predict_corpus(model, corp, "s")
+        table = predict_corpus(model, corp, "s")
         for i, text in enumerate(texts):
             want = _reference_predict(model, text)
             assert np.float64(table.get(f"d{i}", "s")).tobytes() == np.float64(want).tobytes()

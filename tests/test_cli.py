@@ -583,6 +583,15 @@ class TestAnalyzeCommands:
                     "template must contain exactly one {} slot")
         assert not (tmp_path / "bad.csv").exists()
 
+    @pytest.mark.parametrize("template", ["{x} {}", "Rating {}/10 {", "Rating {0}/10 {}",
+                                          "Rating {{}}/10"])
+    def test_probe_rejects_template_without_one_bare_slot(self, runner, tmp_path, template):
+        model = tmp_path / "model.npz"
+        LinearModel(weights=np.zeros(1 << 4), bias=0.0, config=TrainConfig(bits=4)).save(model)
+        _fails_with(runner, ["analyze", "probe", "--model", str(model), "--template",
+                             template, "--out", str(tmp_path / "bad.csv")],
+                    "template must contain exactly one {} slot")
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_regress_cross_validates_by_lowest_mean_loss(self, runner, tmp_path):
         corp_path = tmp_path / "corpus.jsonl"

@@ -80,7 +80,7 @@ class TestIngestImdb:
 
     def test_ids_are_forward_slash_relative_paths(self, imdb_dir):
         corp = ingest_imdb_dir(imdb_dir)
-        assert "train/pos/0_7.txt" in corp
+        assert "train/pos/0_7.txt" in [d.id for d in corp]
 
 
 class TestJsonl:
@@ -157,7 +157,7 @@ class TestJsonl:
         path.write_text(line + "\n", encoding="utf-8")
         corp = ingest_jsonl(path)
         export_jsonl(corp, tmp_path / "out.jsonl")
-        assert ingest_jsonl(tmp_path / "out.jsonl").get("a").text == "ok \U0001f600"
+        assert [d.text for d in ingest_jsonl(tmp_path / "out.jsonl")] == ["ok \U0001f600"]
 
     def test_empty_corpus_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -323,6 +323,22 @@ def _referrers(name: str) -> list[str]:
 
 def test_rows_are_scored_only_through_score_texts():
     # README: there is one scoring path.  Every batch of texts, one text
-    # included, reaches the blocked sums through `classify.score_texts`.
-    for name in ("_scores", "_blocks"):
-        assert _referrers(name) == ["classify.score_texts"], name
+    # included, reaches the ordered per-row sum through `classify.score_texts`.
+    assert _referrers("accumulate") == ["classify.score_texts"]
+
+
+def test_every_import_is_used():
+    # Each name an import binds in src/augbench is read as a name in its module.
+    unused = []
+    for path in sorted((ROOT / "src" / "augbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.stem}.{bound}")
+    assert not unused, unused
