@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .augment import tokenize
-from .corpus import Corpus
+from .corpus import Corpus, replacing
 
 
 class ClassifyError(Exception):
@@ -154,7 +155,7 @@ class LinearModel:
 
     def save(self, path: str | Path) -> None:
         """Write to `path` itself: numpy appends `.npz` to a path but not to a handle."""
-        with open(path, "wb") as fh:
+        with replacing(path, "wb") as fh:
             np.savez_compressed(
                 fh,
                 weights=self.weights,
@@ -255,8 +256,8 @@ def score_texts(model: LinearModel, texts: Iterable[str],
                 rows: Mapping[str, FeatureRow]) -> dict[str, float]:
     """P(positive) of each distinct text in `texts`, keyed in first-seen order.
 
-    A text's row is taken from `rows` (built with `model.config.bits`, as by
-    `feature_rows`) or else featurized.  Its score is the sigmoid of the bias
+    A text's row is taken from `rows` (`feature_row`s built with
+    `model.config.bits`) or else featurized.  Its score is the sigmoid of the bias
     and then each w[i]*count, added left to right in row order by
     `np.add.accumulate`; a pairwise sum (`np.sum`), a dot product or a sparse
     matvec would round differently.  One `terms` buffer serves every row and
@@ -281,28 +282,17 @@ def predict(model: LinearModel, text: str) -> float:
     return score_texts(model, (text,), {})[text]
 
 
-# Each `predictor` keeps its own text -> score memo, since both regression targets
-# score the same sentences.  One holding over this many texts is emptied at its
-# next miss.
+# The scores each `predictor` keeps, least recently used dropped first: both
+# regression targets score the same sentences.
 _PREDICT_MEMO_LIMIT = 1 << 13
 
 
 def predictor(model: LinearModel) -> Callable[[str], float]:
-    """`predict` with `model` bound, calling it once per distinct text.
-
-    A score is kept from a text's first use, so it reflects the weights of that
-    moment; nothing in augbench changes a model after `train` returns it.
-    """
-    memo: dict[str, float] = {}
-
-    def predict_fn(text: str) -> float:
-        p = memo.get(text)
-        if p is None:
-            if len(memo) > _PREDICT_MEMO_LIMIT:
-                memo.clear()
-            p = memo[text] = predict(model, text)
-        return p
-    return predict_fn
+    """`predict` with `model` bound, called once per distinct text among the
+    `_PREDICT_MEMO_LIMIT` used last, and looked up on the module at each call.
+    A score reflects the weights at its text's first use; nothing in augbench
+    changes a model after `train` returns it."""
+    return functools.lru_cache(maxsize=_PREDICT_MEMO_LIMIT)(lambda text: predict(model, text))
 
 
 class PredictionTable:
@@ -354,7 +344,7 @@ class PredictionTable:
         Ids are quoted where CSV needs it, so any id reads back unchanged
         through `import_predictions`.
         """
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with replacing(path, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             # csv quotes only the line breaks of its own terminator, and a bare
             # "\r" ends a row on reading, so ids holding one are quoted here.
@@ -362,15 +352,6 @@ class PredictionTable:
             writer.writerow(("doc_id", "p_positive"))
             for d, p in self._columns.get(source_id, {}).items():
                 (quoting if "\r" in d else writer).writerow((d, p))
-
-
-def feature_rows(texts: Iterable[str], bits: int) -> dict[str, FeatureRow]:
-    """`feature_row` of each distinct text, keyed by text."""
-    rows: dict[str, FeatureRow] = {}
-    for text in texts:
-        if text not in rows:
-            rows[text] = feature_row(text, bits)
-    return rows
 
 
 def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,

@@ -188,6 +188,9 @@ def _load_pred_args(pred_args: tuple[str, ...]) -> _classify.PredictionTable:
         if "=" not in arg:
             raise click.UsageError(f"--preds takes source=path, got {arg!r}")
         source, path = arg.split("=", 1)
+        if not source or any(c in source for c in ',"\r\n'):  # it is written into CSV rows
+            raise click.UsageError(f"--preds source name must be nonempty, without a comma, "
+                                   f"quote or line break, got {source!r}")
         if sources.count(source) > 1:
             raise click.UsageError(f"--preds names source {source!r} more than once")
         table.merge(_classify.import_predictions(path, source))
@@ -249,7 +252,8 @@ def ensemble_report(pred_args, labels_path, out_path):
         lines.append(f"{source},{rep.frac_confident!r},{rep.pred_std!r},{acc}")
     output = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(output, encoding="utf-8")
+        with _corpus.replacing(out_path, "w") as fh:
+            fh.write(output)
     click.echo(output, nl=False)
 
 
@@ -289,7 +293,7 @@ def analyze_regress(model_path, in_path, splits, target, l1_strength, out_path):
         target_kind = "model_prediction"
     lam = l1_strength if l1_strength is not None else _analyze.cross_validate_l1(X, y)
     fit = _analyze.fit_l1_logistic(X, y, lam, target_kind=target_kind)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _corpus.replacing(out_path, "w") as fh:
         json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     click.echo(json.dumps(fit.as_dict()["coefficients"], sort_keys=True))
@@ -304,7 +308,7 @@ def analyze_probe(model_path, template, out_path):
     """Probe the model's sentiment on templated "Rating x/10" strings."""
     model = _classify.LinearModel.load(model_path)
     rows = _analyze.numeracy_probe(_classify.predictor(model), template)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _corpus.replacing(out_path, "w") as fh:
         fh.write("rating,p_positive\n")
         for rating, p in rows:
             fh.write(f"{rating},{p!r}\n")

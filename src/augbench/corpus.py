@@ -1,12 +1,14 @@
 """Document model, dataset ingestion, JSONL interchange, and balanced subsampling."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 LABELS = ("pos", "neg", "unsup")
 SPLITS = ("train", "valid", "test", "unsup")
@@ -196,9 +198,30 @@ def ingest_jsonl(path: str | Path) -> Corpus:
     return Corpus(docs)
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path, mode: str) -> Iterator[IO]:
+    """A handle in `mode` "w" (UTF-8, "\\n" line ends) or "wb" on `.{name}.{pid}.tmp`
+    beside `path`, moved onto `path` when the block ends cleanly and removed when
+    it raises.  Nothing is fsynced; a symlink at `path` is replaced, not followed."""
+    opts = {"w": {"encoding": "utf-8", "newline": "\n"}, "wb": {}}[mode]
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, mode, **opts)
+    except OSError as e:  # name the output, not the temp file
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def export_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the JSONL interchange format, byte-deterministically."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "w") as fh:
         for doc in corpus:
             obj = {
                 "id": doc.id,

@@ -12,7 +12,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .classify import PredictionTable
-from .corpus import Corpus
+from .corpus import Corpus, replacing
 from . import translate as _translate
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ class SimplexWeights:
                "fitting_set": fitting_set}
         if loss is not None:
             out["loss"] = loss
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w") as fh:
             json.dump(out, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 

@@ -15,8 +15,8 @@ import yaml
 
 from .augment import AugmentError, AugmentSpec, AugTechnique, derive_seed
 from .classify import (ClassifyError, FeatureRow, LinearModel, PredictionTable, TrainConfig,
-                       feature_rows, predict_corpus, score_texts, train)
-from .corpus import Corpus, CorpusError, carve_validation, subsample_balanced
+                       feature_row, predict_corpus, score_texts, train)
+from .corpus import Corpus, CorpusError, carve_validation, replacing, subsample_balanced
 from .ensemble import (CalibrationReport, SimplexWeights, calibration_report,
                        combine, fit_weights, log_loss, tta_generate)
 from . import translate as _translate
@@ -185,24 +185,16 @@ class ExperimentReport:
 
     def write_csv(self, path: str | Path) -> None:
         """Deterministic report CSV.  Wall times go to a sidecar timings file."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with replacing(path, "w") as fh:
             fh.write(",".join(REPORT_COLUMNS) + "\n")
             for r in self.all_rows():
                 fh.write(r.as_csv() + "\n")
 
     def write_timings(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with replacing(path, "w") as fh:
             fh.write("run,wall_time_s\n")
             for tag, secs in self.timings:
                 fh.write(f"{tag},{secs:.3f}\n")
-
-
-def _subsample_hash(corpus: Corpus) -> str:
-    h = hashlib.sha256()
-    for doc_id in sorted(d.id for d in corpus.split_docs("train") if d.is_original):
-        h.update(doc_id.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()[:12]
 
 
 def _arm_fields(spec: Optional[AugmentSpec]) -> tuple[str, str, int]:
@@ -228,12 +220,13 @@ def run_single(
     """Train and evaluate one (N, seed) run of `config.augment` on a prepared subsample.
 
     `test_rows` are feature rows of the test split keyed by text, built once
-    per sweep with the classifier's bits (`feature_rows`) and shared by its runs.
+    per sweep with the classifier's bits and shared by its runs.
     """
     # Imported per call: perfbench/child.py replaces augment.augment_dataset on the module.
     from .augment import augment_dataset
 
-    sub_hash = _subsample_hash(subsampled)
+    ids = sorted(d.id for d in subsampled.split_docs("train") if d.is_original)
+    sub_hash = hashlib.sha256("".join(f"{i}\n" for i in ids).encode("utf-8")).hexdigest()[:12]
     prepared = carve_validation(subsampled, config.valid_frac, seed)
     spec = config.augment
     if spec is not None:
@@ -276,7 +269,8 @@ def run_low_resource_sweep(
     if not test_docs:
         raise ExperimentError("the corpus has no test documents to evaluate on")
     report = ExperimentReport()
-    test_rows = feature_rows((d.text for d in test_docs), config.classifier.bits)
+    bits = config.classifier.bits
+    test_rows = {t: feature_row(t, bits) for t in dict.fromkeys(d.text for d in test_docs)}
     for n in config.train_sizes:
         for seed in config.seeds:
             tag = f"n={n},seed={seed}"

@@ -180,9 +180,6 @@ class TranslationCache:
             return start, line
         return size, b"\n" + line
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 @dataclass
 class BacktranslationRecord:

@@ -327,6 +327,26 @@ class TestAugmentSpec:
             AugmentSpec(**kwargs)
         assert str(info.value) == message
 
+    # a code is written into document ids and a report.csv field
+    @pytest.mark.parametrize("languages, message", [
+        (("e,s",), "language code 'e,s' must be ASCII letters, digits, '-' or '_'"),
+        (("es+fr",), "language code 'es+fr' must be ASCII letters, digits, '-' or '_'"),
+        (("",), "language code '' must be ASCII letters, digits, '-' or '_'"),
+        (("es\n",), "language code 'es\\n' must be ASCII letters, digits, '-' or '_'"),
+        (("\u00e9s",), "language code '\u00e9s' must be ASCII letters, digits, '-' or '_'"),
+        ((1,), "language code 1 must be ASCII letters, digits, '-' or '_'"),
+        (("es", "es"), "language code 'es' is listed twice"),
+        (("fr", "es", "de", "es"), "language code 'es' is listed twice"),
+    ])
+    def test_bad_language_codes(self, languages, message):
+        with pytest.raises(AugmentError) as info:
+            AugmentSpec(technique="bt", languages=languages)
+        assert str(info.value) == message
+
+    def test_language_codes_with_region(self):
+        spec = AugmentSpec(technique="bt", languages=("zh-CN", "pt_BR", "es"))
+        assert spec.languages == ("zh-CN", "pt_BR", "es")
+
     # all-languages ignored the copies; round-robin made byte-identical ones
     @pytest.mark.parametrize("strategy", ["all", "roundrobin"])
     def test_bt_takes_one_copy(self, strategy):

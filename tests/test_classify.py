@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import inspect
 import random
 import re
 import tempfile
@@ -14,7 +13,7 @@ from augbench import classify
 from augbench.augment import AugmentSpec, augment_dataset, tokenize
 from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
                                TrainConfig, _sigmoid, feature_row,
-                               feature_rows, featurize, import_predictions,
+                               featurize, import_predictions,
                                predict, predict_corpus, train)
 from augbench.corpus import Corpus, Document
 from augbench.ensemble import calibration_report
@@ -374,14 +373,12 @@ class TestPredictor:
                 mp.setattr(classify, "_PREDICT_MEMO_LIMIT", limit)
             mp.setattr(classify, "predict", counting_predict)
             predict_fn = classify.predictor(model)
-            memo = inspect.getclosurevars(predict_fn).nonlocals["memo"]
             for text in texts:
                 assert predict_fn(text) == predict(model, text)
-                # emptied before a miss once over the limit
-                assert len(memo) <= classify._PREDICT_MEMO_LIMIT + 1
+                assert predict_fn.cache_info().currsize <= classify._PREDICT_MEMO_LIMIT
         if limit is None:
             assert calls == list(dict.fromkeys(texts))
-        else:  # a text is scored again only after the memo was emptied
+        else:  # a text is scored again only after the memo dropped it
             assert set(calls) == set(texts) and len(calls) <= len(texts)
 
 
@@ -406,7 +403,7 @@ class TestBitExactness:
     @pytest.mark.parametrize("shared", [False, True])
     def test_predict_corpus_equals_scalar_loop(self, random_model, micro_corpus, shared):
         docs = micro_corpus.split_docs("test")
-        rows = (feature_rows((d.text for d in docs), random_model.config.bits)
+        rows = ({d.text: feature_row(d.text, random_model.config.bits) for d in docs}
                 if shared else None)
         table = predict_corpus(random_model, micro_corpus, "s", rows=rows)
         assert len(table) == len(docs)

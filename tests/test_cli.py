@@ -532,6 +532,19 @@ class TestEnsembleCommands:
         assert "--preds names source 'a' more than once" in result.output
         assert "source,frac_confident" not in result.output
 
+    # a source name is written raw into `ensemble report` CSV rows
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\nb", "a\rb"])
+    def test_source_name_unfit_for_csv_is_usage_error(self, runner, tmp_path, name):
+        x = _write(tmp_path / "x.csv", "doc_id,p_positive\nd1,0.2\n")
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, ["ensemble", "report", "--preds", f"{name}={x}",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == (
+            "Error: --preds source name must be nonempty, without a comma, quote or line "
+            f"break, got {name!r}")
+        assert "source,frac_confident" not in result.output and not out.exists()
+
     def test_fit_with_one_source_fails_with_message(self, runner, tmp_path):
         labels = tmp_path / "labels.jsonl"
         export_jsonl(make_review_corpus(n_train=4, n_test=20, seed=0), labels)

@@ -1,10 +1,16 @@
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from augbench.corpus import (Corpus, CorpusError, Document, Origin, carve_validation,
-                             export_jsonl, ingest_imdb_dir, ingest_jsonl,
+                             export_jsonl, ingest_imdb_dir, ingest_jsonl, replacing,
                              subsample_balanced)
 
 from synth import make_review_corpus
@@ -175,6 +181,66 @@ class TestJsonl:
         export_jsonl(small_corpus, p1)
         export_jsonl(small_corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestReplacing:
+    def test_kill_mid_export_keeps_the_old_file(self, tmp_path, small_corpus):
+        # The child is killed after writing 200 lines of about 1 kB, far past
+        # the write buffer, so part of the new corpus has reached the disk.
+        child = """if True:
+            import os, signal, sys
+            from augbench.corpus import Corpus, Document, export_jsonl
+
+            class Dying(Corpus):
+                def __iter__(self):
+                    for i, doc in enumerate(super().__iter__()):
+                        if i == 200:
+                            os.kill(os.getpid(), signal.SIGKILL)
+                        yield doc
+
+            export_jsonl(Dying(Document(id=f"d{i}", text="word " * 200, label="pos",
+                                        split="train") for i in range(400)), sys.argv[1])
+        """
+        import augbench
+
+        path = tmp_path / "c.jsonl"
+        export_jsonl(small_corpus, path)
+        old = path.read_bytes()
+        env = dict(os.environ, PYTHONPATH=str(Path(augbench.__file__).parent.parent))
+        run = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == -signal.SIGKILL, run.stderr
+        assert path.read_bytes() == old
+        stray = [p for p in tmp_path.iterdir() if p != path]
+        assert len(stray) == 1 and re.fullmatch(r"\.c\.jsonl\.\d+\.tmp", stray[0].name)
+        assert stray[0].stat().st_size > 100_000
+
+    def test_raising_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError):
+            with replacing(path, "w") as fh:
+                fh.write("new\n" * 10_000)
+                fh.flush()
+                raise RuntimeError
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        with replacing(link, "wb") as fh:
+            fh.write(b"new\n")
+        assert not link.is_symlink() and link.read_bytes() == b"new\n"
+        assert target.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize("mode", ["r", "a", "w+", "wt", "x"])
+    def test_other_modes_refused(self, tmp_path, mode):
+        with pytest.raises(KeyError):
+            with replacing(tmp_path / "out.txt", mode):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
 
 _doc_text = st.text(

@@ -90,6 +90,15 @@ class TestSimplexWeights:
         w.to_json(path, fitting_set="valid")
         assert SimplexWeights.from_json(path).weights == w.weights
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "w.json"
+        SimplexWeights({"a": 1.0}).to_json(path, fitting_set="valid")
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            SimplexWeights({"b": 1.0}).to_json(path, fitting_set="valid", loss=float("nan"))
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     @given(names=st.lists(st.text(), min_size=1, max_size=6, unique=True),
            masses=st.lists(st.floats(0, 1e6), min_size=6, max_size=6),
            loss=st.none() | st.floats(allow_nan=False, allow_infinity=False))

@@ -358,6 +358,10 @@ class TestConfigParsing:
         ("classifier:\n  l2: .inf\n", ClassifyError, "l2 must be finite and at least 0, got inf"),
         ("augment:\n  technique: bt\n  languages: [es]\n  copies: 3\n", AugmentError,
          "copies_per_original must be 1 for technique bt, got 3"),
+        ("augment:\n  technique: bt\n  languages: [es, es]\n", AugmentError,
+         "language code 'es' is listed twice"),
+        ("augment:\n  technique: bt\n  languages: ['e,s']\n", AugmentError,
+         "language code 'e,s' must be ASCII letters, digits, '-' or '_'"),
         # only null or absent means "default": these once loaded as no
         # augmentation, default classifiers or ExperimentConfig()
         ("augment: {}\n", ExperimentError, "augment needs a technique"),

@@ -342,3 +342,33 @@ def test_every_import_is_used():
                     if bound not in names:
                         unused.append(f"{path.stem}.{bound}")
     assert not unused, unused
+
+
+def _writes(call: ast.Call) -> bool:
+    """An `open` call whose mode is not a literal that only reads."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set("wax+") & set(mode.value))
+
+
+def test_outputs_are_written_only_through_replacing():
+    # README "File formats": an output appears whole or not at all.  So a file
+    # is opened to write only by `corpus.replacing` and by the translation
+    # cache's appends, and no whole file is written by `write_text`/`write_bytes`.
+    allowed = {"corpus.replacing", "translate.TranslationCache.put"}
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        elif isinstance(node, ast.Call) and (
+                _name_of(node.func) in ("write_text", "write_bytes")
+                or _name_of(node.func) == "open" and _writes(node) and owner not in allowed):
+            found.append(f"{owner}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted((ROOT / "src" / "augbench").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert not found, found
