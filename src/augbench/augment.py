@@ -238,11 +238,20 @@ class AugmentSpec:
                                    f"got {self.copies_per_original}")
         elif self.languages:
             raise AugmentError(f"{self.technique.value} does not take languages")
-        for i, code in enumerate(self.languages):  # each goes into doc ids and report.csv
-            if not (isinstance(code, str) and re.fullmatch(r"[A-Za-z0-9_-]+", code)):
-                raise AugmentError(f"language code {code!r} must be ASCII letters, digits, '-' or '_'")
-            if code in self.languages[:i]:
-                raise AugmentError(f"language code {code!r} is listed twice")
+        check_pivots(self.languages)
+
+
+def check_pivots(languages: Sequence) -> None:
+    """The pivot-language rule of augmentation and TTA alike: each code goes
+    into doc ids and report.csv, is not the source language 'en' (which
+    `backtranslate` refuses) and is listed once; AugmentError otherwise."""
+    for i, code in enumerate(languages):
+        if not (isinstance(code, str) and re.fullmatch(r"[A-Za-z0-9_-]+", code)):
+            raise AugmentError(f"language code {code!r} must be ASCII letters, digits, '-' or '_'")
+        if code == "en":
+            raise AugmentError("pivot language must differ from 'en'")
+        if code in languages[:i]:
+            raise AugmentError(f"language code {code!r} is listed twice")
 
 
 def _member(enum, value, name: str):

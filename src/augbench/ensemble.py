@@ -11,8 +11,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .augment import check_pivots
 from .classify import PredictionTable
-from .corpus import Corpus, replacing
+from .corpus import Document, replacing
 from . import translate as _translate
 
 log = logging.getLogger(__name__)
@@ -84,29 +85,27 @@ class CalibrationReport:
 
 
 def tta_generate(
-    corpus: Corpus,
+    originals: Sequence[Document],
     languages: Sequence[str],
     provider,
     cache: Optional[_translate.TranslationCache] = None,
-) -> dict[tuple[str, str], str]:
-    """Round-trip text of each (Test/Valid original id, language) pair, in corpus
-    then language order; a pair whose round trip failed is left out."""
+) -> list[list[str]]:
+    """Each original's round-trip texts, in language order.  Where a round trip
+    failed, the original's own text stands in, so that variant takes its
+    parent's prediction."""
     if not languages:
         raise EnsembleError("tta_generate needs a nonempty language list")
-    variants: dict[tuple[str, str], str] = {}
+    check_pivots(languages)
+    variants = [[doc.text] * len(languages) for doc in originals]
     skipped = 0
-    for doc in corpus:
-        if doc.split not in ("test", "valid") or not doc.is_original:
-            continue
-        for lang in languages:
+    for doc, texts in zip(originals, variants):
+        for j, lang in enumerate(languages):
             try:
-                rec = _translate.backtranslate(doc.text, lang, provider, cache,
-                                               parent_id=doc.id)
+                texts[j] = _translate.backtranslate(doc.text, lang, provider, cache,
+                                                    parent_id=doc.id).final_text
             except _translate.TranslationError as e:
                 skipped += 1
                 log.warning("tta: skipped %s via %s: %s", doc.id, lang, e)
-                continue
-            variants[(doc.id, lang)] = rec.final_text
     if skipped:
         log.warning("tta: %d variants skipped", skipped)
     return variants

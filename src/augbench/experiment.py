@@ -302,30 +302,27 @@ def run_tta_pipeline(
     cache,
     model: LinearModel,
 ) -> TtaResult:
-    """Backtranslate test/valid docs, score each original and then its round
-    trips in one `score_texts` call, fit weights on valid, combine on test, and
-    report each source's calibration.  A skipped round trip takes its parent's
-    prediction.
+    """Backtranslate the test/valid originals, score each original and then its
+    round trips in one `score_texts` call, fit weights on valid, combine on
+    test, and report each source's calibration.
 
     Predictions of an external model are ensembled with `fit_weights` and
     `combine` directly (`augbench ensemble fit/combine/report`).
     """
-    variants = tta_generate(corpus, languages, provider, cache)
+    originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
+    valid_ids = [d.id for d in originals if d.split == "valid"]
+    test_ids = [d.id for d in originals if d.split == "test"]
+    if not valid_ids:
+        raise ExperimentError("TTA weight fitting needs a valid split")
 
     preds = PredictionTable()
-    originals = [d for d in corpus if d.is_original and d.split in ("test", "valid")]
-    for d in originals:
-        trips = [variants.get((d.id, lang), d.text) for lang in languages]
+    for d, trips in zip(originals, tta_generate(originals, languages, provider, cache)):
         scores = score_texts(model, [d.text, *trips], {})
         preds.add(d.id, "baseline", scores[d.text])
         for lang, text in zip(languages, trips):
             preds.add(d.id, f"tta:{lang}", scores[text])
 
     labels = {d.id: d.label for d in originals}
-    valid_ids = [d.id for d in originals if d.split == "valid"]
-    test_ids = [d.id for d in originals if d.split == "test"]
-    if not valid_ids:
-        raise ExperimentError("TTA weight fitting needs a valid split")
     sources = preds.sources
     weights = fit_weights(preds, {i: labels[i] for i in valid_ids})
     combined = combine(preds, weights, test_ids)
@@ -339,10 +336,5 @@ def run_tta_pipeline(
 
     preds.merge(combined)
     calibration = {s: calibration_report(preds, s, labels) for s in preds.sources}
-    return TtaResult(
-        predictions=preds,
-        weights=weights,
-        combined=combined,
-        calibration=calibration,
-        valid_losses=valid_losses,
-    )
+    return TtaResult(predictions=preds, weights=weights, combined=combined,
+                     calibration=calibration, valid_losses=valid_losses)

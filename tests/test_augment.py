@@ -335,6 +335,7 @@ class TestAugmentSpec:
         (("es\n",), "language code 'es\\n' must be ASCII letters, digits, '-' or '_'"),
         (("\u00e9s",), "language code '\u00e9s' must be ASCII letters, digits, '-' or '_'"),
         ((1,), "language code 1 must be ASCII letters, digits, '-' or '_'"),
+        (("en",), "pivot language must differ from 'en'"),
         (("es", "es"), "language code 'es' is listed twice"),
         (("fr", "es", "de", "es"), "language code 'es' is listed twice"),
     ])

@@ -13,7 +13,7 @@ from augbench.corpus import Corpus, Document
 from augbench.ensemble import (CalibrationReport, EnsembleError, SimplexWeights,
                                calibration_report, combine, fit_weights, log_loss,
                                tta_generate)
-from augbench.translate import MockProvider, TranslationCache
+from augbench.translate import MockProvider, TranslationCache, backtranslate
 
 from synth import make_review_corpus
 
@@ -423,24 +423,26 @@ class TestTtaGenerate:
     def test_variant_counts(self):
         corp = make_review_corpus(n_train=4, n_test=10)
         langs = [f"l{i}" for i in range(7)]
-        out = tta_generate(corp, langs, MockProvider(0), TranslationCache())
-        assert len(out) == 70
+        out = tta_generate(corp.split_docs("test"), langs, MockProvider(0), TranslationCache())
+        assert sum(map(len, out)) == 70
 
     def test_empty_language_list_rejected(self):
         corp = make_review_corpus(n_train=2, n_test=2)
         with pytest.raises(EnsembleError):
-            tta_generate(corp, [], MockProvider(0))
+            tta_generate(corp.split_docs("test"), [], MockProvider(0))
 
-    def test_parents_resolve_to_test_or_valid_originals(self):
+    def test_one_list_per_original_in_language_order(self):
         corp = make_review_corpus(n_train=4, n_test=6)
-        out = tta_generate(corp, ["es", "fr"], MockProvider(0), TranslationCache())
-        parents = [d.id for d in corp if d.is_original and d.split in ("test", "valid")]
-        assert list(out) == [(i, lang) for i in parents for lang in ("es", "fr")]
+        originals = corp.split_docs("test")[::-1]
+        out = tta_generate(originals, ["es", "fr"], MockProvider(0), TranslationCache())
+        assert out == [[backtranslate(d.text, lang, MockProvider(0)).final_text
+                        for lang in ("es", "fr")] for d in originals]
 
-    def test_failed_round_trips_left_out_and_warned(self, fr_down_provider, caplog):
+    def test_failed_round_trip_takes_original_text_and_warns(self, fr_down_provider, caplog):
         corp = make_review_corpus(n_train=4, n_test=6)
-        out = tta_generate(corp, ["es", "fr"], fr_down_provider, TranslationCache())
-        parents = [d.id for d in corp.split_docs("test")]
-        assert list(out) == [(i, "es") for i in parents]
+        originals = corp.split_docs("test")
+        out = tta_generate(originals, ["es", "fr"], fr_down_provider, TranslationCache())
+        assert out == [[backtranslate(d.text, "es", MockProvider(0)).final_text, d.text]
+                       for d in originals]
         skipped = [r for r in caplog.records if r.getMessage().startswith("tta: skipped")]
-        assert len(skipped) == len(parents) == 6
+        assert len(skipped) == len(originals) == 6

@@ -259,6 +259,61 @@ class TestTtaPipeline:
         assert all(w.startswith(f"tta: skipped {d} via fr: ") for w, d in zip(warnings, ids))
         assert warnings[-1] == f"tta: {len(ids)} variants skipped"
 
+    def test_scores_test_and_valid_originals_in_corpus_order(self):
+        from augbench.classify import train
+        from augbench.corpus import Document, Origin
+
+        corp = self._prepared()
+        test_id = corp.split_docs("test")[0].id
+        corp = corp.with_documents([Document(
+            "syn", "a copy", "pos", "test",
+            Origin("synthetic", technique="bt", lang="es", parent=test_id))])
+        model = train(corp, TrainConfig(bits=12, epochs=2))
+        result = run_tta_pipeline(corp, ["es"], MockProvider(0), TranslationCache(), model=model)
+        want = [d.id for d in corp if d.is_original and d.split in ("test", "valid")]
+        assert result.predictions.doc_ids("baseline") == want
+        assert result.predictions.doc_ids("tta:es") == want
+
+    def test_missing_valid_split_fails_before_translating(self):
+        from augbench.classify import train
+        corp = make_review_corpus(40, 20)
+        provider = _CountingProvider(0)
+        with pytest.raises(ExperimentError, match="needs a valid split"):
+            run_tta_pipeline(corp, ["es", "fr"], provider, TranslationCache(),
+                             model=train(corp, TrainConfig(bits=12, epochs=2)))
+        assert provider.calls == 0
+
+
+class _CountingProvider(MockProvider):
+    """MockProvider that counts its calls."""
+
+    calls = 0
+
+    def translate(self, text, source, target):
+        self.calls += 1
+        return super().translate(text, source, target)
+
+
+# Pivot lists the sweep's AugmentSpec and the TTA pipeline both refuse
+BAD_PIVOTS = [("es", "es"), ("en",), ("e,s",), ("",), (1,)]
+
+
+class TestPivotRule:
+    @pytest.mark.parametrize("languages", BAD_PIVOTS, ids=repr)
+    def test_augment_spec_refuses(self, languages):
+        with pytest.raises(AugmentError):
+            AugmentSpec(technique="bt", languages=languages)
+
+    @pytest.mark.parametrize("languages", BAD_PIVOTS, ids=repr)
+    def test_tta_refuses_before_translating(self, languages):
+        from augbench.classify import train
+        corp = carve_validation(make_review_corpus(40, 20), 0.2, seed=0)
+        provider = _CountingProvider(0)
+        with pytest.raises(AugmentError):
+            run_tta_pipeline(corp, languages, provider, TranslationCache(),
+                             model=train(corp, TrainConfig(bits=12, epochs=2)))
+        assert provider.calls == 0
+
 
 class TestConfigParsing:
     def test_from_yaml(self, tmp_path):
@@ -362,6 +417,9 @@ class TestConfigParsing:
          "language code 'es' is listed twice"),
         ("augment:\n  technique: bt\n  languages: ['e,s']\n", AugmentError,
          "language code 'e,s' must be ASCII letters, digits, '-' or '_'"),
+        # every round trip through English is refused, so every run would fail
+        ("augment:\n  technique: bt\n  languages: [en]\n", AugmentError,
+         "pivot language must differ from 'en'"),
         # only null or absent means "default": these once loaded as no
         # augmentation, default classifiers or ExperimentConfig()
         ("augment: {}\n", ExperimentError, "augment needs a technique"),
