@@ -244,7 +244,10 @@ class AugmentSpec:
 def check_pivots(languages: Sequence) -> None:
     """The pivot-language rule of augmentation and TTA alike: each code goes
     into doc ids and report.csv, is not the source language 'en' (which
-    `backtranslate` refuses) and is listed once; AugmentError otherwise."""
+    `backtranslate` refuses) and is listed once; AugmentError otherwise.  A
+    bare string is refused too, since it would iterate as one-letter codes."""
+    if isinstance(languages, str):
+        raise AugmentError(f"languages must be a list of codes, not the string {languages!r}")
     for i, code in enumerate(languages):
         if not (isinstance(code, str) and re.fullmatch(r"[A-Za-z0-9_-]+", code)):
             raise AugmentError(f"language code {code!r} must be ASCII letters, digits, '-' or '_'")

@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import logging
+import os
+import pickle
+import signal
 import statistics
 import time
+import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -215,13 +221,11 @@ def run_single(
     config: ExperimentConfig,
     provider,
     cache,
-    test_rows: Mapping[str, FeatureRow],
-) -> ReportRow:
-    """Train and evaluate one (N, seed) run of `config.augment` on a prepared subsample.
-
-    `test_rows` are feature rows of the test split keyed by text, built once
-    per sweep with the classifier's bits and shared by its runs.
-    """
+) -> tuple[Corpus, str]:
+    """Prepare one (N, seed) run of `config.augment` from its subsample: the
+    training corpus, validation carved and augmented, and the subsample's short
+    hash.  Every translation and cache write of a sweep happens here, in the
+    sweep's own process; `_score` trains and scores the result."""
     # Imported per call: perfbench/child.py replaces augment.augment_dataset on the module.
     from .augment import augment_dataset
 
@@ -241,19 +245,111 @@ def run_single(
             doc_id, reason = result.skipped[0]
             raise ExperimentError(f"augmentation skipped all {len(result.skipped)} "
                                   f"attempts and generated nothing; first {doc_id}: {reason}")
+    return prepared, sub_hash
 
+
+def _score(prepared: Corpus, n: int, seed: int, config: ExperimentConfig, sub_hash: str,
+           test_rows: Mapping[str, FeatureRow]) -> ReportRow:
+    """Train on a prepared run and evaluate it on the test split: the run's report row.
+
+    `test_rows` are feature rows of the test split keyed by text, built once
+    per sweep with the classifier's bits and shared by its runs.
+    """
     clf_config = dataclasses.replace(config.classifier, seed=derive_seed(config.classifier.seed, "train", seed))
     model = train(prepared, clf_config)
     preds = predict_corpus(model, prepared, "baseline", splits=("test",), rows=test_rows)
     labels = {d.id: d.label for d in prepared.split_docs("test")}
     rep = calibration_report(preds, "baseline", labels)
-    technique, langs, k = _arm_fields(spec)
+    technique, langs, k = _arm_fields(config.augment)
     return ReportRow(
         n=n, technique=technique, languages=langs, k=k, seed=str(seed),
         subsample=sub_hash,
         accuracy=rep.accuracy, error=1.0 - rep.accuracy,
         frac_confident=rep.frac_confident, pred_std=rep.pred_std,
     )
+
+
+# the errors that fail one run of a sweep and let the others go ahead
+_RUN_ERRORS = (ClassifyError, CorpusError, ExperimentError, _translate.TranslationError)
+
+
+def _workers(runs: int) -> int:
+    """How many runs train and score at once: the usable CPUs, at most `runs` and 4."""
+    if not hasattr(os, "sched_getaffinity"):  # macOS, Windows: train in-process
+        return 1
+    return min(len(os.sched_getaffinity(0)), runs, 4)
+
+
+def _outcome(step) -> tuple:
+    """`step()` as ("row", its ReportRow, seconds) or, on a run error,
+    ("failed", the message, seconds); any other exception propagates."""
+    t0 = time.monotonic()
+    try:
+        return "row", step(), time.monotonic() - t0
+    except _RUN_ERRORS as e:
+        return "failed", str(e), time.monotonic() - t0
+
+
+class _Worker:
+    """`step()` run in a forked child, which sends its `_outcome` back over a
+    pipe, or ("raised", the traceback, seconds) for any other exception, and
+    leaves through `os._exit` on every path: no atexit handler runs and no
+    inherited buffer or file is flushed.  Fork shares the prepared corpus and
+    the test rows with the child without pickling them."""
+
+    def __init__(self, step):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                t0 = time.monotonic()
+                try:
+                    outcome = _outcome(step)
+                except Exception:
+                    outcome = "raised", traceback.format_exc(), time.monotonic() - t0
+                data = pickle.dumps(outcome)
+                while data:
+                    data = data[os.write(write, data):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.fd = read
+
+    def result(self) -> tuple:
+        """Wait for the child's outcome and reap the child, also when
+        interrupted; a child that ended without one fails its run, naming its
+        signal or exit status."""
+        try:
+            with open(self.fd, "rb") as fh:
+                data = fh.read()
+        except BaseException:
+            os.kill(self.pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(self.pid, 0)
+        if data:
+            return pickle.loads(data)
+        if os.WIFSIGNALED(status):
+            sig = os.WTERMSIG(status)
+            why = {s.value: s.name for s in signal.Signals}.get(sig, f"signal {sig}")
+        else:
+            why = f"exit status {os.WEXITSTATUS(status)}"
+        return "failed", f"the run's worker ended without a result ({why})", 0.0
+
+    def stop(self) -> None:
+        """Kill the child, reap it and close the pipe; for a worker whose
+        `result` was never taken."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self.fd)
 
 
 def run_low_resource_sweep(
@@ -264,25 +360,67 @@ def run_low_resource_sweep(
 ) -> ExperimentReport:
     """The paper protocol: subsample, optionally augment, train, test; median over
     seeds.  A failed run is recorded in the report's failures, not raised; an
-    augmentation that skipped every attempt and generated nothing fails its run."""
+    augmentation that skipped every attempt and generated nothing fails its run.
+
+    Runs are prepared (`run_single`) one after another in this process.  With
+    more than one usable CPU, each run's training and scoring (`_score`) goes
+    to a forked child while the next run is prepared; up to `_workers` children
+    run at once, and their results are taken in run order, so the report is
+    the same as from one process.  A run's seconds are its own subsample,
+    augment, train and score time, without any wait for a free worker.  A
+    child that dies fails its run; an exception other than a run error ends
+    the sweep with a RuntimeError naming the run.  Every child is reaped before
+    this returns or raises."""
     test_docs = corpus.split_docs("test")
     if not test_docs:
         raise ExperimentError("the corpus has no test documents to evaluate on")
     report = ExperimentReport()
     bits = config.classifier.bits
     test_rows = {t: feature_row(t, bits) for t in dict.fromkeys(d.text for d in test_docs)}
-    for n in config.train_sizes:
-        for seed in config.seeds:
+    runs = [(n, seed) for n in config.train_sizes for seed in config.seeds]
+    workers = _workers(len(runs))
+    # (tag, parent seconds, the run's outcome or its _Worker), in run order
+    pending: deque[tuple[str, float, tuple | _Worker]] = deque()
+
+    def settle(room: int) -> None:
+        """Record runs from the front of `pending`: each finished one, and each
+        worker while more than `room` workers are outstanding."""
+        while pending and (not isinstance(pending[0][2], _Worker)
+                           or sum(isinstance(job, _Worker) for _, _, job in pending) > room):
+            tag, secs, job = pending.popleft()
+            kind, value, step_s = job.result() if isinstance(job, _Worker) else job
+            if kind == "raised":
+                raise RuntimeError(f"run {tag} raised in its worker:\n{value}")
+            if kind == "row":
+                report.rows.append(value)
+            else:
+                log.error("run %s failed: %s", tag, value)
+                report.failures.append((tag, value))
+            report.timings.append((tag, secs + step_s))
+
+    try:
+        for n, seed in runs:
             tag = f"n={n},seed={seed}"
             t0 = time.monotonic()
             try:
                 sub = subsample_balanced(corpus, n, seed)
-                report.rows.append(run_single(sub, n, seed, config, provider, cache, test_rows))
-            except (ClassifyError, CorpusError, ExperimentError,
-                    _translate.TranslationError) as e:
-                log.error("run %s failed: %s", tag, e)
-                report.failures.append((tag, str(e)))
-            report.timings.append((tag, time.monotonic() - t0))
+                prepared, sub_hash = run_single(sub, n, seed, config, provider, cache)
+            except _RUN_ERRORS as e:
+                pending.append((tag, time.monotonic() - t0, ("failed", str(e), 0.0)))
+            else:
+                step = functools.partial(_score, prepared, n, seed, config, sub_hash, test_rows)
+                secs = time.monotonic() - t0
+                if workers == 1:
+                    pending.append((tag, secs, _outcome(step)))
+                else:
+                    settle(workers - 1)
+                    pending.append((tag, secs, _Worker(step)))
+            settle(workers)
+        settle(0)
+    finally:
+        for _, _, job in pending:
+            if isinstance(job, _Worker):
+                job.stop()
     return report
 
 

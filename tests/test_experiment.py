@@ -1,13 +1,17 @@
 import hashlib
 import logging
+import os
+import signal
 import statistics
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augbench.augment import AugmentError, AugmentSpec
-from augbench.classify import ClassifyError, TrainConfig
+from augbench import experiment
+from augbench.augment import AugmentError, AugmentSpec, derive_seed
+from augbench.classify import ClassifyError, TrainConfig, train
 from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
                                  ReportRow, run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import carve_validation
@@ -130,6 +134,102 @@ class TestLanguageStudy:
         study.write_csv(tmp_path / "report.csv")
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
         assert digest == STUDY_REPORT_SHA256
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Force how many forked workers the sweep uses; afterwards, no child of
+    this process may be left, running or unreaped."""
+    def force(count: int) -> None:
+        monkeypatch.setattr(experiment, "_workers", lambda runs: count)
+    yield force
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepWithForcedWorkers(TestLowResourceSweep, TestLanguageStudy):
+    """The sweep's tests again, in-process and with each run trained and scored
+    in one of two forked workers, whatever CPUs the host has: the same rows,
+    failures and timing tags in run order, and the same digest."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["in-process", "two-workers"])
+    def forced(self, request, workers):
+        workers(request.param)
+
+
+def _on_seed_1(action):
+    """A `train` that does `action()` first on the run with seed 1."""
+    def train_or_act(corpus, config):
+        if config.seed == derive_seed(TrainConfig().seed, "train", 1):
+            action()
+        return train(corpus, config)
+    return train_or_act
+
+
+class TestWorkerPool:
+    def test_report_and_cache_match_one_worker(self, micro_corpus, tmp_path, workers):
+        cfg = _fast_config(train_sizes=[10, 20],
+                           augment=AugmentSpec(technique="bt", languages=("es", "fr")))
+        for count in (1, 2):
+            workers(count)
+            with TranslationCache(tmp_path / f"cache{count}.jsonl") as cache:
+                report = run_low_resource_sweep(cfg, micro_corpus, provider=MockProvider(0),
+                                                cache=cache)
+            assert len(report.rows) == 6, report.failures
+            report.write_csv(tmp_path / f"report{count}.csv")
+        for name in ("report", "cache"):
+            suffix = ".csv" if name == "report" else ".jsonl"
+            one, two = (tmp_path / f"{name}{count}{suffix}" for count in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), name
+
+    def test_killed_worker_fails_only_its_run(self, monkeypatch, workers):
+        workers(2)
+        monkeypatch.setattr(experiment, "train",
+                            _on_seed_1(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        report = run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))
+        assert [r.seed for r in report.rows] == ["0", "2"]
+        assert [tag for tag, _ in report.failures] == ["n=20,seed=1"]
+        assert "SIGKILL" in report.failures[0][1]
+        assert [tag for tag, _ in report.timings] == [f"n=20,seed={s}" for s in (0, 1, 2)]
+
+    def test_unexpected_error_ends_the_sweep_naming_the_run(self, monkeypatch, workers):
+        def boom():
+            raise RuntimeError("boom")
+
+        workers(2)
+        monkeypatch.setattr(experiment, "train", _on_seed_1(boom))
+        with pytest.raises(RuntimeError, match=r"(?s)run n=20,seed=1 .*RuntimeError: boom"):
+            run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))
+
+    def test_interrupt_kills_and_reaps_every_worker(self, monkeypatch, workers):
+        workers(2)
+        monkeypatch.setattr(experiment, "train", lambda corpus, config: time.sleep(60))
+        prepare, calls = experiment.run_single, []
+
+        def interrupted_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return prepare(*args)
+
+        monkeypatch.setattr(experiment, "run_single", interrupted_third)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))
+        assert time.monotonic() - t0 < 30
+
+    def test_run_seconds_are_its_own_not_its_wait_for_a_worker(self, monkeypatch, workers):
+        # three runs in two workers: the third is prepared while the first two
+        # train, and waits for the first before its own worker starts
+        def slow_train(corpus, config):
+            time.sleep(0.5)
+            return train(corpus, config)
+
+        workers(2)
+        monkeypatch.setattr(experiment, "train", slow_train)
+        report = run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))
+        assert len(report.rows) == 3
+        assert all(0.5 <= secs < 0.8 for _, secs in report.timings), report.timings
 
 
 def _tta_digest(result, tmp_path) -> str:
@@ -295,7 +395,7 @@ class _CountingProvider(MockProvider):
 
 
 # Pivot lists the sweep's AugmentSpec and the TTA pipeline both refuse
-BAD_PIVOTS = [("es", "es"), ("en",), ("e,s",), ("",), (1,)]
+BAD_PIVOTS = [("es", "es"), ("en",), ("e,s",), ("",), (1,), "esfr"]
 
 
 class TestPivotRule:
