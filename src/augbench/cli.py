@@ -54,25 +54,25 @@ def _translation_options(command):
 def _translation(spec: _augment.AugmentSpec | None, provider: str, endpoint: str | None,
                  rps: float, max_retries: int, cache_path: str | None):
     """The translation provider and a cache pre-seeded with the paper's examples,
-    both closed on leaving; (None, None) unless `spec` backtranslates."""
+    which is closed on leaving; (None, None) unless `spec` backtranslates.  A
+    missing or bad `--endpoint` is a usage error on entering."""
     if spec is None or spec.technique is not _augment.AugTechnique.BACKTRANSLATE:
         yield None, None
         return
-    with contextlib.ExitStack() as stack:
-        if provider == "mock":
-            translator = _translate.MockProvider(seed=spec.seed)
-        elif provider == "replay":
-            translator = _translate.ReplayProvider()
-        else:
-            if not endpoint:
-                raise click.UsageError("--endpoint is required with --provider http")
-            translator = stack.enter_context(_translate.HttpProvider(
-                endpoint=endpoint,
-                api_key=os.environ.get(API_KEY_ENV),
-                rate_limit=rps,
-                max_retries=max_retries,
-            ))
-        cache = stack.enter_context(_translate.TranslationCache(cache_path))
+    if provider == "mock":
+        translator = _translate.MockProvider(seed=spec.seed)
+    elif provider == "replay":
+        translator = _translate.ReplayProvider()
+    elif not endpoint:
+        raise click.UsageError("--endpoint is required with --provider http")
+    else:
+        try:  # `--rps` and `--max-retries` are checked as they are parsed
+            translator = _translate.HttpProvider(endpoint=endpoint,
+                                                 api_key=os.environ.get(API_KEY_ENV),
+                                                 rate_limit=rps, max_retries=max_retries)
+        except ValueError as e:
+            raise click.BadParameter(str(e), param_hint="--endpoint") from e
+    with _translate.TranslationCache(cache_path) as cache:
         cache.load(_translate.paper_cache_path())
         yield translator, cache
 
@@ -133,10 +133,10 @@ def augment(config_path, thesaurus_path, stopwords_path, provider, endpoint, rps
         raise click.BadParameter(f"{config_path}: no augment: section", param_hint="--config")
     if stopwords_path:
         spec.stopwords = _augment.read_stopwords(stopwords_path)
-    corp = _corpus.ingest_jsonl(in_path)
-    thesaurus = _augment.Thesaurus.from_tsv(thesaurus_path) if thesaurus_path else None
     with _translation(spec, provider, endpoint, rps, max_retries,
                       cache_path) as (translator, cache):
+        corp = _corpus.ingest_jsonl(in_path)
+        thesaurus = _augment.Thesaurus.from_tsv(thesaurus_path) if thesaurus_path else None
         run = _augment.augment_dataset(corp, spec, thesaurus=thesaurus,
                                        translator=translator, cache=cache)
     _corpus.export_jsonl(run.corpus, out_path)
@@ -327,9 +327,9 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     Exits with status 1, after writing the report, if any run failed.
     """
     config = _run_config(config_path)
-    corp = _corpus.ingest_jsonl(in_path)
     with _translation(config.augment, provider, endpoint, rps, max_retries,
                       cache_path) as (translator, cache):
+        corp = _corpus.ingest_jsonl(in_path)
         report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
                                                     cache=cache)
     out = Path(out_dir)

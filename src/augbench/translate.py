@@ -8,16 +8,15 @@ import logging
 import math
 import os
 import random
+import re
 import time
+import urllib.parse
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Optional, Protocol
 
 from .augment import _DATA_DIR, bundled_thesaurus, derive_seed
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -250,15 +249,15 @@ _TIMEOUT = 30.0      # seconds per request
 class HttpProvider:
     """JSON-over-HTTP translation client with token-bucket rate limiting and retries.
 
-    Request body: {"q": text, "source": src, "target": tgt} (+ "api_key" when set).
-    Expected response: {"translatedText": "..."}.  Retries timeouts (30 s per
-    request), connection errors, 408, 429 and 5xx with backoff doubling from
-    0.5 s, waiting at least a response's Retry-After seconds (both capped at
-    30 s); other 4xx fail immediately.  `max_retries` counts attempts in all
-    and must be at least 1.  `close` (or leaving the provider as a
-    context manager) closes the session if the provider created it, not one
-    passed in.
-    `requests` is imported only when a provider is built.
+    POSTs {"q": text, "source": src, "target": tgt} (+ "api_key" when set) as
+    application/json to an http:// or https:// `endpoint`; expects
+    {"translatedText": "..."}.  Retries timeouts (30 s per request), connection
+    errors, 408, 429 and 5xx with backoff doubling from 0.5 s, waiting at least
+    a response's Retry-After seconds (both capped at 30 s); other statuses fail
+    at once.  `max_retries` counts attempts in all and must be at least 1.  Each
+    request opens and closes its own connection, so there is nothing to close;
+    HTTPS verifies against the system CA store.  `urllib.request` is imported
+    only when a request is made.
     """
 
     def __init__(
@@ -267,11 +266,16 @@ class HttpProvider:
         api_key: Optional[str] = None,
         rate_limit: float = 10.0,
         max_retries: int = 3,
-        session: Optional[requests.Session] = None,
         sleep=time.sleep,
     ):
-        import requests
-
+        try:  # reading a port that is not a number below 65536 raises ValueError
+            url = urllib.parse.urlsplit(endpoint)
+            ok = url.scheme in ("http", "https") and url.hostname and url.port != 0
+        except ValueError:
+            ok = False
+        if not (ok and re.fullmatch(r"[!-~]+", endpoint)):  # a space breaks the request line
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a host, "
+                             f"in printable ASCII without spaces, got {endpoint!r}")
         if max_retries < 1:
             raise ValueError("max_retries must be at least 1")
         self.endpoint = endpoint
@@ -280,41 +284,36 @@ class HttpProvider:
         self.max_retries = max_retries
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit, sleep=sleep)
-        self._own_session = session is None
-        self._session = requests.Session() if session is None else session
-
-    def close(self) -> None:
-        """Close the session if this provider created it."""
-        if self._own_session:
-            self._session.close()
-
-    def __enter__(self) -> "HttpProvider":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _backoff(self, attempt: int) -> float:
         return min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** attempt))
 
     def translate(self, text: str, source: str, target: str) -> str:
-        import requests
+        import urllib.request
+        from http.client import HTTPException
+        from urllib.error import HTTPError, URLError
 
         body = {"q": text, "source": source, "target": target}
         if self.api_key:
             body["api_key"] = self.api_key
+        request = urllib.request.Request(self.endpoint, data=json.dumps(body).encode("utf-8"),
+                                         headers={"Content-Type": "application/json"})
         last_err: Optional[str] = None
         for attempt in range(self.max_retries):
             self._bucket.acquire()
             try:
-                resp = self._session.post(self.endpoint, json=body, timeout=_TIMEOUT)
-            except (requests.Timeout, requests.ConnectionError) as e:
+                with urllib.request.urlopen(request, timeout=_TIMEOUT) as resp:
+                    status, headers, payload = resp.status, resp.headers, resp.read()
+            except HTTPError as e:  # a status outside 2xx, after any redirect
+                with e:  # it holds the connection open
+                    status, headers, payload = e.code, e.headers, b""
+            except (URLError, TimeoutError, ConnectionError, HTTPException) as e:
                 last_err = str(e)
                 self._sleep(self._backoff(attempt))
                 continue
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    translated = resp.json()["translatedText"]
+                    translated = json.loads(payload)["translatedText"]
                 except (ValueError, KeyError, TypeError) as e:
                     raise PermanentTranslationError(
                         f"malformed response from {self.endpoint}: {e}"
@@ -324,16 +323,14 @@ class HttpProvider:
                         f"malformed response from {self.endpoint}: translatedText "
                         f"is {translated!r}, not a string")
                 return translated
-            if resp.status_code in _RETRYABLE_STATUS or resp.status_code >= 500:
-                last_err = f"HTTP {resp.status_code}"
+            if status in _RETRYABLE_STATUS or status >= 500:
+                last_err = f"HTTP {status}"
                 # an HTTP-date Retry-After is not read
-                retry_after = resp.headers.get("Retry-After", "").strip()
+                retry_after = headers.get("Retry-After", "").strip()
                 wait = int(retry_after) if retry_after.isdecimal() else 0
                 self._sleep(min(_BACKOFF_CAP, max(self._backoff(attempt), wait)))
                 continue
-            raise PermanentTranslationError(
-                f"HTTP {resp.status_code} from {self.endpoint}"
-            )
+            raise PermanentTranslationError(f"HTTP {status} from {self.endpoint}")
         raise TransientTranslationError(
             f"gave up after {self.max_retries} attempts: {last_err}"
         )

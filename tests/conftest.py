@@ -1,3 +1,7 @@
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 from hypothesis import settings
 
@@ -57,3 +61,51 @@ class _PivotDownProvider(MockProvider):
 @pytest.fixture
 def fr_down_provider():
     return _PivotDownProvider(0)
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    # class-level script of replies to serve, then 200s with "q" upper-cased: a
+    # status code, a (status, headers) pair, a JSON object to serve with 200, or
+    # raw bytes to send in place of a response
+    script = []
+    requests_seen = 0
+    posted = []  # the Content-Type and the decoded JSON body of every request
+
+    def do_POST(self):
+        cls = type(self)
+        cls.requests_seen += 1
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        cls.posted.append((self.headers["Content-Type"], body))
+        reply = cls.script.pop(0) if cls.script else {"translatedText": body["q"].upper()}
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            return
+        if isinstance(reply, dict):
+            payload = json.dumps(reply).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+            return
+        status, headers = reply if isinstance(reply, tuple) else (reply, {})
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    """A translation endpoint on localhost: its URL and its handler class."""
+    handler = type("Handler", (_StubHandler,), {"script": [], "requests_seen": 0, "posted": []})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/translate", handler
+    server.shutdown()
+    server.server_close()

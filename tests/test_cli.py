@@ -1,7 +1,6 @@
 import gc
 import json
 import warnings
-from unittest import mock
 
 import pytest
 import numpy as np
@@ -153,24 +152,33 @@ class TestAugmentCommand:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_http_provider_session_closed(self, runner, corpus_file, tmp_path):
-        def echo(url, json, timeout):
-            return mock.Mock(status_code=200, json=lambda: {"translatedText": json["q"]})
-
+    @pytest.mark.parametrize("api_key", [None, "s3cret"])
+    def test_http_provider_posts_each_leg_and_leaves_no_socket_open(
+            self, runner, corpus_file, tmp_path, stub_server, monkeypatch, api_key):
+        url, handler = stub_server
+        if api_key is None:
+            monkeypatch.delenv("AUGBENCH_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("AUGBENCH_API_KEY", api_key)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("train_sizes: [10]\nseeds: [0]\nclassifier: {bits: 10, epochs: 1}\n"
                        "augment: {technique: bt, languages: [fr]}\n", encoding="utf-8")
         aug = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")
-        http = ["--provider", "http", "--endpoint", "http://127.0.0.1:1/translate",
-                "--rps", "1e9", "--in", str(corpus_file)]
-        with mock.patch("requests.Session") as session_cls:
-            session_cls.return_value.post.side_effect = echo
+        http = ["--provider", "http", "--endpoint", url, "--rps", "1e9", "--in", str(corpus_file)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             _invoke(runner, ["augment", "--config", str(aug), *http,
                              "--out", str(tmp_path / "bt.jsonl")])
-            assert session_cls.return_value.close.call_count == 1
             _invoke(runner, ["run", "--config", str(cfg), *http,
                              "--out-dir", str(tmp_path / "out")])
-            assert session_cls.return_value.close.call_count == 2
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        legs = {(body["source"], body["target"]) for _, body in handler.posted}
+        assert legs == {("en", "es"), ("es", "en"), ("en", "fr"), ("fr", "en")}
+        assert {ctype for ctype, _ in handler.posted} == {"application/json"}
+        fields = {"q", "source", "target"} | ({"api_key"} if api_key else set())
+        assert all(body.keys() == fields and body.get("api_key") == api_key
+                   for _, body in handler.posted)
 
     @pytest.mark.parametrize("section, spec", [
         ("{technique: rs, alpha: 0.2, seed: 3}", dict(technique="rs", alpha=0.2, seed=3)),
@@ -210,14 +218,30 @@ class TestAugmentCommand:
                      "augment: {technique: bt, languages: [es]}\n")
         out = ["--out", str(tmp_path / "bt.jsonl")] if command == "augment" else [
             "--out-dir", str(tmp_path / "out")]
-        with mock.patch("requests.Session") as session_cls:
-            result = runner.invoke(main, [command, "--config", str(cfg), "--provider", "http",
-                                          "--endpoint", "http://127.0.0.1:1/translate",
-                                          option, value, "--in", str(corpus_file), *out])
+        result = runner.invoke(main, [command, "--config", str(cfg), "--provider", "http",
+                                      "--endpoint", "http://127.0.0.1:1/translate",
+                                      option, value, "--in", str(corpus_file), *out])
         assert result.exit_code == 2, result.output
         assert f"Invalid value for '{option}'" in result.output
-        session_cls.assert_not_called()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "corpus.jsonl"]
+
+    @pytest.mark.parametrize("command", ["augment", "run"])
+    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/translate",
+                                          "file://localhost/translate",
+                                          "htp://127.0.0.1/translate",
+                                          "localhost:5000/translate", "http://"])
+    def test_bad_endpoint_is_usage_error(self, runner, tmp_path, command, endpoint):
+        cfg = _write(tmp_path / "cfg.yaml", "train_sizes: [10]\nseeds: [0]\n"
+                     "augment: {technique: bt, languages: [es]}\n")
+        out = ["--out", str(tmp_path / "bt.jsonl")] if command == "augment" else [
+            "--out-dir", str(tmp_path / "out")]
+        # `--in` names the YAML, which fails as a corpus: the endpoint is refused first
+        result = runner.invoke(main, [command, "--config", str(cfg), "--provider", "http",
+                                      "--endpoint", endpoint, "--cache",
+                                      str(tmp_path / "cache.jsonl"), "--in", str(cfg), *out])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for --endpoint: endpoint must be" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
     def test_config_without_augment_section_is_usage_error(self, runner, corpus_file,
                                                            tmp_path):

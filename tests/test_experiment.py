@@ -23,6 +23,9 @@ from synth import TABLE2_LANGUAGES, make_review_corpus
 # were rewritten; they pin report rows, prediction order and every TTA output.
 STUDY_REPORT_SHA256 = "eff17ca26f091bd3a781cc908c7efd7196b1e356c77c49d86ea769ca0f83c4a9"
 TTA_MODEL_SHA256 = "8e464b374efd859e7c59001d08676884ccb09dd29966ca2b34ae9cc5ae3b0bc5"
+# The cache file of a small backtranslation sweep, recorded with one worker:
+# the sweep translates and appends in run order, however many workers train.
+SWEEP_CACHE_SHA256 = "6c63832357400b04f1ade2057b4a11a57de6300f88544dd85b4a44caffadc7d9"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -181,6 +184,19 @@ class TestWorkerPool:
             suffix = ".csv" if name == "report" else ".jsonl"
             one, two = (tmp_path / f"{name}{count}{suffix}" for count in (1, 2))
             assert one.read_bytes() == two.read_bytes(), name
+
+    def test_cache_matches_recorded_digest(self, tmp_path, workers):
+        cfg = ExperimentConfig(train_sizes=[10, 20], seeds=[0, 1],
+                               classifier=TrainConfig(bits=10),
+                               augment=AugmentSpec(technique="bt", languages=("es", "fr")))
+        corp = make_review_corpus(60, 20)
+        for count in (1, 2):
+            workers(count)
+            path = tmp_path / f"cache{count}.jsonl"
+            with TranslationCache(path) as cache:
+                report = run_low_resource_sweep(cfg, corp, provider=MockProvider(0), cache=cache)
+            assert len(report.rows) == 4, report.failures
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CACHE_SHA256, count
 
     def test_killed_worker_fails_only_its_run(self, monkeypatch, workers):
         workers(2)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,25 +207,42 @@ def test_benchmark_inputs_match_recorded_digests(tmp_path):
     assert json.loads(result.stdout) == golden["tta-analyze"]["0"]["inputs"]
 
 
-# scipy and requests together took most of the time `import augbench` takes,
-# which every CLI call and benchmark child pays; only an HTTP translation
-# provider needs requests, and nothing at run time needs scipy.
+# `import augbench` runs in every CLI call and benchmark child, so it loads
+# neither scipy, which nothing at run time needs, nor urllib.request, which
+# only an HTTP translation needs and imports when it makes a request.  No
+# module imports requests, and no dependency names it.
 _IMPORTS = """
 import importlib, pkgutil, sys
 import augbench, augbench.cli
 for info in pkgutil.iter_modules(augbench.__path__):
     importlib.import_module("augbench." + info.name)
-heavy = sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "requests"})
+heavy = sorted({"scipy", "urllib.request"} & set(sys.modules))
 assert not heavy, heavy
-from augbench.translate import HttpProvider
-with HttpProvider("http://127.0.0.1:1/translate"):
-    assert "requests" in sys.modules
+from augbench.translate import HttpProvider, TranslationError
+try:
+    HttpProvider("http://127.0.0.1:1/translate", max_retries=1,
+                 sleep=lambda s: None).translate("hi", "en", "es")
+except TranslationError:
+    pass
+assert "urllib.request" in sys.modules
 """
 
 
 def test_import_loads_neither_scipy_nor_requests():
     result = _run_with_perfbench(_IMPORTS)
     assert result.returncode == 0, result.stderr
+    imported = set()
+    for path in (ROOT / "src" / "augbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported and "requests" not in imported  # the walk finds imports
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert "numpy" in dependencies
+    assert not [d for d in dependencies if d.lower().startswith("requests")], dependencies
 
 
 # Every setting has a caller that sets it to a second value or reads it.  These
@@ -233,7 +251,7 @@ def test_import_loads_neither_scipy_nor_requests():
 # lambdas, and annotated fields of @dataclass classes.  Raising a ceiling needs
 # a CHANGES.md line naming the setting and the two non-test callers that need
 # different values.
-SETTABLE_CEILINGS = {"click options": 41, "defaulted parameters": 33,
+SETTABLE_CEILINGS = {"click options": 41, "defaulted parameters": 32,
                      "dataclass fields": 63}
 
 

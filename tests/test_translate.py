@@ -5,11 +5,8 @@ import random
 import signal
 import subprocess
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -448,65 +445,27 @@ def test_mock_translate_equals_reference_on_both_legs(text, seed):
             p, forward, lang, "en")
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    # class-level script: status codes or (status, headers) to serve, then 200s
-    script = []
-    requests_seen = 0
-
-    def do_POST(self):
-        cls = type(self)
-        cls.requests_seen += 1
-        status = cls.script.pop(0) if cls.script else 200
-        status, headers = status if isinstance(status, tuple) else (status, {})
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if status == 200:
-            payload = json.dumps({"translatedText": body["q"].upper()}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        else:
-            self.send_response(status)
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    handler = type("Handler", (_StubHandler,), {"script": [], "requests_seen": 0})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/translate", handler
-    server.shutdown()
-    server.server_close()
-
-
 class TestHttpProvider:
     def test_success(self, stub_server):
         url, handler = stub_server
-        with HttpProvider(url, rate_limit=1000) as p:
-            assert p.translate("hola", "es", "en") == "HOLA"
+        p = HttpProvider(url, rate_limit=1000)
+        assert p.translate("hola", "es", "en") == "HOLA"
+        assert handler.posted == [("application/json",
+                                   {"q": "hola", "source": "es", "target": "en"})]
 
     def test_429_then_200_retries(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [429]
-        with HttpProvider(url, rate_limit=1000, sleep=lambda s: None) as p:
-            assert p.translate("hi", "en", "es") == "HI"
+        p = HttpProvider(url, rate_limit=1000, sleep=lambda s: None)
+        assert p.translate("hi", "en", "es") == "HI"
         assert handler.requests_seen == 2
 
     def test_408_retries(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [408]
         waits = []
-        with HttpProvider(url, rate_limit=1e9, sleep=waits.append) as p:
-            assert p.translate("hi", "en", "es") == "HI"
+        p = HttpProvider(url, rate_limit=1e9, sleep=waits.append)
+        assert p.translate("hi", "en", "es") == "HI"
         assert handler.requests_seen == 2
         assert waits == [0.5]
 
@@ -516,60 +475,65 @@ class TestHttpProvider:
                              (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
                              (408, {"Retry-After": "1"})]
         waits = []
-        with HttpProvider(url, rate_limit=1e9, max_retries=5, sleep=waits.append) as p:
-            assert p.translate("hi", "en", "es") == "HI"
+        p = HttpProvider(url, rate_limit=1e9, max_retries=5, sleep=waits.append)
+        assert p.translate("hi", "en", "es") == "HI"
         # backoffs 0.5, 1, 2, 4; an HTTP-date Retry-After is not read
         assert waits == [7, 30.0, 2.0, 4.0]
 
     def test_401_fails_after_one_attempt(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [401]
-        with HttpProvider(url, rate_limit=1000) as p:
-            with pytest.raises(PermanentTranslationError, match="401"):
-                p.translate("hi", "en", "es")
+        p = HttpProvider(url, rate_limit=1000)
+        with pytest.raises(PermanentTranslationError, match="401"):
+            p.translate("hi", "en", "es")
         assert handler.requests_seen == 1
 
     def test_5xx_exhausts_retries(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [500, 500, 500]
-        with HttpProvider(url, rate_limit=1000, max_retries=3, sleep=lambda s: None) as p:
-            with pytest.raises(TransientTranslationError):
-                p.translate("hi", "en", "es")
+        p = HttpProvider(url, rate_limit=1000, max_retries=3, sleep=lambda s: None)
+        with pytest.raises(TransientTranslationError):
+            p.translate("hi", "en", "es")
         assert handler.requests_seen == 3
+
+    def test_reply_that_is_not_http_retried(self, stub_server):
+        url, handler = stub_server
+        handler.script[:] = [b"garbage\r\n"]
+        waits = []
+        p = HttpProvider(url, rate_limit=1e9, sleep=waits.append)
+        assert p.translate("hi", "en", "es") == "HI"
+        assert handler.requests_seen == 2
+        assert waits == [0.5]
+
+    def test_refused_connection_retried(self):
+        waits = []
+        p = HttpProvider("http://127.0.0.1:1/translate", rate_limit=1e9, max_retries=2,
+                         sleep=waits.append)
+        with pytest.raises(TransientTranslationError, match="gave up after 2 attempts"):
+            p.translate("hi", "en", "es")
+        assert waits == [0.5, 1.0]
 
     def test_rate_limit_enforced(self, stub_server):
         # 20 requests at 5/s with burst 1 needs >= 19/5 = 3.8 s
         url, handler = stub_server
-        with HttpProvider(url, rate_limit=5.0) as p:
-            t0 = time.monotonic()
-            for i in range(20):
-                p.translate(f"m{i}", "en", "es")
-            assert time.monotonic() - t0 >= 3.0
-
-    def test_closes_only_its_own_session(self):
-        with mock.patch("requests.Session") as session_cls:
-            with HttpProvider("http://127.0.0.1:1/translate"):
-                pass
-            session_cls.return_value.close.assert_called_once_with()
-        shared = mock.Mock()
-        with HttpProvider("http://127.0.0.1:1/translate", session=shared):
-            pass
-        shared.close.assert_not_called()
+        p = HttpProvider(url, rate_limit=5.0)
+        t0 = time.monotonic()
+        for i in range(20):
+            p.translate(f"m{i}", "en", "es")
+        assert time.monotonic() - t0 >= 3.0
 
     @pytest.mark.parametrize("value", [None, 5, ["x"]])
-    def test_non_string_translation_skips_the_document(self, value):
-        response = mock.Mock(status_code=200)
-        response.json.return_value = {"translatedText": value}
-        session = mock.Mock()
-        session.post.return_value = response
-        with HttpProvider("http://127.0.0.1:1/translate", rate_limit=1e9,
-                          session=session) as p:
-            with pytest.raises(PermanentTranslationError, match="translatedText is"):
-                p.translate("hi", "en", "es")
-            assert session.post.call_count == 1  # not retried
-            corp = Corpus([Document(id="a", text="a good film", label="pos", split="train")])
-            run = augment_dataset(corp, AugmentSpec(technique="bt", languages=("es",)),
-                                  translator=p, cache=TranslationCache())
+    def test_non_string_translation_skips_the_document(self, stub_server, value):
+        url, handler = stub_server
+        handler.script[:] = [{"translatedText": value}]
+        p = HttpProvider(url, rate_limit=1e9)
+        with pytest.raises(PermanentTranslationError, match="translatedText is"):
+            p.translate("hi", "en", "es")
+        assert handler.requests_seen == 1  # not retried
+        handler.script[:] = [{"translatedText": value}]
+        corp = Corpus([Document(id="a", text="a good film", label="pos", split="train")])
+        run = augment_dataset(corp, AugmentSpec(technique="bt", languages=("es",)),
+                              translator=p, cache=TranslationCache())
         assert run.generated == 0
         assert [doc_id for doc_id, _ in run.skipped] == ["a"]
 
@@ -580,11 +544,27 @@ class TestHttpProvider:
         (dict(rate_limit=float("nan")), "rate must be positive and finite, got nan"),
         (dict(rate_limit=float("inf")), "rate must be positive and finite, got inf"),
     ])
-    def test_bad_settings_rejected_before_any_session(self, kwargs, message):
-        with mock.patch("requests.Session") as session_cls:
-            with pytest.raises(ValueError, match=message):
-                HttpProvider("http://127.0.0.1:1/translate", **kwargs)
-        session_cls.assert_not_called()
+    def test_bad_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            HttpProvider("http://127.0.0.1:1/translate", **kwargs)
+
+    # urllib would read a file:// or ftp:// URL as the response; a bad port, a
+    # space or a non-ASCII character would fail only in the first request
+    @pytest.mark.parametrize("endpoint", [
+        "ftp://127.0.0.1/translate", "file://localhost/translate", "htp://127.0.0.1/translate",
+        "localhost:5000/translate", "http://", "http://:8080/translate",
+        "http://127.0.0.1:port/translate", "http://127.0.0.1:65536/translate",
+        "http://[::1/translate", "http://127.0.0.1/trans late", "http://127.0.0.1/traducción",
+    ])
+    def test_endpoint_urllib_cannot_post_to_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint must be an http:// or https:// URL"):
+            HttpProvider(endpoint)
+
+    @pytest.mark.parametrize("endpoint", ["https://translate.example/api?v=2",
+                                          "HTTP://127.0.0.1:5000/translate",
+                                          "http://[::1]:5000/translate"])
+    def test_http_endpoint_accepted(self, endpoint):
+        assert HttpProvider(endpoint).provider_id == f"http:{endpoint}"
 
 
 class TestTokenBucket:
