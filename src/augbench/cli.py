@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import analyze as _analyze
 from . import augment as _augment
@@ -274,8 +275,6 @@ def analyze():
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def analyze_regress(model_path, in_path, splits, target, l1_strength, out_path):
     """Regress labels (or model predictions) on sentence-sentiment summary stats."""
-    import numpy as np
-
     model = _classify.LinearModel.load(model_path)
     corp = _corpus.ingest_jsonl(in_path)
     docs = [d for d in corp

@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import yaml
 
+from . import augment as _augment
 from .augment import AugmentError, AugmentSpec, AugTechnique, derive_seed
 from .classify import (ClassifyError, FeatureRow, LinearModel, PredictionTable, TrainConfig,
                        feature_row, predict_corpus, score_texts, train)
@@ -216,7 +217,6 @@ def _arm_fields(spec: Optional[AugmentSpec]) -> tuple[str, str, int]:
 
 def run_single(
     subsampled: Corpus,
-    n: int,
     seed: int,
     config: ExperimentConfig,
     provider,
@@ -226,16 +226,14 @@ def run_single(
     training corpus, validation carved and augmented, and the subsample's short
     hash.  Every translation and cache write of a sweep happens here, in the
     sweep's own process; `_score` trains and scores the result."""
-    # Imported per call: perfbench/child.py replaces augment.augment_dataset on the module.
-    from .augment import augment_dataset
-
     ids = sorted(d.id for d in subsampled.split_docs("train") if d.is_original)
     sub_hash = hashlib.sha256("".join(f"{i}\n" for i in ids).encode("utf-8")).hexdigest()[:12]
     prepared = carve_validation(subsampled, config.valid_frac, seed)
     spec = config.augment
     if spec is not None:
         bt = spec.technique is AugTechnique.BACKTRANSLATE
-        result = augment_dataset(
+        # through the module, where perfbench/child.py and perfbench/tracing.py replace it
+        result = _augment.augment_dataset(
             prepared, dataclasses.replace(spec, seed=derive_seed(spec.seed, "run", seed)),
             translator=provider if bt else None, cache=cache)
         prepared = result.corpus
@@ -281,21 +279,23 @@ def _workers(runs: int) -> int:
 
 
 def _outcome(step) -> tuple:
-    """`step()` as ("row", its ReportRow, seconds) or, on a run error,
-    ("failed", the message, seconds); any other exception propagates."""
+    """`step()` as ("row", its ReportRow, seconds), ("failed", the message,
+    seconds) on a run error or ("raised", the traceback, seconds) on any other
+    exception, in this process or in a `_Worker`'s child alike."""
     t0 = time.monotonic()
     try:
         return "row", step(), time.monotonic() - t0
     except _RUN_ERRORS as e:
         return "failed", str(e), time.monotonic() - t0
+    except Exception:
+        return "raised", traceback.format_exc(), time.monotonic() - t0
 
 
 class _Worker:
     """`step()` run in a forked child, which sends its `_outcome` back over a
-    pipe, or ("raised", the traceback, seconds) for any other exception, and
-    leaves through `os._exit` on every path: no atexit handler runs and no
-    inherited buffer or file is flushed.  Fork shares the prepared corpus and
-    the test rows with the child without pickling them."""
+    pipe and leaves through `os._exit` on every path: no atexit handler runs
+    and no inherited buffer or file is flushed.  Fork shares the prepared
+    corpus and the test rows with the child without pickling them."""
 
     def __init__(self, step):
         read, write = os.pipe()
@@ -309,12 +309,7 @@ class _Worker:
             status = 1
             try:
                 os.close(read)
-                t0 = time.monotonic()
-                try:
-                    outcome = _outcome(step)
-                except Exception:
-                    outcome = "raised", traceback.format_exc(), time.monotonic() - t0
-                data = pickle.dumps(outcome)
+                data = pickle.dumps(_outcome(step))
                 while data:
                     data = data[os.write(write, data):]
                 status = 0
@@ -368,9 +363,10 @@ def run_low_resource_sweep(
     run at once, and their results are taken in run order, so the report is
     the same as from one process.  A run's seconds are its own subsample,
     augment, train and score time, without any wait for a free worker.  A
-    child that dies fails its run; an exception other than a run error ends
-    the sweep with a RuntimeError naming the run.  Every child is reaped before
-    this returns or raises."""
+    child that dies fails its run.  On any CPU count, an exception other than
+    a run error while a run trains or scores ends the sweep with a
+    RuntimeError naming the run.  Every child is reaped before this returns or
+    raises."""
     test_docs = corpus.split_docs("test")
     if not test_docs:
         raise ExperimentError("the corpus has no test documents to evaluate on")
@@ -382,21 +378,18 @@ def run_low_resource_sweep(
     # (tag, parent seconds, the run's outcome or its _Worker), in run order
     pending: deque[tuple[str, float, tuple | _Worker]] = deque()
 
-    def settle(room: int) -> None:
-        """Record runs from the front of `pending`: each finished one, and each
-        worker while more than `room` workers are outstanding."""
-        while pending and (not isinstance(pending[0][2], _Worker)
-                           or sum(isinstance(job, _Worker) for _, _, job in pending) > room):
-            tag, secs, job = pending.popleft()
-            kind, value, step_s = job.result() if isinstance(job, _Worker) else job
-            if kind == "raised":
-                raise RuntimeError(f"run {tag} raised in its worker:\n{value}")
-            if kind == "row":
-                report.rows.append(value)
-            else:
-                log.error("run %s failed: %s", tag, value)
-                report.failures.append((tag, value))
-            report.timings.append((tag, secs + step_s))
+    def record() -> None:
+        """Record the run at the front of `pending`, waiting for its worker."""
+        tag, secs, job = pending.popleft()
+        kind, value, step_s = job.result() if isinstance(job, _Worker) else job
+        if kind == "raised":
+            raise RuntimeError(f"run {tag} raised:\n{value}")
+        if kind == "row":
+            report.rows.append(value)
+        else:
+            log.error("run %s failed: %s", tag, value)
+            report.failures.append((tag, value))
+        report.timings.append((tag, secs + step_s))
 
     try:
         for n, seed in runs:
@@ -404,7 +397,7 @@ def run_low_resource_sweep(
             t0 = time.monotonic()
             try:
                 sub = subsample_balanced(corpus, n, seed)
-                prepared, sub_hash = run_single(sub, n, seed, config, provider, cache)
+                prepared, sub_hash = run_single(sub, seed, config, provider, cache)
             except _RUN_ERRORS as e:
                 pending.append((tag, time.monotonic() - t0, ("failed", str(e), 0.0)))
             else:
@@ -413,10 +406,13 @@ def run_low_resource_sweep(
                 if workers == 1:
                     pending.append((tag, secs, _outcome(step)))
                 else:
-                    settle(workers - 1)
+                    while sum(isinstance(job, _Worker) for _, _, job in pending) == workers:
+                        record()  # wait for a free worker
                     pending.append((tag, secs, _Worker(step)))
-            settle(workers)
-        settle(0)
+            while pending and not isinstance(pending[0][2], _Worker):
+                record()
+        while pending:
+            record()
     finally:
         for _, _, job in pending:
             if isinstance(job, _Worker):

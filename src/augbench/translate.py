@@ -131,8 +131,9 @@ class TranslationCache:
     def put(self, key: str, source: str, target: str, provider: str, text: str,
             result: str) -> None:
         """Store an entry and append it to the file, if any.  There, an entry
-        that is not valid UTF-8 (a lone surrogate) or a failed write raises
-        CacheError and stores nothing."""
+        that is not valid UTF-8 (a lone surrogate) raises CacheError, which
+        skips its document, and a failed write an OSError naming the file,
+        which ends the command; neither stores anything."""
         if self.path is None:
             self._entries[key] = result
             return
@@ -152,8 +153,8 @@ class TranslationCache:
             self._fh.write(line)
             self._fh.flush()  # a kill leaves at most this line torn
             self._end = size + len(line)
-        except OSError as e:
-            raise CacheError(f"cannot append to cache {self.path}: {e}") from e
+        except OSError as e:  # name the cache, as `corpus.replacing` names its output
+            raise OSError(e.errno, e.strerror, os.fspath(self.path)) from None
         self._entries[key] = result
 
     def _mend_tail(self, size: int, line: bytes) -> tuple[int, bytes]:
@@ -254,10 +255,11 @@ class HttpProvider:
     {"translatedText": "..."}.  Retries timeouts (30 s per request), connection
     errors, 408, 429 and 5xx with backoff doubling from 0.5 s, waiting at least
     a response's Retry-After seconds (both capped at 30 s); other statuses fail
-    at once.  `max_retries` counts attempts in all and must be at least 1.  Each
-    request opens and closes its own connection, so there is nothing to close;
-    HTTPS verifies against the system CA store.  `urllib.request` is imported
-    only when a request is made.
+    at once.  No redirect is followed: a 3xx fails at once, as the text would
+    not be re-sent.  `max_retries` counts attempts in all and must be at least
+    1.  Each request opens and closes its own connection, so there is nothing
+    to close; HTTPS verifies against the system CA store, and the environment's
+    proxies apply.  `urllib.request` is imported only when a request is made.
     """
 
     def __init__(
@@ -284,6 +286,7 @@ class HttpProvider:
         self.max_retries = max_retries
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit, sleep=sleep)
+        self._opener = None  # built by the first request
 
     def _backoff(self, attempt: int) -> float:
         return min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** attempt))
@@ -293,6 +296,14 @@ class HttpProvider:
         from http.client import HTTPException
         from urllib.error import HTTPError, URLError
 
+        if self._opener is None:
+            # urlopen's HTTP handlers without HTTPRedirectHandler: a 3xx raises HTTPError
+            self._opener = urllib.request.OpenerDirector()
+            for make in (urllib.request.ProxyHandler, urllib.request.UnknownHandler,
+                         urllib.request.HTTPHandler, urllib.request.HTTPSHandler,
+                         urllib.request.HTTPDefaultErrorHandler,
+                         urllib.request.HTTPErrorProcessor):
+                self._opener.add_handler(make())
         body = {"q": text, "source": source, "target": target}
         if self.api_key:
             body["api_key"] = self.api_key
@@ -302,9 +313,9 @@ class HttpProvider:
         for attempt in range(self.max_retries):
             self._bucket.acquire()
             try:
-                with urllib.request.urlopen(request, timeout=_TIMEOUT) as resp:
+                with self._opener.open(request, timeout=_TIMEOUT) as resp:
                     status, headers, payload = resp.status, resp.headers, resp.read()
-            except HTTPError as e:  # a status outside 2xx, after any redirect
+            except HTTPError as e:  # a status outside 2xx
                 with e:  # it holds the connection open
                     status, headers, payload = e.code, e.headers, b""
             except (URLError, TimeoutError, ConnectionError, HTTPException) as e:

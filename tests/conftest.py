@@ -1,10 +1,13 @@
+import errno
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import settings
 
+from augbench import translate
 from augbench.corpus import Corpus, Document
 from augbench.translate import MockProvider, PermanentTranslationError
 
@@ -69,7 +72,15 @@ class _StubHandler(BaseHTTPRequestHandler):
     # raw bytes to send in place of a response
     script = []
     requests_seen = 0
-    posted = []  # the Content-Type and the decoded JSON body of every request
+    posted = []  # the Content-Type and the decoded JSON body of every POST
+
+    def do_GET(self):  # where a followed redirect would land
+        type(self).requests_seen += 1
+        payload = json.dumps({"translatedText": "from a GET"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
     def do_POST(self):
         cls = type(self)
@@ -109,3 +120,29 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_address[1]}/translate", handler
     server.shutdown()
     server.server_close()
+
+
+class _FullDiskHandle:
+    """An append handle whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self._fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every translation cache append fail with ENOSPC."""
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FullDiskHandle(fh) if "a" in mode else fh
+
+    monkeypatch.setattr(translate, "open", full_disk_open, raising=False)

@@ -1,5 +1,7 @@
+import errno
 import gc
 import json
+import os
 import warnings
 
 import pytest
@@ -135,6 +137,15 @@ class TestAugmentCommand:
         _fails_with(runner, ["augment", "--config", str(cfg), "--cache", str(cache),
                              "--in", str(corpus_file), "--out", str(tmp_path / "bt.jsonl")],
                     f"{cache}: bad cache line 1: ")
+
+    def test_cache_that_cannot_be_appended_to_ends_the_command(self, runner, corpus_file,
+                                                               tmp_path, full_disk):
+        cfg = _write(tmp_path / "bt.yaml", "augment: {technique: bt, languages: [es]}\n")
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "bt.jsonl"
+        _fails_with(runner, ["augment", "--config", str(cfg), "--cache", str(cache),
+                             "--in", str(corpus_file), "--out", str(out)],
+                    f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{cache}'")
+        assert not out.exists()
 
     def test_backtranslate_closes_its_cache(self, runner, corpus_file, tmp_path):
         aug = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")

@@ -208,11 +208,12 @@ class TestWorkerPool:
         assert "SIGKILL" in report.failures[0][1]
         assert [tag for tag, _ in report.timings] == [f"n=20,seed={s}" for s in (0, 1, 2)]
 
-    def test_unexpected_error_ends_the_sweep_naming_the_run(self, monkeypatch, workers):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_unexpected_error_ends_the_sweep_naming_the_run(self, monkeypatch, workers, count):
         def boom():
             raise RuntimeError("boom")
 
-        workers(2)
+        workers(count)
         monkeypatch.setattr(experiment, "train", _on_seed_1(boom))
         with pytest.raises(RuntimeError, match=r"(?s)run n=20,seed=1 .*RuntimeError: boom"):
             run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))

@@ -400,3 +400,28 @@ def test_outputs_are_written_only_through_replacing():
     for path in sorted((ROOT / "src" / "augbench").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert not found, found
+
+
+# Each function in src/augbench that imports inside its body, with why the
+# import cannot be at module level.
+FUNCTION_IMPORTS = {
+    "translate.HttpProvider.translate": "keeps urllib.request out of `import augbench`",
+    "augment.augment_dataset": "breaks the augment <-> translate import cycle",
+}
+
+
+def test_function_level_imports_are_only_where_needed():
+    found = set()
+
+    def visit(node: ast.AST, owner: str, in_function: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+            in_function = in_function or not isinstance(node, ast.ClassDef)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and in_function:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, in_function)
+
+    for path in sorted((ROOT / "src" / "augbench").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    assert found == set(FUNCTION_IMPORTS), found

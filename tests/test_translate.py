@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -261,6 +263,20 @@ class TestCache:
             c.put("k2", "en", "es", "p", "x", "\U0001f600")  # a surrogate pair is fine
         assert TranslationCache(path).get("k2") == "\U0001f600"
 
+    def test_failed_append_ends_the_augmentation_naming_the_cache(self, tmp_path, full_disk):
+        # a write that fails for every text is not one document's skip
+        path, provider = tmp_path / "cache.jsonl", CountingProvider()
+        docs = [Document(id=f"d{i}", text=f"a good film {i}", label="pos", split="train")
+                for i in range(20)]
+        with TranslationCache(path) as cache:
+            with pytest.raises(OSError, match=re.escape(str(path))) as raised:
+                augment_dataset(Corpus(docs), AugmentSpec(technique="bt", languages=("es", "fr")),
+                                translator=provider, cache=cache)
+            assert not [d for d in docs for lang in ("es", "fr")
+                        if cache.get(cache_key("counting", "en", lang, d.text)) is not None]
+        assert raised.value.errno == errno.ENOSPC
+        assert provider.calls == 1
+
     @given(text=_CACHE_TEXT, result=_CACHE_TEXT,
            damage=st.sampled_from(["none", "torn", "unterminated"]), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -487,6 +503,17 @@ class TestHttpProvider:
         with pytest.raises(PermanentTranslationError, match="401"):
             p.translate("hi", "en", "es")
         assert handler.requests_seen == 1
+
+    @pytest.mark.parametrize("location", ["/elsewhere", "ftp://127.0.0.1/elsewhere"])
+    def test_redirect_fails_after_one_request_without_following(self, stub_server, location):
+        # followed, a 302 would be re-sent as a GET without the text, and its
+        # answer taken as the translation
+        url, handler = stub_server
+        handler.script[:] = [(302, {"Location": location})]
+        p = HttpProvider(url, rate_limit=1e9, sleep=lambda s: None)
+        with pytest.raises(PermanentTranslationError, match="HTTP 302 from"):
+            p.translate("hi", "en", "es")
+        assert handler.requests_seen == len(handler.posted) == 1
 
     def test_5xx_exhausts_retries(self, stub_server):
         url, handler = stub_server
