@@ -239,6 +239,7 @@ class AugmentSpec:
         elif self.languages:
             raise AugmentError(f"{self.technique.value} does not take languages")
         check_pivots(self.languages)
+        self.languages = tuple(self.languages)
 
 
 def check_pivots(languages: Sequence) -> None:

@@ -60,36 +60,35 @@ class ExperimentConfig:
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
         """Load a YAML config.  An absent or null key takes the dataclass
         defaults; an unknown key at the top level, under `augment:` or under
-        `classifier:`, a value whose type does not match its field's (an int, a
-        number, a string, a mapping for a section, a list of integers or a list of
-        strings; a bool is none of them), or text that is not UTF-8 YAML raises
-        ExperimentError; a value a section rejects raises that section's error.
-        Every message names the file.  YAML `copies` is `copies_per_original`."""
+        `classifier:`, a key repeated in one mapping, a value whose type does not
+        match its field's (an int, a number, a string, a mapping for a section, a
+        list of integers or a list of strings; a bool is none of them), or text
+        that is not UTF-8 YAML raises ExperimentError; a value a section rejects
+        raises that section's error.  Every message names the file."""
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, _Loader)
+            raw = _section({} if loaded is None else loaded, cls, _TOP_KEYS, None)
+            if "augment" in raw:
+                a = _section(raw["augment"], AugmentSpec, _AUGMENT_KEYS, "augment")
+                if "technique" not in a:
+                    raise ExperimentError("augment needs a technique")
+                raw["augment"] = AugmentSpec(**a)
+            if "classifier" in raw:
+                raw["classifier"] = TrainConfig(**_section(
+                    raw["classifier"], TrainConfig, _CLASSIFIER_KEYS, "classifier"))
+            return cls(**raw)
         except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise ExperimentError(f"{path}: invalid YAML: {e}") from None
-        raw = _section({} if loaded is None else loaded, cls, _TOP_KEYS, path, None)
-        if "augment" in raw:
-            a = _section(raw["augment"], AugmentSpec, _AUGMENT_KEYS, path, "augment")
-            if "technique" not in a:
-                raise ExperimentError(f"{path}: augment needs a technique")
-            if "languages" in a:
-                a["languages"] = tuple(a["languages"])
-            raw["augment"] = _build(path, AugmentSpec, **a)
-        if "classifier" in raw:
-            raw["classifier"] = _build(path, TrainConfig, **_section(
-                raw["classifier"], TrainConfig, _CLASSIFIER_KEYS, path, "classifier"))
-        return _build(path, cls, **raw)
+        except (AugmentError, ClassifyError, ExperimentError) as e:
+            raise type(e)(f"{path}: {e}") from None
 
 
-# YAML key -> field, per section
+# YAML key -> field, per section: every field but `stopwords`; `copies` is `copies_per_original`
 _TOP_KEYS = {f.name: f.name for f in dataclasses.fields(ExperimentConfig)}
 _CLASSIFIER_KEYS = {f.name: f.name for f in dataclasses.fields(TrainConfig)}
-_AUGMENT_KEYS = {"technique": "technique", "alpha": "alpha", "copies": "copies_per_original",
-                 "languages": "languages", "language_strategy": "language_strategy",
-                 "seed": "seed"}
+_AUGMENT_KEYS = {"copies" if f.name == "copies_per_original" else f.name: f.name
+                 for f in dataclasses.fields(AugmentSpec) if f.name != "stopwords"}
 # field annotation (a string: annotations are postponed) -> (value type,
 # element type or None, what a value must be)
 _TYPES = {
@@ -101,32 +100,40 @@ _TYPES = {
 }
 
 
-def _build(path, make, **fields):
-    """`make(**fields)`; a value it rejects raises the same error, naming the file."""
-    try:
-        return make(**fields)
-    except (AugmentError, ClassifyError, ExperimentError) as e:
-        raise type(e)(f"{path}: {e}") from None
+class _Loader(yaml.SafeLoader):
+    """`yaml.safe_load`, but a key repeated in one mapping raises ExperimentError."""
+
+    def _mapping(self, node: yaml.MappingNode) -> dict:
+        written = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # not <<:
+        mapping, seen = self.construct_mapping(node), set()  # refuses an unhashable key
+        for k in written:
+            if (key := self.construct_object(k)) in seen:
+                raise ExperimentError(f"repeated key {key!r} on line {k.start_mark.line + 1}")
+            seen.add(key)
+        return mapping
 
 
-def _section(raw, cls, keys: Mapping[str, str], path, section: Optional[str]) -> dict:
+_Loader.add_constructor("tag:yaml.org,2002:map", _Loader._mapping)
+
+
+def _section(raw, cls, keys: Mapping[str, str], section: Optional[str]) -> dict:
     """The mapping `raw` from a config section as `cls` field values, checked to
     hold only `keys` (YAML key -> field) with values of their fields' `_TYPES`.
     A null value is left out, so that its field takes the default."""
     where = f"under {section}:" if section else "at the top level"
     if not isinstance(raw, dict):
-        raise ExperimentError(f"{path}: expected a mapping {where}")
+        raise ExperimentError(f"expected a mapping {where}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     fields = {}
     for key, value in raw.items():
         if key not in keys:
-            raise ExperimentError(f"{path}: unknown key {key!r} {where}")
+            raise ExperimentError(f"unknown key {key!r} {where}")
         if value is None:
             continue
         check = _TYPES.get(types[keys[key]])
         if check and not _typed(value, check[0], check[1]):
             name = f"{section}.{key}" if section else key
-            raise ExperimentError(f"{path}: {name} must be {check[2]}, got {value!r}")
+            raise ExperimentError(f"{name} must be {check[2]}, got {value!r}")
         fields[keys[key]] = value
     return fields
 
@@ -168,24 +175,15 @@ class ExperimentReport:
     failures: list[tuple[str, str]] = field(default_factory=list)   # (run tag, reason)
 
     def aggregate(self) -> list[ReportRow]:
-        """One median row per (n, technique, languages, k), over the per-seed rows."""
+        """One row per (n, technique, languages, k): the median of each float column."""
         groups: dict[tuple, list[ReportRow]] = {}
         for r in self.rows:
-            if r.seed == "median":
-                continue
-            groups.setdefault((r.n, r.technique, r.languages, r.k), []).append(r)
-        agg = []
-        for key in groups:
-            rs = groups[key]
-            agg.append(ReportRow(
-                n=key[0], technique=key[1], languages=key[2], k=key[3],
-                seed="median", subsample="-",
-                accuracy=statistics.median(r.accuracy for r in rs),
-                error=statistics.median(r.error for r in rs),
-                frac_confident=statistics.median(r.frac_confident for r in rs),
-                pred_std=statistics.median(r.pred_std for r in rs),
-            ))
-        return agg
+            if r.seed != "median":
+                groups.setdefault((r.n, r.technique, r.languages, r.k), []).append(r)
+        return [dataclasses.replace(rs[0], seed="median", subsample="-", **{
+                    f.name: statistics.median(getattr(r, f.name) for r in rs)
+                    for f in dataclasses.fields(ReportRow) if f.type == "float"})
+                for rs in groups.values()]
 
     def all_rows(self) -> list[ReportRow]:
         return self.rows + self.aggregate()

@@ -146,6 +146,14 @@ class TestThesaurus:
         with pytest.raises(AugmentError):
             Thesaurus({"sad": ["sad"]})
 
+    def test_line_without_tab_names_file_and_line(self, tmp_path):
+        path = tmp_path / "th.tsv"
+        path.write_text("# word<TAB>synonyms\nsad\tlamentable\n\nhappy glad\n",
+                        encoding="utf-8")
+        with pytest.raises(AugmentError) as info:
+            Thesaurus.from_tsv(path)
+        assert str(info.value) == f"{path}: bad thesaurus line 4: 'happy glad'"
+
     def test_bundled_file_loads(self):
         th = bundled_thesaurus()
         assert "lamentable" in th.lookup("sad")
@@ -213,6 +221,12 @@ class TestSynonymReplace:
         toks = ["Great", "stuff"]
         out = synonym_replace(toks, eligible_positions(toks, th, STOP), 0.1, th, 0)
         assert out[0] == "Wonderful"
+
+    def test_title_case_kept_only_after_sentence_final_punctuation(self):
+        th = Thesaurus({"great": ["wonderful"]})
+        toks = ["It", "ends", ".", "Great", "stuff", ",", "Great", "fun"]
+        out = synonym_replace(toks, eligible_positions(toks, th, STOP), 1.0, th, 0)
+        assert out == ["It", "ends", ".", "Wonderful", "stuff", ",", "wonderful", "fun"]
 
     def test_deterministic(self):
         th = bundled_thesaurus()

@@ -597,6 +597,23 @@ class TestImportPredictions:
             import_predictions(tmp_path / "bad.csv", "s")
         assert csv.field_size_limit() == limit
 
+    def test_blank_row_is_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("doc_id,p_positive\na,0.1\n\nb,0.9\n", encoding="utf-8")
+        t = import_predictions(path, "ext")
+        assert [(d, t.get(d, "ext")) for d in t.doc_ids("ext")] == [("a", 0.1), ("b", 0.9)]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a,0.1\nb\n", "malformed row 3"),
+        ("a,0.1\nb,0.2\nc,high\n", "bad probability at row 4: 'high'"),
+    ])
+    def test_bad_row_cites_row(self, tmp_path, rows, message):
+        path = tmp_path / "p.csv"
+        path.write_text("doc_id,p_positive\n" + rows, encoding="utf-8")
+        with pytest.raises(ClassifyError) as info:
+            import_predictions(path, "ext")
+        assert str(info.value) == f"{path}: {message}"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,prob\na,0.1\n", encoding="utf-8")

@@ -254,6 +254,20 @@ class TestAugmentCommand:
         assert "Invalid value for --endpoint: endpoint must be" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
+    @pytest.mark.parametrize("command", ["augment", "run"])
+    def test_http_provider_without_endpoint_is_usage_error(self, runner, corpus_file,
+                                                           tmp_path, command):
+        cfg = _write(tmp_path / "cfg.yaml", "train_sizes: [10]\nseeds: [0]\n"
+                     "augment: {technique: bt, languages: [es]}\n")
+        out = ["--out", str(tmp_path / "bt.jsonl")] if command == "augment" else [
+            "--out-dir", str(tmp_path / "out")]
+        result = runner.invoke(main, [command, "--config", str(cfg), "--provider", "http",
+                                      "--cache", str(tmp_path / "cache.jsonl"),
+                                      "--in", str(corpus_file), *out])
+        assert result.exit_code == 2, result.output
+        assert "Error: --endpoint is required with --provider http" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "corpus.jsonl"]
+
     def test_config_without_augment_section_is_usage_error(self, runner, corpus_file,
                                                            tmp_path):
         cfg = _write(tmp_path / "plain.yaml", "seeds: [0]\nclassifier: {bits: 10}\n")
@@ -422,6 +436,8 @@ class TestTrainPredict:
         ("augment: {technique: bt, languages: [es], copies: 2}\n",
          "copies_per_original must be 1 for technique bt, got 2"),
         ("seeds: [0\n", "invalid YAML"),
+        ("augment: {technique: sr}\naugment: {technique: rd}\n",
+         "repeated key 'augment' on line 2"),
     ])
     def test_config_wrong_type_is_usage_error(self, runner, corpus_file, tmp_path,
                                               command, text, named):
@@ -558,6 +574,28 @@ class TestEnsembleCommands:
                          f"{weights}: {message}")
         assert not out.exists()
 
+    def test_report_out_holds_the_text_it_echoes(self, runner, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        export_jsonl(make_review_corpus(n_train=4, n_test=20, seed=0), labels)
+        good = self._write_preds(tmp_path, "good.csv",
+                                 lambda d: 0.9 if d.label == "pos" else 0.3)
+        flat = self._write_preds(tmp_path, "flat.csv", lambda d: 0.5)
+        out = tmp_path / "report.csv"
+        result = _invoke(runner, ["ensemble", "report", "--preds", f"good={good}",
+                                  "--preds", f"flat={flat}", "--labels", str(labels),
+                                  "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == result.output
+        assert result.output.splitlines()[0] == "source,frac_confident,pred_std,accuracy"
+        assert [line.split(",")[0] for line in result.output.splitlines()[1:]] == [
+            "flat", "good"]
+
+    def test_preds_without_equals_is_usage_error(self, runner, tmp_path):
+        x = _write(tmp_path / "x.csv", "doc_id,p_positive\nd1,0.2\n")
+        result = runner.invoke(main, ["ensemble", "report", "--preds", str(x)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: --preds takes source=path, got {str(x)!r}" in result.output
+        assert "source,frac_confident" not in result.output
+
     def test_repeated_source_name_is_usage_error(self, runner, tmp_path):
         x = _write(tmp_path / "x.csv", "doc_id,p_positive\nd1,0.2\n")
         y = _write(tmp_path / "y.csv", "doc_id,p_positive\nd1,0.9\n")
@@ -659,6 +697,25 @@ class TestAnalyzeCommands:
         assert json.loads(regout.read_text(encoding="utf-8")) == \
             fit_l1_logistic(X, y, lam, target_kind="true_label").as_dict()
         assert lam != cross_validate_l1(X, y, se_multiplier=2.0)  # the rules differ here
+
+
+    def test_regress_on_predictions_fits_thresholded_model_output(self, runner, tmp_path):
+        corp_path = tmp_path / "corpus.jsonl"
+        corp = make_review_corpus(n_train=60, n_test=40, seed=1)
+        export_jsonl(corp, corp_path)
+        model = tmp_path / "model.npz"
+        _invoke(runner, ["train", "--in", str(corp_path), "--model-out", str(model)])
+        regout = tmp_path / "reg.json"
+        _invoke(runner, ["analyze", "regress", "--model", str(model), "--in", str(corp_path),
+                         "--target", "prediction", "--l1", "0.01", "--out", str(regout)])
+
+        docs = corp.split_docs("test")
+        predict_fn = predictor(LinearModel.load(model))
+        X, _, _ = standardize(build_feature_matrix([d.text for d in docs], predict_fn))
+        y = np.array([1.0 if predict_fn(d.text) >= 0.5 else 0.0 for d in docs])
+        assert 0 < y.sum() < len(y)  # both classes, so the fit is not degenerate
+        assert json.loads(regout.read_text(encoding="utf-8")) == \
+            fit_l1_logistic(X, y, 0.01, target_kind="model_prediction").as_dict()
 
 
 class TestRunCommand:

@@ -23,6 +23,15 @@ class TestDocument:
         with pytest.raises(CorpusError):
             Document(id="x", text="t", label="unsup", split="train")
 
+    @pytest.mark.parametrize("label, split, message", [
+        ("positive", "train", "bad label 'positive' for document 'x'"),
+        ("pos", "dev", "bad split 'dev' for document 'x'"),
+    ])
+    def test_unknown_label_or_split_rejected(self, label, split, message):
+        with pytest.raises(CorpusError) as info:
+            Document(id="x", text="t", label=label, split=split)
+        assert str(info.value) == message
+
     def test_synthetic_needs_parent(self):
         with pytest.raises(CorpusError):
             Origin(kind="synthetic", technique="sr", parent=None)

@@ -549,6 +549,12 @@ class TestConfigParsing:
         ("classifier: 0\n", ExperimentError, "expected a mapping under classifier:"),
         ("[]\n", ExperimentError, "expected a mapping at the top level"),
         ("0\n", ExperimentError, "expected a mapping at the top level"),
+        # YAML alone keeps the last of a repeated key, silently
+        ("seeds: [0]\nseeds: [1, 2]\n", ExperimentError, "repeated key 'seeds' on line 2"),
+        ("augment: {technique: sr}\naugment: {technique: rd}\n", ExperimentError,
+         "repeated key 'augment' on line 2"),
+        ("augment:\n  technique: sr\n  alpha: 0.1\n  technique: rd\n", ExperimentError,
+         "repeated key 'technique' on line 4"),
     ])
     def test_rejected_value_names_file(self, tmp_path, text, error, message):
         path = tmp_path / "bad.yaml"
@@ -586,6 +592,12 @@ class TestConfigParsing:
         path = tmp_path / "cfg.yaml"
         path.write_text(text, encoding="utf-8")
         assert ExperimentConfig.from_yaml(path) == want
+
+    def test_key_merged_with_yaml_merge_may_be_overridden(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("augment:\n  <<: {technique: sr, alpha: 0.3}\n  alpha: 0.2\n",
+                        encoding="utf-8")
+        assert ExperimentConfig.from_yaml(path).augment == AugmentSpec(technique="sr", alpha=0.2)
 
     @pytest.mark.parametrize("content, message", [
         (b"seeds: [0\n", "expected ',' or ']'"),

@@ -1,10 +1,17 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+import pytest
+
+from augbench import experiment
+from augbench.augment import AugmentError, AugmentSpec
+from augbench.classify import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -284,6 +291,28 @@ def test_settable_values_do_not_grow():
     grown = {kind: (n, SETTABLE_CEILINGS[kind]) for kind, n in counts.items()
              if n > SETTABLE_CEILINGS[kind]}
     assert not grown, f"(count, ceiling) per kind: {grown}"
+
+
+def test_every_field_a_run_yaml_sets_is_type_checked():
+    # `ExperimentConfig.from_yaml` checks a value by its field's annotation in
+    # `experiment._TYPES` and lets any other annotation through, so each field
+    # a run YAML reaches is one of those types, a section it loads, or an enum
+    # that its dataclass checks.
+    sections = {"Optional[AugmentSpec]", "TrainConfig"}
+    enums = {"AugTechnique": "technique", "LanguageStrategy": "language_strategy"}
+    reached = []
+    for cls, keys in ((experiment.ExperimentConfig, experiment._TOP_KEYS),
+                      (AugmentSpec, experiment._AUGMENT_KEYS),
+                      (TrainConfig, experiment._CLASSIFIER_KEYS)):
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        reached += [(cls.__name__, name, types[name]) for name in keys.values()]
+    assert len(reached) >= 17  # the three maps still name the settable fields
+    checked = {*experiment._TYPES, *sections, *enums}
+    unchecked = [r for r in reached if r[2] not in checked]
+    assert not unchecked, unchecked
+    for name in enums.values():
+        with pytest.raises(AugmentError, match=f"unknown {name} 'x'"):
+            AugmentSpec(**{"technique": "sr", name: "x"})
 
 
 def _is_command(decorator: ast.expr) -> bool:
