@@ -326,13 +326,13 @@ def run(config_path, in_path, out_dir, provider, endpoint, rps, max_retries, cac
     Exits with status 1, after writing the report, if any run failed.
     """
     config = _run_config(config_path)
+    out = Path(out_dir)
     with _translation(config.augment, provider, endpoint, rps, max_retries,
                       cache_path) as (translator, cache):
+        out.mkdir(parents=True, exist_ok=True)  # after any usage error, before any translation
         corp = _corpus.ingest_jsonl(in_path)
         report = _experiment.run_low_resource_sweep(config, corp, provider=translator,
                                                     cache=cache)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "report.csv")
     report.write_timings(out / "timings.csv")
     for tag, reason in report.failures:

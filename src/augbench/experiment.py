@@ -364,7 +364,14 @@ def run_low_resource_sweep(
     child that dies fails its run.  On any CPU count, an exception other than
     a run error while a run trains or scores ends the sweep with a
     RuntimeError naming the run.  Every child is reaped before this returns or
-    raises."""
+    raises.
+
+    In memory, this process holds the test rows, the translation cache and one
+    run's corpora: a run's subsample, prepared corpus and `_score` step are let
+    go once its worker has forked or its in-process outcome has returned.  Each
+    worker adds its run's training rows and a 2^bits weight vector.  A `wait4`
+    peak (`ru_maxrss`) of the process that calls this is therefore the larger
+    of its own peak and one worker's, not their sum."""
     test_docs = corpus.split_docs("test")
     if not test_docs:
         raise ExperimentError("the corpus has no test documents to evaluate on")
@@ -389,24 +396,28 @@ def run_low_resource_sweep(
             report.failures.append((tag, value))
         report.timings.append((tag, secs + step_s))
 
+    def hand_off(n: int, seed: int) -> tuple[float, tuple | _Worker]:
+        """Prepare run (n, seed) and hand it to `_outcome` in this process or to
+        a `_Worker`: the run's parent seconds and its outcome or worker.  Its
+        subsample, prepared corpus and `_score` step live in this frame alone,
+        so this process lets go of them as soon as the run is handed off."""
+        t0 = time.monotonic()
+        try:
+            sub = subsample_balanced(corpus, n, seed)
+            prepared, sub_hash = run_single(sub, seed, config, provider, cache)
+        except _RUN_ERRORS as e:
+            return time.monotonic() - t0, ("failed", str(e), 0.0)
+        step = functools.partial(_score, prepared, n, seed, config, sub_hash, test_rows)
+        secs = time.monotonic() - t0
+        if workers == 1:
+            return secs, _outcome(step)
+        while sum(isinstance(job, _Worker) for _, _, job in pending) == workers:
+            record()  # wait for a free worker
+        return secs, _Worker(step)
+
     try:
         for n, seed in runs:
-            tag = f"n={n},seed={seed}"
-            t0 = time.monotonic()
-            try:
-                sub = subsample_balanced(corpus, n, seed)
-                prepared, sub_hash = run_single(sub, seed, config, provider, cache)
-            except _RUN_ERRORS as e:
-                pending.append((tag, time.monotonic() - t0, ("failed", str(e), 0.0)))
-            else:
-                step = functools.partial(_score, prepared, n, seed, config, sub_hash, test_rows)
-                secs = time.monotonic() - t0
-                if workers == 1:
-                    pending.append((tag, secs, _outcome(step)))
-                else:
-                    while sum(isinstance(job, _Worker) for _, _, job in pending) == workers:
-                        record()  # wait for a free worker
-                    pending.append((tag, secs, _Worker(step)))
+            pending.append((f"n={n},seed={seed}", *hand_off(n, seed)))
             while pending and not isinstance(pending[0][2], _Worker):
                 record()
         while pending:

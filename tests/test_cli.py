@@ -770,7 +770,17 @@ class TestRunCommand:
         _fails_with(runner, ["run", "--config", str(cfg), "--in", str(corp_path),
                              "--out-dir", str(out_dir)],
                     "the corpus has no test documents to evaluate on")
-        assert not out_dir.exists()
+        assert list(out_dir.iterdir()) == []  # made before the corpus is read; no report
+
+    def test_unusable_out_dir_fails_before_any_translation(self, runner, corpus_file,
+                                                           tmp_path):
+        cfg = _write(tmp_path / "cfg.yaml", "train_sizes: [10, 20]\nseeds: [0, 1]\n"
+                     "augment: {technique: bt, languages: [es, fr]}\n")
+        out_dir, cache = _write(tmp_path / "afile", "") / "sub", tmp_path / "cache.jsonl"
+        _fails_with(runner, ["run", "--config", str(cfg), "--in", str(corpus_file),
+                             "--cache", str(cache), "--out-dir", str(out_dir)],
+                    f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out_dir}'")
+        assert not cache.exists()
 
     def test_failed_training_run_exits_nonzero_after_writing_report(self, runner, tmp_path):
         corp_path = tmp_path / "corpus.jsonl"

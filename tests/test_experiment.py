@@ -4,6 +4,7 @@ import os
 import signal
 import statistics
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,27 @@ class TestWorkerPool:
         with pytest.raises(KeyboardInterrupt):
             run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))
         assert time.monotonic() - t0 < 30
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["in-process", "two-workers"])
+    def test_each_run_is_released_once_handed_off(self, monkeypatch, workers, count):
+        # by the time a run is prepared, no earlier run's subsample or prepared
+        # corpus is left in this process; nor is the last one's after the sweep
+        workers(count)
+        prepare, refs = experiment.run_single, []
+
+        def tracked(subsampled, *args):
+            assert [r() for r in refs] == [None] * len(refs)
+            prepared, sub_hash = prepare(subsampled, *args)
+            refs.extend((weakref.ref(subsampled), weakref.ref(prepared)))
+            return prepared, sub_hash
+
+        monkeypatch.setattr(experiment, "run_single", tracked)
+        cfg = _fast_config(train_sizes=[10, 20],
+                           augment=AugmentSpec(technique="bt", languages=("es", "fr")))
+        report = run_low_resource_sweep(cfg, make_review_corpus(40, 10),
+                                        provider=MockProvider(0), cache=TranslationCache())
+        assert len(report.rows) == 6, report.failures
+        assert len(refs) == 12 and [r() for r in refs] == [None] * 12
 
     def test_run_seconds_are_its_own_not_its_wait_for_a_worker(self, monkeypatch, workers):
         # three runs in two workers: the third is prepared while the first two
