@@ -35,6 +35,13 @@ def _rate(ctx, param, value: float) -> float:
     return value
 
 
+def _l1(ctx, param, value: float | None) -> float | None:
+    """`--l1`, checked before the model and corpus are read and scored."""
+    if value is not None and not (value >= 0 and math.isfinite(value)):
+        raise click.BadParameter(f"l1 strengths must be finite and >= 0, got {value}")
+    return value
+
+
 def _translation_options(command):
     """The provider and cache options of the commands that backtranslate."""
     for option in reversed((
@@ -270,7 +277,7 @@ def analyze():
 @click.option("--splits", default="test", show_default=True, callback=_splits)
 @click.option("--target", type=click.Choice(["label", "prediction"]), default="label",
               show_default=True)
-@click.option("--l1", "l1_strength", type=float, default=None,
+@click.option("--l1", "l1_strength", type=float, default=None, callback=_l1,
               help="L1 strength; cross-validated when omitted.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def analyze_regress(model_path, in_path, splits, target, l1_strength, out_path):

@@ -18,7 +18,7 @@ class CorpusError(Exception):
     """Raised for malformed corpora, files, or directory layouts."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Origin:
     kind: str = "original"  # "original" | "synthetic"
     technique: Optional[str] = None
@@ -50,17 +50,19 @@ class Origin:
 
     @classmethod
     def from_json(cls, obj) -> "Origin":
-        """The origin `to_json` wrote; every other mapping or value raises CorpusError."""
+        """The origin `to_json` wrote, the shared `ORIGINAL` for every original;
+        every other mapping or value raises CorpusError."""
         if not isinstance(obj, dict):
             raise CorpusError(f"origin must be a mapping, got {obj!r}")
-        return cls(kind=obj.get("kind"), technique=obj.get("technique"),
-                   lang=obj.get("lang"), parent=obj.get("parent"))
+        origin = cls(kind=obj.get("kind"), technique=obj.get("technique"),
+                     lang=obj.get("lang"), parent=obj.get("parent"))
+        return ORIGINAL if origin.kind == "original" else origin
 
 
 ORIGINAL = Origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     id: str
     text: str
@@ -97,25 +99,20 @@ class Corpus:
     """Immutable ordered collection of documents with unique ids."""
 
     def __init__(self, documents: Iterable[Document] = ()):
-        self._docs: list[Document] = []
-        self._index: dict[str, int] = {}
-        for doc in documents:
-            if doc.id in self._index:
+        self._docs: list[Document] = list(documents)
+        index: dict[str, Document] = {}  # checks ids and parents, then is let go
+        for doc in self._docs:
+            if doc.id in index:
                 raise CorpusError(f"duplicate document id: {doc.id!r}")
-            self._index[doc.id] = len(self._docs)
-            self._docs.append(doc)
-        self._check_parents()
-
-    def _check_parents(self):
+            index[doc.id] = doc
         for doc in self._docs:
             if doc.origin.kind != "synthetic":
                 continue
-            parent = self._index.get(doc.origin.parent)
-            if parent is None:
+            pdoc = index.get(doc.origin.parent)
+            if pdoc is None:
                 raise CorpusError(
                     f"synthetic document {doc.id!r} has unresolved parent {doc.origin.parent!r}"
                 )
-            pdoc = self._docs[parent]
             if not pdoc.is_original:
                 raise CorpusError(f"synthetic document {doc.id!r} has a synthetic parent")
             if pdoc.label != doc.label:
@@ -168,6 +165,11 @@ def ingest_imdb_dir(root_path: str | Path) -> Corpus:
     return Corpus(docs)
 
 
+def _shared(value, names: tuple[str, ...]):
+    """The string in `names` equal to `value`, so that documents share it; else `value`."""
+    return names[names.index(value)] if value in names else value
+
+
 def ingest_jsonl(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL interchange format."""
     docs = []
@@ -183,8 +185,8 @@ def ingest_jsonl(path: str | Path) -> Corpus:
                     doc = Document(
                         id=obj["id"],
                         text=obj["text"],
-                        label=obj["label"],
-                        split=obj["split"],
+                        label=_shared(obj["label"], LABELS),
+                        split=_shared(obj["split"], SPLITS),
                         origin=Origin.from_json(obj.get("origin", {"kind": "original"})),
                     )
                 except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as e:

@@ -43,22 +43,24 @@ class TranslationProvider(Protocol):
     def translate(self, text: str, source: str, target: str) -> str: ...
 
 
-def cache_key(provider_id: str, source: str, target: str, text: str) -> str:
-    """sha256 hex of the UTF-8 parts, each followed by a NUL byte."""
+def cache_key(provider_id: str, source: str, target: str, text: str) -> bytes:
+    """The 32-byte sha256 digest of the UTF-8 parts, each followed by a NUL byte.
+    A cache holds it as it is and writes it as lowercase hex."""
     return hashlib.sha256(
-        "\x00".join((provider_id, source, target, text, "")).encode("utf-8")).hexdigest()
+        "\x00".join((provider_id, source, target, text, "")).encode("utf-8")).digest()
 
 
 # A cache line is `json.dumps(entry, ensure_ascii=False, sort_keys=True)` and a
 # newline.  It is formatted around json's own string escaping: an encoder call
 # builds a new C encoder for every entry.
-_ENTRY_LINE = ('{{"key": {}, "provider": {}, "result": {}, "source": {}, "target": {}, '
+_ENTRY_LINE = ('{{"key": "{}", "provider": {}, "result": {}, "source": {}, "target": {}, '
                '"text_hash": "{}"}}\n')
 
 
-def _entry(line: bytes) -> Optional[tuple[str, str]]:
+def _entry(line: bytes) -> Optional[tuple[bytes, str]]:
     """The (key, result) of a cache line, None for a blank one; CacheError for
-    one that does not parse or whose key or result is not a string."""
+    one that does not parse, whose key or result is not a string, or whose key
+    is not lowercase hex."""
     if not line.strip():
         return None
     try:
@@ -68,13 +70,21 @@ def _entry(line: bytes) -> Optional[tuple[str, str]]:
         raise CacheError(e) from None
     if not (isinstance(key, str) and isinstance(result, str)):
         raise CacheError(f"key and result must be strings, got {key!r} and {result!r}")
-    return key, result
+    try:
+        digest = bytes.fromhex(key)
+        if digest.hex() != key:  # fromhex also takes upper case and spaces
+            raise ValueError
+    except ValueError:
+        raise CacheError(f"key must be lowercase hex, got {key!r}") from None
+    return digest, result
 
 
 class TranslationCache:
-    """Append-only JSONL cache keyed by (provider, source, target, text) hash.
+    """Append-only JSONL cache keyed by the `cache_key` of (provider, source,
+    target, text).
 
-    Entries: {"key","source","target","provider","text_hash","result"}.
+    Entries: {"key","source","target","provider","text_hash","result"}; "key"
+    is the key in lowercase hex, while memory holds its bytes.
     Later duplicate keys win on load; appends are crash-safe (one line per
     entry, flushed as it is written), also when several caches append to one
     file in turn.  A None path gives an in-memory cache.  The file stays open for
@@ -84,7 +94,7 @@ class TranslationCache:
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
-        self._entries: dict[str, str] = {}
+        self._entries: dict[bytes, str] = {}
         self._fh = None  # the append handle, opened by the first put
         self._end: Optional[int] = None  # file size after this cache's last append
         if self.path is not None and self.path.exists():
@@ -125,10 +135,10 @@ class TranslationCache:
         except OSError as e:
             raise CacheError(f"cannot read cache {path}: {e}") from e
 
-    def get(self, key: str) -> Optional[str]:
+    def get(self, key: bytes) -> Optional[str]:
         return self._entries.get(key)
 
-    def put(self, key: str, source: str, target: str, provider: str, text: str,
+    def put(self, key: bytes, source: str, target: str, provider: str, text: str,
             result: str) -> None:
         """Store an entry and append it to the file, if any.  There, an entry
         that is not valid UTF-8 (a lone surrogate) raises CacheError, which
@@ -139,10 +149,11 @@ class TranslationCache:
             return
         try:
             line = _ENTRY_LINE.format(
-                *map(_json_string, (key, provider, result, source, target)),
+                key.hex(), *map(_json_string, (provider, result, source, target)),
                 hashlib.sha256(text.encode("utf-8")).hexdigest()).encode("utf-8")
         except UnicodeEncodeError as e:
-            raise CacheError(f"cannot cache entry {key}: not valid UTF-8 ({e.reason})") from None
+            raise CacheError(
+                f"cannot cache entry {key.hex()}: not valid UTF-8 ({e.reason})") from None
         try:
             if self._fh is None:
                 self._fh = open(self.path, "a+b")  # readable too: `_mend_tail` preads

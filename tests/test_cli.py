@@ -646,8 +646,8 @@ class TestAnalyzeCommands:
             result = runner.invoke(main, ["analyze", "regress", "--model", str(model),
                                           "--in", str(corp_path), "--l1", bad,
                                           "--out", str(rejected)])
-            assert result.exit_code != 0, bad
-            assert "l1 strengths must be finite and >= 0" in result.output
+            assert result.exit_code == 2, bad  # a usage error, before anything is read
+            assert "'--l1': l1 strengths must be finite and >= 0" in result.output
             assert not rejected.exists()
 
         result = runner.invoke(main, ["analyze", "regress", "--model", str(model),

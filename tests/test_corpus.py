@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.corpus import (Corpus, CorpusError, Document, Origin, carve_validation,
-                             export_jsonl, ingest_imdb_dir, ingest_jsonl, replacing,
-                             subsample_balanced)
+from augbench.corpus import (LABELS, ORIGINAL, SPLITS, Corpus, CorpusError, Document, Origin,
+                             carve_validation, export_jsonl, ingest_imdb_dir, ingest_jsonl,
+                             replacing, subsample_balanced)
 
 from synth import make_review_corpus
 
@@ -53,6 +53,22 @@ class TestDocument:
         d = Document(id="x", text="t", label="pos", split="train")
         with pytest.raises(CorpusError):
             Corpus([d, d])
+
+    def test_records_have_no_instance_dict(self):
+        # a sweep holds every document for its whole run: slots, not a dict each
+        doc = Document(id="c", text="t", label="pos", split="train",
+                       origin=Origin(kind="synthetic", technique="sr", parent="p"))
+        assert not hasattr(doc, "__dict__") and not hasattr(doc.origin, "__dict__")
+        assert not hasattr(ORIGINAL, "__dict__")
+
+    def test_corpus_holds_only_its_documents(self):
+        # the id index that checks ids and parents is not kept
+        docs = [Document(id="p", text="t", label="pos", split="train"),
+                Document(id="c", text="t2", label="pos", split="train",
+                         origin=Origin(kind="synthetic", technique="sr", parent="p"))]
+        corp = Corpus(iter(docs))
+        assert vars(corp) == {"_docs": docs}
+        assert vars(corp.with_documents([])) == {"_docs": docs}
 
     @pytest.mark.parametrize("fields", [
         {"text": "a \ud800 b"}, {"id": "\udfff"},
@@ -112,6 +128,27 @@ class TestJsonl:
         path.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
         corp = ingest_jsonl(path)
         assert [d.id for d in corp] == ["b", "a", "c"]
+
+    def test_ingested_documents_share_their_metadata(self, tmp_path):
+        # every original is ORIGINAL, and every label and split is the module's
+        # own string, not one decoded per line
+        path = tmp_path / "c.jsonl"
+        lines = [
+            {"id": "a", "text": "x", "label": "pos", "split": "train"},
+            {"id": "b", "text": "x", "label": "neg", "split": "test",
+             "origin": {"kind": "original"}},
+            {"id": "c", "text": "x", "label": "unsup", "split": "unsup",
+             "origin": {"kind": "original", "technique": None, "lang": None}},
+            {"id": "d", "text": "x", "label": "pos", "split": "valid"},
+            {"id": "e", "text": "y", "label": "pos", "split": "train",
+             "origin": {"kind": "synthetic", "technique": "bt", "lang": "es", "parent": "a"}},
+        ]
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        corp = ingest_jsonl(path)
+        assert [d.origin is ORIGINAL for d in corp] == [True] * 4 + [False]
+        assert all(d.label is LABELS[LABELS.index(d.label)] for d in corp)
+        assert all(d.split is SPLITS[SPLITS.index(d.split)] for d in corp)
+        assert {d.split for d in corp} == set(SPLITS)
 
     def test_malformed_line_cites_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"

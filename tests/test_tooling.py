@@ -361,6 +361,22 @@ def test_every_public_definition_is_reached():
     assert not unreached, unreached
 
 
+def test_every_float_option_has_a_callback():
+    # click's float types take nan and inf, which pass a range check, so each
+    # float option in cli.py checks its value in a callback as it is parsed:
+    # a bad value is a usage error before the command reads or writes anything.
+    tree = ast.parse((ROOT / "src" / "augbench" / "cli.py").read_text(encoding="utf-8"))
+    floats = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name_of(node.func) == "option":
+            keywords = {k.arg: k.value for k in node.keywords}
+            kind = keywords.get("type")  # `float` or `click.FloatRange(...)`
+            if _name_of(getattr(kind, "func", kind)) in ("float", "FloatRange"):
+                floats[node.args[0].value] = "callback" in keywords
+    assert {"--rps", "--l1"} <= set(floats)  # the walk still finds them
+    assert all(floats.values()), floats
+
+
 def _referrers(name: str) -> list[str]:
     """`module.function` of each use of `name` in src/augbench, by innermost function."""
     found = []

@@ -55,21 +55,21 @@ class TestCache:
     def test_round_trip_and_compaction(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("k1", "en", "es", "p", "hello", "hola")
-            c.put("k1", "en", "es", "p", "hello", "hola2")  # later entry wins
-            c.put("k2", "es", "en", "p", "hola", "hello")
+            c.put(b"k1", "en", "es", "p", "hello", "hola")
+            c.put(b"k1", "en", "es", "p", "hello", "hola2")  # later entry wins
+            c.put(b"k2", "es", "en", "p", "hola", "hello")
         reloaded = TranslationCache(path)
-        assert reloaded.get("k1") == "hola2"
-        assert reloaded.get("k2") == "hello"
+        assert reloaded.get(b"k1") == "hola2"
+        assert reloaded.get(b"k2") == "hello"
 
     def test_append_does_not_corrupt_prior_entries(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c1:
-            c1.put("a", "en", "es", "p", "x", "y")
+            c1.put(b"a", "en", "es", "p", "x", "y")
         with TranslationCache(path) as c2:
-            c2.put("b", "en", "es", "p", "u", "v")
+            c2.put(b"b", "en", "es", "p", "u", "v")
         final = TranslationCache(path)
-        assert final.get("a") == "y" and final.get("b") == "v"
+        assert final.get(b"a") == "y" and final.get(b"b") == "v"
 
     @pytest.mark.parametrize("line", ["{not json}", '{"key": [1], "result": "x"}',
                                       '{"key": "k", "result": 5}', '{"key": "k"}',
@@ -80,54 +80,66 @@ class TestCache:
         with pytest.raises(CacheError, match=f"{path}: bad cache line 1: "):
             TranslationCache(path)
 
+    @pytest.mark.parametrize("key", ["6B31", "6b3", "k1", " 6b31", "6b 31", "6b31\n"])
+    def test_key_not_lowercase_hex_is_a_bad_line(self, tmp_path, key):
+        # `put` writes `bytes.hex`; `bytes.fromhex` alone would take some of these
+        path = tmp_path / "bad.jsonl"
+        with TranslationCache(path) as c:
+            c.put(b"k1", "en", "es", "p", "x", "y")
+        line = json.dumps({"key": key, "result": "y"}).encode("utf-8")
+        path.write_bytes(path.read_bytes() + line + b"\n")
+        with pytest.raises(CacheError, match=f"{path}: bad cache line 2: key must be "
+                                             f"lowercase hex, got {re.escape(repr(key))}"):
+            TranslationCache(path)
+
     def test_torn_final_line_of_the_wrong_type_skipped_and_cut(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("a", "en", "es", "p", "x", "y")
-        path.write_bytes(path.read_bytes() + b'{"key": "k", "result": 5}')
+            c.put(b"a", "en", "es", "p", "x", "y")
+        path.write_bytes(path.read_bytes() + b'{"key": "6b", "result": 5}')  # b"k"
         with TranslationCache(path) as torn:
-            assert (torn.get("a"), torn.get("k")) == ("y", None)
+            assert (torn.get(b"a"), torn.get(b"k")) == ("y", None)
             assert "torn final cache line 2" in caplog.text
-            torn.put("b", "en", "es", "p", "u", "v")
+            torn.put(b"b", "en", "es", "p", "u", "v")
         final = TranslationCache(path)
-        assert (final.get("a"), final.get("b"), final.get("k")) == ("y", "v", None)
+        assert (final.get(b"a"), final.get(b"b"), final.get(b"k")) == ("y", "v", None)
 
     def test_torn_final_line_skipped_and_repaired(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("a", "en", "es", "p", "x", "y")
-            c.put("b", "en", "es", "p", "u", "v")
+            c.put(b"a", "en", "es", "p", "x", "y")
+            c.put(b"b", "en", "es", "p", "u", "v")
         path.write_bytes(path.read_bytes()[:-10])  # a put cut short by a kill
         with TranslationCache(path) as torn:
-            assert (torn.get("a"), torn.get("b")) == ("y", None)
+            assert (torn.get(b"a"), torn.get(b"b")) == ("y", None)
             assert "torn final cache line 2" in caplog.text
-            torn.put("c", "en", "es", "p", "w", "z")
+            torn.put(b"c", "en", "es", "p", "w", "z")
         final = TranslationCache(path)
-        assert (final.get("a"), final.get("b"), final.get("c")) == ("y", None, "z")
+        assert (final.get(b"a"), final.get(b"b"), final.get(b"c")) == ("y", None, "z")
 
     def test_unterminated_final_line_kept_and_ended(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("a", "en", "es", "p", "x", "y")
+            c.put(b"a", "en", "es", "p", "x", "y")
         path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a hand-edited file
         with TranslationCache(path) as edited:
-            assert edited.get("a") == "y"
-            edited.put("b", "en", "es", "p", "u", "v")
+            assert edited.get(b"a") == "y"
+            edited.put(b"b", "en", "es", "p", "u", "v")
         final = TranslationCache(path)
-        assert (final.get("a"), final.get("b")) == ("y", "v")
+        assert (final.get(b"a"), final.get(b"b")) == ("y", "v")
 
     def test_torn_multibyte_character_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("a", "en", "es", "p", "x", "\u00e9t\u00e9")
+            c.put(b"a", "en", "es", "p", "x", "\u00e9t\u00e9")
         data = path.read_bytes()
         path.write_bytes(data[:data.index("\u00e9".encode("utf-8")) + 1])
-        assert TranslationCache(path).get("a") is None
+        assert TranslationCache(path).get(b"a") is None
 
     def test_bad_line_before_the_last_still_fails(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("a", "en", "es", "p", "x", "y")
+            c.put(b"a", "en", "es", "p", "x", "y")
         path.write_bytes(b"{not json}\n" + path.read_bytes())
         with pytest.raises(CacheError, match="bad cache line 1"):
             TranslationCache(path)
@@ -136,18 +148,19 @@ class TestCache:
     def test_two_caches_share_one_file(self, tmp_path, damage):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as a, TranslationCache(path) as b:
-            a.put("a1", "en", "es", "p", "x", "y")
-            b.put("b1", "en", "es", "p", "x", "y")
+            a.put(b"a1", "en", "es", "p", "x", "y")
+            b.put(b"b1", "en", "es", "p", "x", "y")
             last = path.read_bytes().splitlines(keepends=True)[-1]
+            unended = last.replace(b"b1".hex().encode(), b"c1".hex().encode())[:-1]
             with open(path, "ab") as fh:  # a third writer's final line, cut or unended
-                fh.write(last[:20] if damage == "torn" else last.replace(b"b1", b"c1")[:-1])
-            a.put("a2", "en", "es", "p", "x", "y")
-            b.put("b2", "en", "es", "p", "x", "y")
+                fh.write(last[:20] if damage == "torn" else unended)
+            a.put(b"a2", "en", "es", "p", "x", "y")
+            b.put(b"b2", "en", "es", "p", "x", "y")
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and all(line.endswith(b"}") for line in raw.splitlines())
         reloaded = TranslationCache(path)
-        assert [reloaded.get(k) for k in ("a1", "b1", "a2", "b2")] == ["y"] * 4
-        assert reloaded.get("c1") == (None if damage == "torn" else "y")
+        assert [reloaded.get(k) for k in (b"a1", b"b1", b"a2", b"b2")] == ["y"] * 4
+        assert reloaded.get(b"c1") == (None if damage == "torn" else "y")
 
     def test_second_process_mends_the_first_ones_torn_line(self, tmp_path):
         # Each child appends through its own cache.  The first is killed just
@@ -156,21 +169,21 @@ class TestCache:
             import os, signal, sys
             from augbench.translate import TranslationCache
             cache = TranslationCache(sys.argv[1])
-            cache.put("a1", "en", "es", "p", "x", "y1")
-            cache.put("a2", "en", "es", "p", "x", "y2")
+            cache.put(b"a1", "en", "es", "p", "x", "y1")
+            cache.put(b"a2", "en", "es", "p", "x", "y2")
             with open(sys.argv[1], "rb") as fh:
                 last = fh.read().splitlines(keepends=True)[-1]
             with open(sys.argv[1], "ab") as fh:
-                fh.write(last.replace(b"a2", b"a3")[:30])
+                fh.write(last.replace(b"a2".hex().encode(), b"a3".hex().encode())[:30])
             os.kill(os.getpid(), signal.SIGKILL)
         """
         second = """if True:
             import sys
             from augbench.translate import TranslationCache
             with TranslationCache(sys.argv[1]) as cache:
-                assert (cache.get("a1"), cache.get("a2"), cache.get("a3")) == ("y1", "y2", None)
-                cache.put("b1", "en", "es", "p", "x", "z1")
-                cache.put("b2", "en", "es", "p", "x", "z2")
+                assert (cache.get(b"a1"), cache.get(b"a2"), cache.get(b"a3")) == ("y1", "y2", None)
+                cache.put(b"b1", "en", "es", "p", "x", "z1")
+                cache.put(b"b2", "en", "es", "p", "x", "z2")
         """
         import augbench
 
@@ -185,7 +198,7 @@ class TestCache:
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and all(line.endswith(b"}") for line in raw.splitlines())
         reloaded = TranslationCache(path)
-        assert ([reloaded.get(k) for k in ("a1", "a2", "a3", "b1", "b2")]
+        assert ([reloaded.get(k) for k in (b"a1", b"a2", b"a3", b"b1", b"b2")]
                 == ["y1", "y2", None, "z1", "z2"])
 
     def test_tail_read_only_after_another_writer(self, tmp_path, monkeypatch):
@@ -197,28 +210,28 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as a, TranslationCache(path) as b:
             for i in range(3):
-                a.put(f"a{i}", "en", "es", "p", "x", "y")
+                a.put(f"a{i}".encode(), "en", "es", "p", "x", "y")
             assert reads == []  # an empty file, then only its own appends
-            b.put("b", "en", "es", "p", "x", "y")
-            a.put("a3", "en", "es", "p", "x", "y")
+            b.put(b"b", "en", "es", "p", "x", "y")
+            a.put(b"a3", "en", "es", "p", "x", "y")
             assert len(reads) == 2  # each cache's first look at the other's line
-            a.put("a4", "en", "es", "p", "x", "y")
+            a.put(b"a4", "en", "es", "p", "x", "y")
             assert len(reads) == 2
 
     def test_torn_line_cut_when_loaded_under_another_spelling(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = TranslationCache(path)  # no file yet
         with TranslationCache(path) as writer:
-            writer.put("k1", "en", "es", "p", "x", "y")
-            writer.put("k2", "en", "es", "p", "x", "y")
+            writer.put(b"k1", "en", "es", "p", "x", "y")
+            writer.put(b"k2", "en", "es", "p", "x", "y")
         path.write_bytes(path.read_bytes()[:-10])
         (tmp_path / "sub").mkdir()
         cache.load(tmp_path / "sub" / ".." / "cache.jsonl")
-        assert (cache.get("k1"), cache.get("k2")) == ("y", None)
+        assert (cache.get(b"k1"), cache.get(b"k2")) == ("y", None)
         with cache:
-            cache.put("k3", "en", "es", "p", "x", "y")
+            cache.put(b"k3", "en", "es", "p", "x", "y")
         reloaded = TranslationCache(path)
-        assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("y", None, "y")
+        assert (reloaded.get(b"k1"), reloaded.get(b"k2"), reloaded.get(b"k3")) == ("y", None, "y")
 
     def test_one_handle_flushed_after_every_line(self, tmp_path, monkeypatch):
         import augbench.translate as translate
@@ -231,37 +244,37 @@ class TestCache:
 
         monkeypatch.setattr(translate, "open", counting_open, raising=False)
         path = tmp_path / "cache.jsonl"
-        entries = [("a", "en", "es", "p", "x", "\u00e9t\u00e9"), ("b", "es", "en", "p", "y", "z"),
-                   ("a", "en", "es", "p", "x", "again")]
+        entries = [(b"a", "en", "es", "p", "x", "\u00e9t\u00e9"), (b"b", "es", "en", "p", "y", "z"),
+                   (b"a", "en", "es", "p", "x", "again")]
         lines = b""
         with TranslationCache(path) as c:
             assert opened == []  # opened by the first put, not before
             for key, src, tgt, prov, text, result in entries:
                 c.put(key, src, tgt, prov, text, result)
-                entry = {"key": key, "source": src, "target": tgt, "provider": prov,
+                entry = {"key": key.hex(), "source": src, "target": tgt, "provider": prov,
                          "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
                          "result": result}
                 lines += (json.dumps(entry, ensure_ascii=False, sort_keys=True)
                           + "\n").encode("utf-8")
                 assert path.read_bytes() == lines  # on disk before close
         assert opened == [path]
-        c.put("c", "en", "es", "p", "w", "v")  # reopened after close
+        c.put(b"c", "en", "es", "p", "w", "v")  # reopened after close
         c.close()
         c.close()
         assert len(opened) == 2
         reloaded = TranslationCache(path)
-        assert [reloaded.get(k) for k in ("a", "b", "c")] == ["again", "z", "v"]
+        assert [reloaded.get(k) for k in (b"a", b"b", b"c")] == ["again", "z", "v"]
 
     @pytest.mark.parametrize("text,result", [("x", "\ud800"), ("x\udfff", "y")])
     def test_lone_surrogate_stores_nothing(self, tmp_path, text, result):
         path = tmp_path / "cache.jsonl"
         with TranslationCache(path) as c:
-            with pytest.raises(CacheError, match="entry k: not valid UTF-8"):
-                c.put("k", "en", "es", "p", text, result)
-            assert c.get("k") is None
+            with pytest.raises(CacheError, match="entry 6b: not valid UTF-8"):
+                c.put(b"k", "en", "es", "p", text, result)
+            assert c.get(b"k") is None
             assert not path.exists()
-            c.put("k2", "en", "es", "p", "x", "\U0001f600")  # a surrogate pair is fine
-        assert TranslationCache(path).get("k2") == "\U0001f600"
+            c.put(b"k2", "en", "es", "p", "x", "\U0001f600")  # a surrogate pair is fine
+        assert TranslationCache(path).get(b"k2") == "\U0001f600"
 
     def test_failed_append_ends_the_augmentation_naming_the_cache(self, tmp_path, full_disk):
         # a write that fails for every text is not one document's skip
@@ -284,8 +297,8 @@ class TestCache:
                                             data):
         path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
         with TranslationCache(path) as c:
-            c.put("k", "en", "es", "p", text, result)
-            c.put("last", "es", "en", "p", result, text)
+            c.put(b"k", "en", "es", "p", text, result)
+            c.put(b"last", "es", "en", "p", result, text)
         raw = path.read_bytes()
         last_line = raw.rindex(b"\n", 0, len(raw) - 1) + 1
         if damage == "torn":  # cut inside the last line, before its newline
@@ -293,12 +306,34 @@ class TestCache:
         elif damage == "unterminated":
             path.write_bytes(raw[:-1])
         with TranslationCache(path) as reloaded:
-            assert reloaded.get("k") == result
-            assert reloaded.get("last") == (None if damage == "torn" else text)
-            reloaded.put("next", "en", "es", "p", text, result)
+            assert reloaded.get(b"k") == result
+            assert reloaded.get(b"last") == (None if damage == "torn" else text)
+            reloaded.put(b"next", "en", "es", "p", text, result)
         final = TranslationCache(path)
-        assert final.get("k") == result and final.get("next") == result
-        assert final.get("last") == (None if damage == "torn" else text)
+        assert final.get(b"k") == result and final.get(b"next") == result
+        assert final.get(b"last") == (None if damage == "torn" else text)
+
+    @given(keys=st.lists(st.binary(max_size=40), min_size=1, max_size=4, unique=True),
+           torn=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_key_survives_a_reload_property(self, tmp_path_factory, keys, torn,
+                                                      data):
+        path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+        with TranslationCache(path) as c:
+            for i, key in enumerate(keys):
+                c.put(key, "en", "es", "p", "x", str(i))
+        raw = path.read_bytes()
+        if torn:  # the last put cut short, inside its line
+            last_line = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+            path.write_bytes(raw[:data.draw(st.integers(last_line + 1, len(raw) - 2))])
+        expected = [str(i) for i in range(len(keys))]
+        if torn:
+            expected[-1] = None
+        with TranslationCache(path) as reloaded:
+            assert [reloaded.get(key) for key in keys] == expected
+            reloaded.put(keys[-1], "en", "es", "p", "x", "again")
+        final = TranslationCache(path)
+        assert [final.get(key) for key in keys] == expected[:-1] + ["again"]
 
     def test_key_includes_provider(self):
         assert cache_key("p1", "en", "es", "x") != cache_key("p2", "en", "es", "x")
@@ -310,15 +345,15 @@ class TestCache:
         for part in parts:
             h.update(part.encode("utf-8"))
             h.update(b"\x00")
-        assert cache_key(*parts) == h.hexdigest()
+        assert cache_key(*parts) == h.digest()
 
-    @given(key=_CACHE_TEXT, source=_CACHE_TEXT, text=_CACHE_TEXT, result=_CACHE_TEXT)
+    @given(key=st.binary(), source=_CACHE_TEXT, text=_CACHE_TEXT, result=_CACHE_TEXT)
     @settings(max_examples=100, deadline=None)
     def test_put_line_equals_json_dumps(self, tmp_path_factory, key, source, text, result):
         path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
         with TranslationCache(path) as c:
             c.put(key, source, "en", "p", text, result)
-        entry = {"key": key, "source": source, "target": "en", "provider": "p",
+        entry = {"key": key.hex(), "source": source, "target": "en", "provider": "p",
                  "text_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
                  "result": result}
         expected = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
