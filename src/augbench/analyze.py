@@ -20,6 +20,8 @@ _ABBREVIATIONS = frozenset({
 _BOUNDARY = re.compile(r"[.!?]+(?=\s)")
 
 _TOL = 1e-10  # an L1 fit has converged when no step moves a weight further
+_ONE = np.array(1.0)  # `_residual`'s 1.0
+_ONE.setflags(write=False)
 
 
 class AnalyzeError(Exception):
@@ -90,29 +92,49 @@ def _residual(neg_z: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`1.0 / (1.0 + np.exp(neg_z)) - Y`, sigmoid(z) - y, computed in `out`.
 
     `out` is passed by position: a ufunc parses an `out=` keyword at a cost
-    that matters at a few hundred elements."""
+    that matters at a few hundred elements.  So is 1.0 as a 0-d array, which a
+    ufunc takes up faster than a Python float; both are the float64 1.0."""
     np.exp(neg_z, out)
-    np.add(1.0, out, out)
-    np.divide(1.0, out, out)
+    np.add(_ONE, out, out)
+    np.divide(_ONE, out, out)
     return np.subtract(out, Y, out)
+
+
+def _checked(X, y, strengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X, y and the L1 strengths as float64 arrays, or AnalyzeError: X is 2-D with
+    one finite row per target, y holds both classes 0 and 1 and nothing else, and
+    every strength is finite and >= 0."""
+    X, y, lams = (np.asarray(a, dtype=np.float64) for a in (X, y, strengths))
+    if not np.all(np.isfinite(lams) & (lams >= 0)):
+        raise AnalyzeError(f"l1 strengths must be finite and >= 0, got {np.unique(lams).tolist()}")
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise AnalyzeError(f"features must be 2-D with one row per target: got shape "
+                           f"{X.shape} for {y.shape} targets")
+    if not np.isfinite(X).all():
+        raise AnalyzeError("features must be finite (no NaN or infinity)")
+    if set(np.unique(y)) != {0.0, 1.0}:
+        raise AnalyzeError("targets must contain both classes (0 and 1)")
+    return X, y, lams
+
+
+def _bands(X: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each coordinate's curvature bound for the logistic loss and soft-threshold
+    band (lo, hi) = (-lam, lam) / bound, for X (..., n, d): arrays of shape (d, ...)."""
+    lips = 0.25 * np.mean(X ** 2, axis=-2)
+    lips = np.where(lips > 0, lips, 0.25).T
+    return lips, -lams / lips, lams / lips
 
 
 def _fit_many(X: np.ndarray, Y: np.ndarray, strengths: Sequence[float], max_sweeps: int,
               tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """r L1 logistic fits in lockstep: X (r, n, d), Y (r, n) -> W (r, d), B (r,).
+    """r L1 logistic fits in lockstep: X (r, n, d), Y (r, n) -> W (r, d), B (r,),
+    each fit's inputs as `_checked` passes them.
 
     Every fit takes a lone fit's steps and each mean sums only its own unpadded
-    row, so each row is bit-identical to the r=1 call.  Converged fits drop out.
+    row, so each row is bit-identical to `_fit_one`.  Converged fits drop out.
     """
-    X, Y, lams = (np.asarray(a, dtype=np.float64) for a in (X, Y, strengths))
-    if not np.all(np.isfinite(lams) & (lams >= 0)):
-        raise AnalyzeError(f"l1 strengths must be finite and >= 0, got {np.unique(lams).tolist()}")
-    if any(set(np.unique(y)) != {0.0, 1.0} for y in Y):
-        raise AnalyzeError("targets must contain both classes (0 and 1)")
     r, n, d = X.shape
-    lips = 0.25 * np.mean(X ** 2, axis=1)  # curvature bound for logistic loss
-    lips = np.where(lips > 0, lips, 0.25).T  # lips[j]: coordinate j of every fit
-    lo, hi = -lams / lips, lams / lips  # soft-threshold band
+    lips, lo, hi = _bands(X, np.asarray(strengths, dtype=np.float64))  # [j]: every fit's
     Xt = np.ascontiguousarray(X.transpose(2, 0, 1))
     W, B, W_out, B_out = np.zeros((d, r)), np.zeros(r), np.zeros((r, d)), np.zeros(r)
     # neg_z holds -z (negating every update keeps its bits), so exp(neg_z) is exp(-z).
@@ -145,6 +167,46 @@ def _fit_many(X: np.ndarray, Y: np.ndarray, strengths: Sequence[float], max_swee
     return W_out, B_out
 
 
+def _fit_one(X: np.ndarray, y: np.ndarray, lam: float, max_sweeps: int,
+             tol: float) -> tuple[np.ndarray, float]:
+    """One L1 logistic fit: X (n, d), y (n,) -> w (d,), b.  `_fit_many`'s steps for
+    r = 1, with each coordinate's scalars held as Python floats.
+
+    Python float arithmetic rounds as numpy's float64 does, and x - lo is x + lam
+    / lip, so the weights keep their bits.  A coordinate that does not move
+    leaves -z, and hence the residual, as they were; the residual is then reused.
+    """
+    n = len(y)
+    lips, lo, hi = _bands(X, lam)
+    coords = list(zip(np.ascontiguousarray(X.T), lips.tolist(), lo.tolist(), hi.tolist()))
+    w, b = [0.0] * len(coords), 0.0
+    neg_z, resid, prod = np.zeros(n), np.empty(n), np.empty(n)  # neg_z: -z, as in _fit_many
+    add, multiply, subtract = np.add.reduce, np.multiply, np.subtract
+    stale = True  # whether resid lags neg_z
+    for _ in range(max_sweeps):
+        if stale:
+            _residual(neg_z, y, resid)
+        delta_b = -(float(add(resid)) / n) / 0.25
+        b += delta_b
+        subtract(neg_z, delta_b, neg_z)
+        change, stale = abs(delta_b), delta_b != 0.0
+        for j, (x_j, lip, lo_j, hi_j) in enumerate(coords):
+            if stale:
+                _residual(neg_z, y, resid)
+            x = w[j] - float(add(multiply(x_j, resid, prod))) / n / lip
+            new = x - hi_j if x > hi_j else x - lo_j if x < lo_j else 0.0
+            step = new - w[j]
+            stale = step != 0.0
+            if stale:
+                subtract(neg_z, multiply(x_j, step, prod), neg_z)
+                w[j] = new
+                if abs(step) > change:
+                    change = abs(step)
+        if change < tol:
+            break
+    return np.array(w), b
+
+
 def fit_l1_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -157,10 +219,11 @@ def fit_l1_logistic(
     Minimizes mean logistic loss + l1_strength * sum(|w|) (intercept
     unpenalized, l1_strength finite and >= 0) with soft-thresholding updates,
     so irrelevant coefficients land on literal zeros.  Deterministic: fixed
-    coordinate order, fixed sweep cap.  The r=1 case of `_fit_many`.
+    coordinate order, fixed sweep cap.  Bit-identical to a `_fit_many` row.
     """
-    W, B = _fit_many(np.asarray(X)[None], np.asarray(y)[None], [l1_strength], max_sweeps, _TOL)
-    return RegressionFit(W[0], float(B[0]), l1_strength, target_kind)
+    X, y, lam = _checked(X, y, l1_strength)
+    w, b = _fit_one(X, y, float(lam), max_sweeps, _TOL)
+    return RegressionFit(w, b, l1_strength, target_kind)
 
 
 def cross_validate_l1(
@@ -178,7 +241,7 @@ def cross_validate_l1(
     take the largest, trading a little fit for a sparser model.  Grid entries
     must be finite and >= 0.
     """
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    X, y, _ = _checked(X, y, grid)
     assignment = np.argsort(np.random.RandomState(0).permutation(len(y))) % folds
     splits = [(assignment != f, assignment == f) for f in range(folds)]
     splits = [(tr, te) for tr, te in splits if len(np.unique(y[tr])) >= 2 and te.any()]

@@ -33,6 +33,7 @@ _FEATURE_MEMOS: dict[int, "_FeatureMemo"] = {}
 # Each n-gram is hashed by a copy of this initialized state: the same digest as
 # a new `hashlib.blake2b(gram, digest_size=8)`, without setting up its parameters.
 _BLAKE2B = hashlib.blake2b(digest_size=8)
+_FROM_BYTES = int.from_bytes
 
 # A token's entry: (unigram index, lowercase form, {the next token's lowercase
 # form: bigram index}).
@@ -57,13 +58,14 @@ class _FeatureMemo:
     def index(self, gram: str) -> int:
         """The n-gram's index: its blake2b digest's first 8 bytes, masked."""
         h = _BLAKE2B.copy()
-        h.update(gram.encode("utf-8"))
-        return int.from_bytes(h.digest(), "big") & self.mask
+        h.update(gram.encode())  # UTF-8
+        return _FROM_BYTES(h.digest(), "big") & self.mask
 
     def add_chunk(self, chunk: str) -> tuple[_TokenEntry, ...]:
-        """Memoize the entries of `chunk`'s tokens, by the one token rule."""
+        """Memoize the entries of `chunk`'s tokens, by the one token rule: as in
+        `tokenize`, a chunk that `str.isalnum` accepts is its own single token."""
         entries = []
-        for tok in tokenize(chunk):
+        for tok in (chunk,) if chunk.isalnum() else tokenize(chunk):
             low = tok.lower()
             entry = self.tokens.get(low)
             if entry is None:

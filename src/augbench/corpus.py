@@ -30,7 +30,7 @@ class Origin:
             if value is not None and not isinstance(value, str):
                 raise CorpusError(f"origin technique, lang and parent must be strings: {self}")
         if self.kind == "original":
-            if self.technique or self.lang or self.parent:
+            if self.technique is not None or self.lang is not None or self.parent is not None:
                 raise CorpusError("original documents carry no synthesis metadata")
         elif self.kind == "synthetic":
             if not self.technique or not self.parent:

@@ -202,6 +202,21 @@ class TestL1Validation:
         with pytest.raises(AnalyzeError, match="l1 strength"):
             cross_validate_l1(X, y, grid=(0.01, bad))
 
+    # Each once came back as NaN weights, the first grid entry or a numpy error.
+    @pytest.mark.parametrize("fit", ["fit_l1_logistic", "cross_validate_l1"])
+    @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "1-D", "row count"])
+    def test_bad_features_rejected(self, fit, case):
+        X, y = _make_last_only_data(np.random.RandomState(7), n=40)
+        if case in ("nan", "inf", "-inf"):
+            X[3, 2], message = float(case), "finite"
+        else:
+            X, message = (X[:, 0] if case == "1-D" else X[:-1]), "one row per target"
+        with pytest.raises(AnalyzeError, match=message):
+            if fit == "fit_l1_logistic":
+                fit_l1_logistic(X, y, 0.01)
+            else:
+                cross_validate_l1(X, y)
+
     def test_negative_zero_is_zero(self):
         X, y = _make_last_only_data(np.random.RandomState(8), n=40)
         a, b = fit_l1_logistic(X, y, -0.0), fit_l1_logistic(X, y, 0.0)
@@ -298,6 +313,9 @@ class TestLockstepMatchesReference:
            scale=st.sampled_from([0.3, 1.0, 4.0]),
            lam=st.sampled_from([0.0, 1e-4, 0.01, 0.05, 0.3, 5.0]),
            max_sweeps=st.sampled_from([0, 1, 2, 7, 1000]))
+    # stops at the sweep cap; and a column of zeros, which never moves at lam = 0
+    @example(seed=1, n=200, d=6, constant_col=False, scale=4.0, lam=1e-3, max_sweeps=1000)
+    @example(seed=0, n=200, d=6, constant_col=True, scale=1.0, lam=0.0, max_sweeps=1000)
     @settings(max_examples=60, deadline=None)
     def test_fit_bit_identical(self, seed, n, d, constant_col, scale, lam, max_sweeps):
         X, y = _design(seed, n, d, constant_col, scale)

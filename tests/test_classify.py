@@ -109,6 +109,11 @@ class TestGramMemo:
     @example([("good,bad film.!", 12), ("good , bad film . !", 12), ("good,bad film.!", 12),
               ("film.! good,bad", 12)])
     @example([("film film. film, .film", 10), ("The film. the FILM", 10), ("the,the the", 10)])
+    # non-ASCII alphanumeric chunks, each its own token, in mixed case ("İ" lowercases
+    # to "i" and a combining dot, which is not alphanumeric)
+    @example([("\u00df \u1e9e \u00b2 \u216b \u217b \u01c5 \u01c4 \u01c6 \u0130", 12),
+              ("\u01c5\u0130\u00df STRA\u1e9eE \u216b\u00b2 \u0130 i\u0307 \u01c6", 12),
+              ("\u1e9e \u00df \u217b \u216b \u01c6 \u01c5 \u0130 \u0130", 12)])
     @settings(max_examples=150, deadline=None)
     def test_featurize_equals_memo_free_reference(self, limit, calls):
         with pytest.MonkeyPatch.context() as mp:

@@ -163,6 +163,9 @@ class TestJsonl:
          "unknown origin kind: 'synthetc'"),
         ({"origin": {"kind": "original", "parent": "a"}},
          "original documents carry no synthesis metadata"),
+        # empty strings once loaded, and were written back as a bare original
+        ({"origin": {"kind": "original", "technique": "", "lang": "", "parent": ""}},
+         "original documents carry no synthesis metadata"),
         ({"origin": {"technique": "sr", "parent": "a"}}, "unknown origin kind: None"),
         ({"origin": {"kind": "synthetic", "parent": "a"}},
          "synthetic documents need technique and parent"),

@@ -203,15 +203,42 @@ def test_replaced_augment_dataset_reaches_the_sweep(monkeypatch):
 _GENERATE = """
 import json, sys
 from gen import generate
-print(json.dumps(generate("tta-analyze", 0, sys.argv[1])))
+print(json.dumps(generate(sys.argv[1], 0, sys.argv[2])))
 """
 
 
-def test_benchmark_inputs_match_recorded_digests(tmp_path):
-    result = _run_with_perfbench(_GENERATE, str(tmp_path))
-    assert result.returncode == 0, result.stderr
+def _golden(workload: str) -> dict:
+    """The digests `perfbench/golden.json` records for the workload's variant 0."""
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
-    assert json.loads(result.stdout) == golden["tta-analyze"]["0"]["inputs"]
+    return golden[workload]["0"]
+
+
+def test_benchmark_inputs_match_recorded_digests(tmp_path):
+    result = _run_with_perfbench(_GENERATE, "tta-analyze", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == _golden("tta-analyze")["inputs"]
+
+
+_WORKLOADS = [w["name"] for w in
+              json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_outputs_match_recorded_digests(tmp_path, workload):
+    # one untraced repetition, started as perfbench/run.py starts it
+    inputs, out, result_path = tmp_path / "inputs", tmp_path / "out", tmp_path / "result.json"
+    generated = _run_with_perfbench(_GENERATE, workload, str(inputs))
+    assert generated.returncode == 0, generated.stderr
+    out.mkdir()
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    rep = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), workload,
+                          str(inputs), str(out), "0.0", "0", str(result_path)],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert rep.returncode == 0, rep.stderr
+    result = json.loads(result_path.read_text(encoding="utf-8"))
+    assert (result["outputs"], result["failed"], result["problems"]) == (
+        _golden(workload)["outputs"], 0, [])
 
 
 # `import augbench` runs in every CLI call and benchmark child, so it loads
