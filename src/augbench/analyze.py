@@ -119,8 +119,15 @@ def _checked(X, y, strengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _bands(X: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each coordinate's curvature bound for the logistic loss and soft-threshold
-    band (lo, hi) = (-lam, lam) / bound, for X (..., n, d): arrays of shape (d, ...)."""
-    lips = 0.25 * np.mean(X ** 2, axis=-2)
+    band (lo, hi) = (-lam, lam) / bound, for X (..., n, d): arrays of shape (d, ...).
+    A bound that overflows float64 raises AnalyzeError: its band would be 0 and
+    its weight would stay 0.0 whatever the data."""
+    with np.errstate(over="ignore"):
+        lips = 0.25 * np.mean(X ** 2, axis=-2)
+    if not np.isfinite(lips).all():
+        columns = np.unique(np.nonzero(~np.isfinite(lips))[-1]).tolist()
+        raise AnalyzeError(f"features too large for an L1 fit: the mean square of "
+                           f"column(s) {columns} overflows float64")
     lips = np.where(lips > 0, lips, 0.25).T
     return lips, -lams / lips, lams / lips
 

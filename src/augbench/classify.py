@@ -1,6 +1,7 @@
 """Hashed bag-of-ngrams logistic regression baseline and prediction tables."""
 from __future__ import annotations
 
+import array
 import csv
 import functools
 import hashlib
@@ -12,7 +13,7 @@ import zipfile
 from dataclasses import dataclass, asdict
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -123,6 +124,57 @@ def feature_row(text: str, bits: int) -> FeatureRow:
     f = featurize(text, bits)
     return (np.fromiter(f.keys(), dtype=np.int64, count=len(f)),
             np.fromiter(f.values(), dtype=np.float64, count=len(f)))
+
+
+class PackedRows(Mapping[str, FeatureRow]):
+    """The `feature_row` of each distinct text, packed: text -> (indices, counts).
+
+    One `featurize` call per distinct text appends its keys and counts, in key
+    order, straight onto two flat buffers: indices in the smallest unsigned
+    integer dtype holding 2**bits - 1, counts in the smallest holding the
+    largest count.  A row is two read-only views into them, made at each
+    lookup, so the store holds no array per row; `weights[idx]` gathers the
+    same weights and a count converts to the same float64, so a row scores
+    exactly as its `feature_row` does.
+    """
+
+    __slots__ = ("_rows", "_bounds", "_keys", "_counts")
+
+    def __init__(self, texts: Iterable[str], bits: int):
+        rows: dict[str, int] = {}  # text -> its row number
+        bounds = array.array("q", [0])  # row i spans [bounds[i], bounds[i + 1])
+        # The smallest unsigned dtype holding a value; its character is also an
+        # `array` typecode.  An index has 64 bits at most.
+        keys = array.array(np.min_scalar_type((1 << min(bits, 64)) - 1).char)
+        counts = array.array("B")
+        for text in texts:
+            if text in rows:
+                continue
+            f = featurize(text, bits)
+            top = max(f.values(), default=0)
+            if top >> 8 * counts.itemsize:
+                counts = array.array(np.min_scalar_type(top).char, counts)
+            keys.extend(f)
+            counts.extend(f.values())
+            rows[text] = len(rows)
+            bounds.append(len(keys))
+        self._rows, self._bounds = rows, bounds
+        self._keys = np.asarray(memoryview(keys).toreadonly())
+        self._counts = np.asarray(memoryview(counts).toreadonly())
+
+    def __getitem__(self, text: str) -> FeatureRow:
+        i = self._rows[text]
+        start, end = self._bounds[i], self._bounds[i + 1]
+        return self._keys[start:end], self._counts[start:end]
+
+    def __contains__(self, text) -> bool:
+        return text in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 @dataclass
@@ -258,8 +310,9 @@ def score_texts(model: LinearModel, texts: Iterable[str],
                 rows: Mapping[str, FeatureRow]) -> dict[str, float]:
     """P(positive) of each distinct text in `texts`, keyed in first-seen order.
 
-    A text's row is taken from `rows` (`feature_row`s built with
-    `model.config.bits`) or else featurized.  Its score is the sigmoid of the bias
+    A text's row is taken from `rows` (built with `model.config.bits`: the
+    `feature_row`s, or a `PackedRows` whose rows are read-only views of unsigned
+    integer dtypes) or else featurized.  Its score is the sigmoid of the bias
     and then each w[i]*count, added left to right in row order by
     `np.add.accumulate`; a pairwise sum (`np.sum`), a dot product or a sparse
     matvec would round differently.  One `terms` buffer serves every row and
@@ -360,7 +413,8 @@ def predict_corpus(model: LinearModel, corpus: Corpus, source_id: str,
                    splits: Iterable[str] = ("test",),
                    rows: Optional[Mapping[str, FeatureRow]] = None) -> PredictionTable:
     """Score every document in `splits` through `score_texts`, each distinct
-    text once; `rows` are passed on to it."""
+    text once; `rows` (`feature_row`s or a `PackedRows`, whose rows are views
+    of unsigned integer dtypes) are passed on to it."""
     table = PredictionTable()
     wanted = set(splits)
     docs = [d for d in corpus if d.split in wanted]

@@ -18,6 +18,14 @@ class CorpusError(Exception):
     """Raised for malformed corpora, files, or directory layouts."""
 
 
+class _DuplicateId(CorpusError):
+    """A document repeats an earlier one's id; `position` is its index in the input."""
+
+    def __init__(self, doc_id: str, position: int):
+        super().__init__(f"duplicate document id: {doc_id!r}")
+        self.doc_id, self.position = doc_id, position
+
+
 @dataclass(frozen=True, slots=True)
 class Origin:
     kind: str = "original"  # "original" | "synthetic"
@@ -102,8 +110,8 @@ class Corpus:
         self._docs: list[Document] = list(documents)
         index: dict[str, Document] = {}  # checks ids and parents, then is let go
         for doc in self._docs:
-            if doc.id in index:
-                raise CorpusError(f"duplicate document id: {doc.id!r}")
+            if doc.id in index:  # every earlier id is in `index`
+                raise _DuplicateId(doc.id, len(index))
             index[doc.id] = doc
         for doc in self._docs:
             if doc.origin.kind != "synthetic":
@@ -173,12 +181,13 @@ def _shared(value, names: tuple[str, ...]):
 def ingest_jsonl(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL interchange format."""
     docs = []
-    seen = set()
+    blanks = []  # the numbers of blank lines, to find a document's line
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
+                    blanks.append(lineno)
                     continue
                 try:
                     obj = json.loads(line)
@@ -191,13 +200,18 @@ def ingest_jsonl(path: str | Path) -> Corpus:
                     )
                 except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as e:
                     raise CorpusError(f"{path}: malformed document at line {lineno}: {e}") from e
-                if doc.id in seen:
-                    raise CorpusError(f"{path}: duplicate id {doc.id!r} at line {lineno}")
-                seen.add(doc.id)
                 docs.append(doc)
     except UnicodeDecodeError as e:
         raise CorpusError(f"cannot decode {path} as UTF-8: {e}") from None
-    return Corpus(docs)
+    try:
+        return Corpus(docs)  # checks the ids once
+    except _DuplicateId as e:
+        lineno = e.position + 1  # the line, were there no blank lines
+        for blank in blanks:
+            if blank > lineno:
+                break
+            lineno += 1
+        raise CorpusError(f"{path}: duplicate id {e.doc_id!r} at line {lineno}") from None
 
 
 @contextlib.contextmanager

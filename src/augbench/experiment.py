@@ -21,8 +21,8 @@ import yaml
 
 from . import augment as _augment
 from .augment import AugmentError, AugmentSpec, AugTechnique, derive_seed
-from .classify import (ClassifyError, FeatureRow, LinearModel, PredictionTable, TrainConfig,
-                       feature_row, predict_corpus, score_texts, train)
+from .classify import (ClassifyError, FeatureRow, LinearModel, PackedRows, PredictionTable,
+                       TrainConfig, predict_corpus, score_texts, train)
 from .corpus import Corpus, CorpusError, carve_validation, replacing, subsample_balanced
 from .ensemble import (CalibrationReport, SimplexWeights, calibration_report,
                        combine, fit_weights, log_loss, tta_generate)
@@ -248,8 +248,8 @@ def _score(prepared: Corpus, n: int, seed: int, config: ExperimentConfig, sub_ha
            test_rows: Mapping[str, FeatureRow]) -> ReportRow:
     """Train on a prepared run and evaluate it on the test split: the run's report row.
 
-    `test_rows` are feature rows of the test split keyed by text, built once
-    per sweep with the classifier's bits and shared by its runs.
+    `test_rows` are the test split's `PackedRows`, built once per sweep with
+    the classifier's bits and shared by its runs.
     """
     clf_config = dataclasses.replace(config.classifier, seed=derive_seed(config.classifier.seed, "train", seed))
     model = train(prepared, clf_config)
@@ -367,8 +367,11 @@ def run_low_resource_sweep(
     raises.
 
     In memory, this process holds the test rows, the translation cache and one
-    run's corpora: a run's subsample, prepared corpus and `_score` step are let
-    go once its worker has forked or its in-process outcome has returned.  Each
+    run's corpora.  The test rows are one `PackedRows`, built by one `featurize`
+    call per distinct test text: indices and counts in two flat buffers of the
+    smallest unsigned integer types (5 bytes per nonzero at the default bits),
+    no array per row.  A run's subsample, prepared corpus and `_score` step are
+    let go once its worker has forked or its in-process outcome has returned.  Each
     worker adds its run's training rows and a 2^bits weight vector.  A `wait4`
     peak (`ru_maxrss`) of the process that calls this is therefore the larger
     of its own peak and one worker's, not their sum."""
@@ -376,8 +379,7 @@ def run_low_resource_sweep(
     if not test_docs:
         raise ExperimentError("the corpus has no test documents to evaluate on")
     report = ExperimentReport()
-    bits = config.classifier.bits
-    test_rows = {t: feature_row(t, bits) for t in dict.fromkeys(d.text for d in test_docs)}
+    test_rows = PackedRows((d.text for d in test_docs), config.classifier.bits)
     runs = [(n, seed) for n in config.train_sizes for seed in config.seeds]
     workers = _workers(len(runs))
     # (tag, parent seconds, the run's outcome or its _Worker), in run order

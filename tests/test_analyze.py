@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +217,29 @@ class TestL1Validation:
                 fit_l1_logistic(X, y, 0.01)
             else:
                 cross_validate_l1(X, y)
+
+    # A squared entry above about 1.3e154 overflows the curvature bound; that
+    # column's weight once stayed 0.0, with only a numpy RuntimeWarning.
+    @pytest.mark.parametrize("fit", ["fit_l1_logistic", "cross_validate_l1"])
+    @pytest.mark.parametrize("big", [1e200, -1e155, 1.5e154])
+    def test_overflowing_features_rejected_without_warning(self, fit, big):
+        X, y = _make_last_only_data(np.random.RandomState(7), n=40)
+        X[5, 1] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalyzeError, match=r"too large .* column\(s\) \[1\]"):
+                if fit == "fit_l1_logistic":
+                    fit_l1_logistic(X, y, 0.01)
+                else:
+                    cross_validate_l1(X, y)
+
+    def test_large_finite_bound_still_fits(self):
+        X, y = _make_last_only_data(np.random.RandomState(7), n=40)
+        X[5, 1] = 1e153  # squares to 1e306: large, finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_l1_logistic(X, y, 0.01)
+        assert np.isfinite(fit.coefficients).all()
 
     def test_negative_zero_is_zero(self):
         X, y = _make_last_only_data(np.random.RandomState(8), n=40)

@@ -405,11 +405,13 @@ class TestBitExactness:
         for text in texts:
             assert predict(random_model, text) == _reference_predict(random_model, text)
 
-    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("shared", [None, "arrays", "packed"])
     def test_predict_corpus_equals_scalar_loop(self, random_model, micro_corpus, shared):
         docs = micro_corpus.split_docs("test")
-        rows = ({d.text: feature_row(d.text, random_model.config.bits) for d in docs}
-                if shared else None)
+        bits = random_model.config.bits
+        rows = {None: lambda: None,
+                "arrays": lambda: {d.text: feature_row(d.text, bits) for d in docs},
+                "packed": lambda: classify.PackedRows((d.text for d in docs), bits)}[shared]()
         table = predict_corpus(random_model, micro_corpus, "s", rows=rows)
         assert len(table) == len(docs)
         for d in docs:
@@ -462,6 +464,85 @@ class TestBitExactness:
         report.write_csv(tmp_path / "report.csv")
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
         assert digest == SWEEP_REPORT_SHA256
+
+
+class _Periodic:
+    """The weights of a model too wide to allocate: weight i is small[i % len(small)]."""
+
+    def __init__(self, small):
+        self.small = small
+
+    def __getitem__(self, idx):
+        return self.small[idx % len(self.small)]
+
+
+def _repeated(gram, times):
+    return " ".join([gram] * times)
+
+
+class TestPackedRows:
+    # bits 8/9, 16/17 and 32/33 cross the index dtype boundaries; a gram
+    # repeated 255, 256 and 65,536 times the count dtype boundaries.
+    @given(texts=st.lists(st.one_of(st.just(""), _family_text,
+                                     st.sampled_from([_repeated("a", 255), _repeated("b", 256)])),
+                          max_size=40),
+           bits=st.sampled_from([1, 6, 8, 9, 12, 16, 17, 32, 33, 63]),
+           repeat=st.lists(st.integers(0, 39), max_size=10),
+           weights_seed=st.integers(0, 2**32 - 1))
+    @example(texts=[], bits=12, repeat=[], weights_seed=0)
+    @example(texts=["", ""], bits=8, repeat=[], weights_seed=0)
+    @example(texts=[_repeated("a", 255), "the film"], bits=32, repeat=[0], weights_seed=0)
+    @example(texts=["the film", _repeated("b", 256)], bits=33, repeat=[1], weights_seed=0)
+    @example(texts=[_repeated("c", 65536), "good"], bits=9, repeat=[], weights_seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_feature_row_scores(self, texts, bits, repeat, weights_seed):
+        texts = texts + [texts[i] for i in repeat if i < len(texts)]
+        small = _random_model(min(bits, 12)).weights
+        np.random.default_rng(weights_seed).shuffle(small)
+        weights = small if bits <= 12 else _Periodic(small)
+        model = LinearModel(weights=weights, bias=0.25, config=TrainConfig(bits=bits))
+        store = classify.PackedRows(texts, bits)
+        rows = {t: feature_row(t, bits) for t in texts}
+        assert list(store) == list(rows) and len(store) == len(rows)
+        top = max((int(vals.max()) for _, vals in rows.values() if len(vals)), default=0)
+        for text in texts:
+            assert text in store
+            idx, vals = store[text]
+            assert idx.dtype == np.min_scalar_type((1 << min(bits, 64)) - 1)
+            assert vals.dtype == np.min_scalar_type(top)
+            assert idx.tolist() == rows[text][0].tolist()
+            assert vals.tolist() == rows[text][1].tolist()
+            for view in (idx, vals):
+                assert not view.flags.writeable
+                with pytest.raises(ValueError):
+                    view.flags.writeable = True
+        assert "never featurized" not in store
+        got = classify.score_texts(model, texts, store)
+        want = classify.score_texts(model, texts, rows)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+    @pytest.mark.parametrize("bits,index_dtype", [
+        (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+        (32, np.uint32), (33, np.uint64), (64, np.uint64), (70, np.uint64)])
+    @pytest.mark.parametrize("times,count_dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+        (65536, np.uint32)])
+    def test_smallest_dtypes(self, bits, index_dtype, times, count_dtype):
+        store = classify.PackedRows(["good film", _repeated("a", times), ""], bits)
+        for text in store:
+            idx, vals = store[text]
+            assert (idx.dtype, vals.dtype) == (index_dtype, count_dtype)
+        assert store[_repeated("a", times)][1].max(initial=0) == times
+
+    def test_one_featurize_call_per_distinct_text(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(classify, "featurize",
+                            lambda text, bits: calls.append(text) or featurize(text, bits))
+        texts = ["b a", "", "a b", "b a", "", "c"]
+        store = classify.PackedRows(iter(texts), 10)
+        assert calls == list(dict.fromkeys(texts)) == list(store)
+        assert store["b a"][0].tolist() == list(featurize("b a", 10))
 
 
 class TestPredictionTable:

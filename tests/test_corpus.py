@@ -194,6 +194,23 @@ class TestJsonl:
         with pytest.raises(CorpusError, match="dup"):
             ingest_jsonl(path)
 
+    # `Corpus` finds the duplicate by its position among documents; blank lines
+    # around and between them shift the line it is reported at.
+    @pytest.mark.parametrize("layout,line", [
+        ("a b c a", 4), ("_ a _ b _ _ a _", 7), ("_ _ a a", 4), ("a b b _", 3),
+        ("a _ _ _ b a", 6), ("a a a", 2),
+    ])
+    def test_duplicate_id_names_its_line_among_blank_lines(self, tmp_path, layout, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(
+            "  \n" if name == "_" else
+            json.dumps({"id": name, "text": "x", "label": "pos", "split": "train"}) + "\n"
+            for name in layout.split()), encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            ingest_jsonl(path)
+        dup = "b" if layout == "a b b _" else "a"
+        assert str(info.value) == f"{path}: duplicate id {dup!r} at line {line}"
+
     @pytest.mark.parametrize("field,value", [
         ("text", "bad \ud800 text"), ("text", "\udfff"), ("id", "d\udc00"),
     ])

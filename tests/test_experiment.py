@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augbench import experiment
+from augbench import classify, experiment
 from augbench.augment import AugmentError, AugmentSpec, derive_seed
 from augbench.classify import ClassifyError, TrainConfig, train
 from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
                                  ReportRow, run_low_resource_sweep, run_tta_pipeline)
-from augbench.corpus import carve_validation
+from augbench.corpus import Document, carve_validation
 from augbench.translate import MockProvider, ReplayProvider, TranslationCache
 
 from synth import TABLE2_LANGUAGES, make_review_corpus
@@ -159,6 +159,34 @@ class TestSweepWithForcedWorkers(TestLowResourceSweep, TestLanguageStudy):
     @pytest.fixture(autouse=True, params=[1, 2], ids=["in-process", "two-workers"])
     def forced(self, request, workers):
         workers(request.param)
+
+
+def test_sweep_featurizes_each_test_text_once(micro_corpus, workers, monkeypatch):
+    # The shared test rows are packed straight from one `featurize` call per
+    # distinct test text; no run builds a `feature_row` of a test text.
+    workers(1)  # every run in this process, where the calls are seen
+    first = micro_corpus.split_docs("test")[0]
+    corp = micro_corpus.with_documents(
+        [Document(id=f"again{i}", text=first.text, label=first.label, split="test")
+         for i in range(2)])
+    test_texts = {d.text for d in corp.split_docs("test")}
+    assert not test_texts & {d.text for d in corp.split_docs("train")}
+    featurized, rows, stores = [], [], []
+    featurize, feature_row = classify.featurize, classify.feature_row
+    predict_corpus = experiment.predict_corpus
+    monkeypatch.setattr(classify, "featurize",
+                        lambda text, bits: featurized.append(text) or featurize(text, bits))
+    monkeypatch.setattr(classify, "feature_row",
+                        lambda text, bits: rows.append(text) or feature_row(text, bits))
+    monkeypatch.setattr(experiment, "predict_corpus",
+                        lambda *args, rows, **kw: stores.append(rows) or predict_corpus(
+                            *args, rows=rows, **kw))
+    report = run_low_resource_sweep(_fast_config(train_sizes=[20, 40]), corp)
+    assert len(report.rows) == 6
+    assert sorted(t for t in featurized if t in test_texts) == sorted(test_texts)
+    assert rows and not test_texts & set(rows)  # training rows only
+    assert len(stores) == 6 and len({id(s) for s in stores}) == 1
+    assert isinstance(stores[0], classify.PackedRows) and set(stores[0]) == test_texts
 
 
 def _on_seed_1(action):
