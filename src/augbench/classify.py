@@ -177,6 +177,13 @@ class PackedRows(Mapping[str, FeatureRow]):
         return len(self._rows)
 
 
+# The dense weight vector takes 8 * 2**bits bytes: 2 MiB at the default 18,
+# 8 GiB at 30, in each sweep worker.  2**30 buckets are over 100 times the
+# few million distinct unigrams and bigrams of IMDB's 100,000 reviews, so wider
+# hashing buys almost no fewer collisions; at 40 bits the vector takes 8 TiB.
+MAX_BITS = 30
+
+
 @dataclass
 class TrainConfig:
     bits: int = 18
@@ -191,6 +198,8 @@ class TrainConfig:
             raise ClassifyError(f"lr_decay must be 'linear' or 'constant', got {self.lr_decay!r}")
         if self.bits < 1:
             raise ClassifyError(f"bits must be at least 1, got {self.bits}")
+        if self.bits > MAX_BITS:
+            raise ClassifyError(f"bits must be at most {MAX_BITS}, got {self.bits}")
         if self.epochs < 1:
             raise ClassifyError(f"epochs must be at least 1, got {self.epochs}")
         if not self.learning_rate > 0:

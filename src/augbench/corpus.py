@@ -18,12 +18,12 @@ class CorpusError(Exception):
     """Raised for malformed corpora, files, or directory layouts."""
 
 
-class _DuplicateId(CorpusError):
-    """A document repeats an earlier one's id; `position` is its index in the input."""
+class _BadDocument(CorpusError):
+    """A document fails a check against the others; `position` is its index in the input."""
 
-    def __init__(self, doc_id: str, position: int):
-        super().__init__(f"duplicate document id: {doc_id!r}")
-        self.doc_id, self.position = doc_id, position
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,22 +111,21 @@ class Corpus:
         index: dict[str, Document] = {}  # checks ids and parents, then is let go
         for doc in self._docs:
             if doc.id in index:  # every earlier id is in `index`
-                raise _DuplicateId(doc.id, len(index))
+                raise _BadDocument(f"duplicate id {doc.id!r}", len(index))
             index[doc.id] = doc
-        for doc in self._docs:
+        for position, doc in enumerate(self._docs):
             if doc.origin.kind != "synthetic":
                 continue
             pdoc = index.get(doc.origin.parent)
             if pdoc is None:
-                raise CorpusError(
-                    f"synthetic document {doc.id!r} has unresolved parent {doc.origin.parent!r}"
-                )
-            if not pdoc.is_original:
-                raise CorpusError(f"synthetic document {doc.id!r} has a synthetic parent")
-            if pdoc.label != doc.label:
-                raise CorpusError(
-                    f"synthetic document {doc.id!r} label {doc.label!r} differs from parent"
-                )
+                problem = f"has unresolved parent {doc.origin.parent!r}"
+            elif not pdoc.is_original:
+                problem = "has a synthetic parent"
+            elif pdoc.label != doc.label:
+                problem = f"label {doc.label!r} differs from parent"
+            else:
+                continue
+            raise _BadDocument(f"synthetic document {doc.id!r} {problem}", position)
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -204,14 +203,14 @@ def ingest_jsonl(path: str | Path) -> Corpus:
     except UnicodeDecodeError as e:
         raise CorpusError(f"cannot decode {path} as UTF-8: {e}") from None
     try:
-        return Corpus(docs)  # checks the ids once
-    except _DuplicateId as e:
+        return Corpus(docs)  # checks the ids and parents once
+    except _BadDocument as e:
         lineno = e.position + 1  # the line, were there no blank lines
         for blank in blanks:
             if blank > lineno:
                 break
             lineno += 1
-        raise CorpusError(f"{path}: duplicate id {e.doc_id!r} at line {lineno}") from None
+        raise CorpusError(f"{path}: {e} at line {lineno}") from None
 
 
 @contextlib.contextmanager

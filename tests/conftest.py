@@ -11,6 +11,7 @@ from augbench import translate
 from augbench.corpus import Corpus, Document
 from augbench.translate import MockProvider, PermanentTranslationError
 
+import digests
 from synth import make_review_corpus
 
 # Properties draw the same examples on every run, so a Tier-1 result does not
@@ -49,7 +50,7 @@ def small_corpus():
 
 @pytest.fixture
 def micro_corpus():
-    return make_review_corpus(n_train=200, n_test=60, seed=1)
+    return digests.micro_corpus()
 
 
 class _PivotDownProvider(MockProvider):

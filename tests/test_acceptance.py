@@ -7,7 +7,6 @@ points at an aclImdb directory and fall back to the bundled synthetic
 review corpus otherwise.
 """
 
-import hashlib
 import itertools
 import os
 import random
@@ -30,6 +29,7 @@ from augbench.experiment import ExperimentConfig, run_low_resource_sweep
 from augbench.translate import (MockProvider, ReplayProvider, TranslationCache, backtranslate,
                                 paper_cache_path)
 
+from digests import file_sha256
 from synth import TABLE2_LANGUAGES, make_review_corpus
 
 
@@ -55,10 +55,6 @@ def _test_accuracy(model, corp):
     """Accuracy at p >= 0.5 on the labeled test documents."""
     labels = {d.id: d.label for d in corp.split_docs("test") if d.label in ("pos", "neg")}
     return calibration_report(predict_corpus(model, corp, "s"), "s", labels).accuracy
-
-
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # -- 1. perturbation ops match brute-force enumeration ------------------------
@@ -155,7 +151,7 @@ def _pipeline_hashes(out_dir):
                            classifier=TrainConfig(bits=14, epochs=2))
     run_low_resource_sweep(cfg, corp).write_csv(out_dir / "report.csv")
 
-    return {p.name: _sha256(p) for p in sorted(out_dir.iterdir())}
+    return {p.name: file_sha256(p) for p in sorted(out_dir.iterdir())}
 
 
 def test_02_pipeline_rerun_is_byte_identical(tmp_path):

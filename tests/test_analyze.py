@@ -1,5 +1,3 @@
-import hashlib
-import json
 import warnings
 from types import SimpleNamespace
 
@@ -11,9 +9,8 @@ from augbench.analyze import (AnalyzeError, FEATURE_NAMES, RATING_POINTS, _fit_m
                               build_feature_matrix, cross_validate_l1, fit_l1_logistic,
                               numeracy_probe, sentence_features, split_sentences,
                               standardize)
-from augbench.classify import TrainConfig, predictor, train
 
-from synth import make_review_corpus
+import digests
 
 
 class TestSplitSentences:
@@ -375,31 +372,10 @@ class TestLockstepMatchesReference:
         assert float(got).hex() == float(want).hex()
 
 
-def _regression_digests():
-    """sha256 of the fit JSON `augbench analyze regress` writes, with the strength
-    cross-validated, for both targets on one fixed design (83 rows: 83 % 5 != 0)."""
-    corp = make_review_corpus(n_train=120, n_test=83, seed=11)
-    model = train(corp, TrainConfig(bits=12, epochs=2))
-    predict_fn = predictor(model)
-    docs = list(corp.split_docs("test"))
-    X, _, _ = standardize(build_feature_matrix([d.text for d in docs], predict_fn))
-    targets = {"true_label": np.array([1.0 if d.label == "pos" else 0.0 for d in docs]),
-               "model_prediction": np.array([1.0 if predict_fn(d.text) >= 0.5 else 0.0
-                                             for d in docs])}
-    digests = {}
-    for kind, y in targets.items():
-        fit = fit_l1_logistic(X, y, cross_validate_l1(X, y), target_kind=kind)
-        text = json.dumps(fit.as_dict(), indent=2, sort_keys=True)
-        digests[kind] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return digests
-
-
 def test_regression_fits_match_recorded_digests():
-    # recorded with the per-fit scalar loop, before the lockstep solver
-    assert _regression_digests() == {
-        "true_label": "08c999e29badeb2d18e43be3c8aaeb4760fc81ecac0297fab54ed0e31ca4854c",
-        "model_prediction": "91749a9b3c9904d002fb2d59a85a8d20629ffbd324a438e79be2cc7134b6cf99",
-    }
+    assert digests.regression_fits() == {
+        kind: digests.recorded(f"regression_fit_{kind}")
+        for kind in ("true_label", "model_prediction")}
 
 
 class TestNumeracyProbe:

@@ -1,5 +1,4 @@
 import collections
-import hashlib
 import re
 
 import pytest
@@ -11,9 +10,9 @@ from augbench.augment import (AugmentError, AugmentSpec, AugTechnique, Thesaurus
                               bundled_thesaurus, detokenize, derive_seed, edit_count,
                               eligible_positions, random_delete, random_insert, random_swap,
                               synonym_replace, tokenize)
-from augbench.corpus import export_jsonl
 from augbench.translate import MockProvider, TranslationCache
 
+import digests
 from synth import make_review_corpus
 
 TABLE1 = "A sad human comedy played out on the back roads of life."
@@ -441,25 +440,11 @@ class TestAugmentDataset:
                             translator=MockProvider(0))
 
 
-# `augbench augment` output (export_jsonl of augment_dataset) recorded before
-# tokenize and eligibility moved out of the per-copy loop.
-AUGMENT_SHA256 = {
-    "sr": "e49e2af0e8b167a0bcd43b9060d0a4254339f90aad194231d6e7064dcbf844e0",
-    "ri": "d1e0d1c7e324063b4329a033e078e263d6aa6b3962d21c5cc56608b636692cf1",
-    "rs": "e942858c32e9289af13c076f59ab50ba82e8c63c0e80994f4847d3c0cac1c12b",
-    "rd": "c0760a086565e6b4725b18c30101c1751a8e2b855cb40975cba79bbe8c4a89a4",
-}
-
-
 class TestPerParentWork:
-    @pytest.mark.parametrize("technique", sorted(AUGMENT_SHA256))
+    @pytest.mark.parametrize("technique", digests.EDA_TECHNIQUES)
     def test_corpus_matches_recorded_digest(self, technique, tmp_path):
-        corp = make_review_corpus(n_train=60, n_test=10, seed=3)
-        run = augment_dataset(corp, AugmentSpec(technique=technique, alpha=0.2,
-                                                copies_per_original=3, seed=11))
-        export_jsonl(run.corpus, tmp_path / "out.jsonl")
-        digest = hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()
-        assert digest == AUGMENT_SHA256[technique]
+        assert digests.augment_corpus(technique, tmp_path) == digests.recorded(
+            f"augment_{technique}")
 
     @pytest.mark.parametrize("technique,edit", [("sr", synonym_replace),
                                                 ("ri", random_insert)])

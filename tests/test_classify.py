@@ -17,14 +17,9 @@ from augbench.classify import (ClassifyError, LinearModel, PredictionTable,
                                predict, predict_corpus, train)
 from augbench.corpus import Corpus, Document
 from augbench.ensemble import calibration_report
-from augbench.experiment import ExperimentConfig, run_low_resource_sweep
 
+import digests
 from synth import make_review_corpus
-
-# Recorded before featurization and scoring were rewritten; they pin the
-# hashing, the feature order, the SGD updates and the summation order.
-SWEEP_REPORT_SHA256 = "4f461dbfdf89a9e3f6ee892a1c7a31db9dd841c5444b966ce797c5f1b3196332"
-TRAIN_WEIGHTS_SHA256 = "80447136852c589440a23158f9285016fc6c01fdf6a499b17888f0a3bf3df9e8"
 
 
 def _toy_corpus(n=20):
@@ -451,19 +446,11 @@ class TestBitExactness:
         assert idx.tolist() == list(f) and vals.tolist() == list(f.values())
 
     def test_train_weights_match_recorded_digest(self, micro_corpus):
-        model = train(micro_corpus, TrainConfig(bits=14))
-        assert hashlib.sha256(model.weights.tobytes()).hexdigest() == TRAIN_WEIGHTS_SHA256
-        assert model.bias == -0.0559042355159757
+        assert digests.train_weights(micro_corpus) == (digests.recorded("train_weights"),
+                                                       digests.recorded("train_bias"))
 
     def test_sweep_report_matches_recorded_digest(self, micro_corpus, tmp_path):
-        config = ExperimentConfig(
-            train_sizes=[40, 100], seeds=[0, 1],
-            augment=AugmentSpec(technique="sr", alpha=0.1, copies_per_original=2))
-        report = run_low_resource_sweep(config, micro_corpus)
-        assert not report.failures
-        report.write_csv(tmp_path / "report.csv")
-        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == SWEEP_REPORT_SHA256
+        assert digests.sweep_report(micro_corpus, tmp_path) == digests.recorded("sweep_report")
 
 
 class _Periodic:
@@ -500,7 +487,9 @@ class TestPackedRows:
         small = _random_model(min(bits, 12)).weights
         np.random.default_rng(weights_seed).shuffle(small)
         weights = small if bits <= 12 else _Periodic(small)
-        model = LinearModel(weights=weights, bias=0.25, config=TrainConfig(bits=bits))
+        # the rows take `bits` as given; a model's config only needs a legal width
+        model = LinearModel(weights=weights, bias=0.25,
+                            config=TrainConfig(bits=min(bits, classify.MAX_BITS)))
         store = classify.PackedRows(texts, bits)
         rows = {t: feature_row(t, bits) for t in texts}
         assert list(store) == list(rows) and len(store) == len(rows)

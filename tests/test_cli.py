@@ -314,6 +314,16 @@ class TestTrainPredict:
         assert lines[0] == "doc_id,p_positive"
         assert len(lines) == 11  # header + 10 test docs
 
+    def test_unresolved_parent_fails_naming_its_line(self, runner, tmp_path):
+        original = '{"id": "a", "text": "x", "label": "pos", "split": "train"}\n'
+        copy = ('{"id": "b", "text": "y", "label": "pos", "split": "train", '
+                '"origin": {"kind": "synthetic", "technique": "sr", "parent": "zzz"}}\n')
+        corpus = _write(tmp_path / "c.jsonl", original + "\n" + copy)
+        model = tmp_path / "model.npz"
+        _fails_with(runner, ["train", "--in", str(corpus), "--model-out", str(model)],
+                    f"{corpus}: synthetic document 'b' has unresolved parent 'zzz' at line 3")
+        assert not model.exists()
+
     def test_predict_has_no_source_option(self, runner, corpus_file, tmp_path):
         # the CSV is doc_id,p_positive whatever its source would be called
         result = runner.invoke(main, ["predict", "--model", str(corpus_file), "--in",
@@ -425,6 +435,8 @@ class TestTrainPredict:
         ("valid_frac: 0.0\n", "valid_frac must be in (0, 1), got 0.0"),
         ("classifier: {bits: 0}\n", "bits must be at least 1, got 0"),
         ("classifier: {bits: -1}\n", "bits must be at least 1, got -1"),
+        ("classifier: {bits: 40}\n", "bits must be at most 30, got 40"),
+        ("classifier: {bits: 64}\n", "bits must be at most 30, got 64"),
         ("classifier: {epochs: 0}\n", "epochs must be at least 1, got 0"),
         ("classifier: {learning_rate: 0.0}\n", "learning_rate must be positive, got 0.0"),
         ("classifier: {learning_rate: -0.1}\n", "learning_rate must be positive, got -0.1"),

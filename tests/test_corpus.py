@@ -211,6 +211,29 @@ class TestJsonl:
         dup = "b" if layout == "a b b _" else "a"
         assert str(info.value) == f"{path}: duplicate id {dup!r} at line {line}"
 
+    # each check of a document against the others names the file and the line,
+    # counting the blank line ahead of it
+    @pytest.mark.parametrize("fields, problem", [
+        ({"id": "a"}, "duplicate id 'a'"),
+        ({"origin": {"kind": "synthetic", "technique": "sr", "parent": "zzz"}},
+         "synthetic document 'b' has unresolved parent 'zzz'"),
+        ({"origin": {"kind": "synthetic", "technique": "sr", "parent": "s"}},
+         "synthetic document 'b' has a synthetic parent"),
+        ({"label": "neg", "origin": {"kind": "synthetic", "technique": "sr", "parent": "a"}},
+         "synthetic document 'b' label 'neg' differs from parent"),
+    ])
+    def test_check_against_other_documents_names_its_line(self, tmp_path, fields, problem):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "text": "x", "label": "pos", "split": "train"}
+        copy = {**good, "id": "s", "origin": {"kind": "synthetic", "technique": "sr",
+                                              "parent": "a"}}
+        bad = {**good, "id": "b", **fields}
+        path.write_text("".join(json.dumps(d) + "\n" for d in (good, copy)) + "\n"
+                        + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            ingest_jsonl(path)
+        assert str(info.value) == f"{path}: {problem} at line 4"
+
     @pytest.mark.parametrize("field,value", [
         ("text", "bad \ud800 text"), ("text", "\udfff"), ("id", "d\udc00"),
     ])

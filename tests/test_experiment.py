@@ -1,4 +1,3 @@
-import hashlib
 import logging
 import os
 import signal
@@ -13,20 +12,14 @@ import pytest
 from augbench import classify, experiment
 from augbench.augment import AugmentError, AugmentSpec, derive_seed
 from augbench.classify import ClassifyError, TrainConfig, train
-from augbench.experiment import (ExperimentConfig, ExperimentError, ExperimentReport,
-                                 ReportRow, run_low_resource_sweep, run_tta_pipeline)
+from augbench.experiment import (ExperimentConfig, ExperimentError, ReportRow,
+                                 run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import Document, carve_validation
 from augbench.translate import MockProvider, ReplayProvider, TranslationCache
 
+import digests
 from synth import TABLE2_LANGUAGES, make_review_corpus
 
-# Recorded before the prediction table, the sweep loop and the TTA pipeline
-# were rewritten; they pin report rows, prediction order and every TTA output.
-STUDY_REPORT_SHA256 = "eff17ca26f091bd3a781cc908c7efd7196b1e356c77c49d86ea769ca0f83c4a9"
-TTA_MODEL_SHA256 = "8e464b374efd859e7c59001d08676884ccb09dd29966ca2b34ae9cc5ae3b0bc5"
-# The cache file of a small backtranslation sweep, recorded with one worker:
-# the sweep translates and appends in run order, however many workers train.
-SWEEP_CACHE_SHA256 = "6c63832357400b04f1ade2057b4a11a57de6300f88544dd85b4a44caffadc7d9"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -125,19 +118,7 @@ class TestLanguageStudy:
     """The pivot-set comparison is one backtranslation sweep per language set."""
 
     def test_report_matches_recorded_digest(self, micro_corpus, tmp_path):
-        cache = TranslationCache()
-        reports = [
-            run_low_resource_sweep(
-                _fast_config(augment=AugmentSpec(technique="bt", languages=langs)),
-                micro_corpus, provider=MockProvider(0), cache=cache)
-            for langs in [("es",), ("es", "fr"), ("bn",)]]
-        assert not any(rep.failures for rep in reports)
-        by_seed = list(zip(*(rep.rows for rep in reports)))
-        assert all(len({r.subsample for r in rows}) == 1 for rows in by_seed)
-        study = ExperimentReport(rows=[r for rows in by_seed for r in rows])
-        study.write_csv(tmp_path / "report.csv")
-        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-        assert digest == STUDY_REPORT_SHA256
+        assert digests.study_report(micro_corpus, tmp_path) == digests.recorded("study_report")
 
 
 @pytest.fixture
@@ -215,17 +196,10 @@ class TestWorkerPool:
             assert one.read_bytes() == two.read_bytes(), name
 
     def test_cache_matches_recorded_digest(self, tmp_path, workers):
-        cfg = ExperimentConfig(train_sizes=[10, 20], seeds=[0, 1],
-                               classifier=TrainConfig(bits=10),
-                               augment=AugmentSpec(technique="bt", languages=("es", "fr")))
-        corp = make_review_corpus(60, 20)
         for count in (1, 2):
             workers(count)
-            path = tmp_path / f"cache{count}.jsonl"
-            with TranslationCache(path) as cache:
-                report = run_low_resource_sweep(cfg, corp, provider=MockProvider(0), cache=cache)
-            assert len(report.rows) == 4, report.failures
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CACHE_SHA256, count
+            digest = digests.sweep_cache(tmp_path / f"cache{count}.jsonl")
+            assert digest == digests.recorded("sweep_cache"), count
 
     def test_killed_worker_fails_only_its_run(self, monkeypatch, workers):
         workers(2)
@@ -299,26 +273,6 @@ class TestWorkerPool:
         assert all(0.5 <= secs < 0.8 for _, secs in report.timings), report.timings
 
 
-def _tta_digest(result, tmp_path) -> str:
-    """sha256 over every source's CSV, the written weights and combined CSV, and
-    the valid losses, calibration reports and (source, pred_std, accuracy) rows
-    sorted by source, in their order."""
-    h = hashlib.sha256()
-    for s in result.predictions.sources:
-        result.predictions.to_csv(tmp_path / "p.csv", s)
-        h.update((tmp_path / "p.csv").read_bytes())
-    result.combined.to_csv(tmp_path / "combined.csv", "ensemble")
-    result.weights.to_json(tmp_path / "weights.json", fitting_set="valid",
-                           loss=result.valid_losses["ensemble"])
-    for name in ("combined.csv", "weights.json"):
-        h.update((tmp_path / name).read_bytes())
-    variance_rows = [(s, rep.pred_std, rep.accuracy)
-                     for s, rep in sorted(result.calibration.items())]
-    for part in (result.valid_losses, result.calibration, variance_rows):
-        h.update(repr(part).encode("utf-8"))
-    return h.hexdigest()
-
-
 class IdentityProvider:
     provider_id = "identity"
 
@@ -332,12 +286,7 @@ class TestTtaPipeline:
         return carve_validation(corp, 0.2, seed=0)
 
     def test_outputs_match_recorded_digest(self, tmp_path):
-        from augbench.classify import train
-        corp = self._prepared()
-        model = train(corp, TrainConfig(bits=12, epochs=2))
-        result = run_tta_pipeline(corp, ["es", "fr"], MockProvider(0), TranslationCache(),
-                                  model=model)
-        assert _tta_digest(result, tmp_path) == TTA_MODEL_SHA256
+        assert digests.tta_outputs(tmp_path) == digests.recorded("tta_outputs")
 
     def test_pipeline_outputs(self):
         from augbench.classify import train
@@ -568,6 +517,8 @@ class TestConfigParsing:
         ("valid_frac: 0.0\n", ExperimentError, "valid_frac must be in (0, 1), got 0.0"),
         ("classifier:\n  bits: 0\n", ClassifyError, "bits must be at least 1, got 0"),
         ("classifier:\n  bits: -1\n", ClassifyError, "bits must be at least 1, got -1"),
+        ("classifier:\n  bits: 40\n", ClassifyError, "bits must be at most 30, got 40"),
+        ("classifier:\n  bits: 64\n", ClassifyError, "bits must be at most 30, got 64"),
         ("classifier:\n  epochs: 0\n", ClassifyError, "epochs must be at least 1, got 0"),
         ("classifier:\n  learning_rate: 0.0\n", ClassifyError,
          "learning_rate must be positive, got 0.0"),

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -241,6 +242,30 @@ def test_benchmark_outputs_match_recorded_digests(tmp_path, workload):
         _golden(workload)["outputs"], 0, [])
 
 
+# Every output a Tier-1 test pins is recorded in tests/golden.json and computed
+# by tests/digests.py, which prints the whole table: so a golden change is
+# re-recorded by one redirect, and another BLAS core type or interpreter is
+# compared with the record by one child.
+def test_pinned_output_script_prints_golden_json():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(ROOT / "tests" / "digests.py")], cwd=ROOT,
+                            env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (ROOT / "tests" / "golden.json").read_bytes()
+
+
+_HEX64 = re.compile(r"(?<![0-9a-fA-F])[0-9a-fA-F]{64}(?![0-9a-fA-F])")
+
+
+def test_no_test_file_holds_a_sha256_literal():
+    # a new pinned sha256 goes into tests/golden.json, not into a test file
+    table = (ROOT / "tests" / "golden.json").read_text(encoding="utf-8")
+    assert len(_HEX64.findall(table)) >= 11  # the pattern still finds a recorded digest
+    held = {path.name: _HEX64.findall(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "tests").glob("*.py"))}
+    assert not {name: found for name, found in held.items() if found}
+
+
 # `import augbench` runs in every CLI call and benchmark child, so it loads
 # neither scipy, which nothing at run time needs, nor urllib.request, which
 # only an HTTP translation needs and imports when it makes a request.  No
@@ -287,6 +312,18 @@ def test_import_loads_neither_scipy_nor_requests():
 # different values.
 SETTABLE_CEILINGS = {"click options": 41, "defaulted parameters": 32,
                      "dataclass fields": 63}
+
+
+# The total `wc -l` of src/augbench/*.py is capped at its count when the cap was
+# last set.  Raising it needs a CHANGES.md line naming what the added lines buy,
+# as raising a settable-value ceiling does; a change that removes lines lowers it.
+SOURCE_LINE_CEILING = 2952
+
+
+def test_source_lines_do_not_grow():
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (ROOT / "src" / "augbench").glob("*.py"))
+    assert lines <= SOURCE_LINE_CEILING, lines
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
