@@ -208,6 +208,9 @@ class TrainConfig:
             raise ClassifyError(f"learning_rate must be finite, got {self.learning_rate}")
         if not (self.l2 >= 0 and math.isfinite(self.l2)):
             raise ClassifyError(f"l2 must be finite and at least 0, got {self.l2}")
+        if self.learning_rate * self.l2 >= 1:  # each L2 step would scale the weights by <= 0
+            raise ClassifyError(f"learning_rate * l2 must be below 1, got "
+                                f"{self.learning_rate} * {self.l2}")
 
 
 @dataclass
@@ -238,6 +241,8 @@ class LinearModel:
                 )
         except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
             raise ClassifyError(f"{path}: not a model saved by augbench train") from None
+        except ClassifyError as e:  # a saved config out of range
+            raise ClassifyError(f"{path}: {e}") from None
         w, dim = model.weights, 1 << model.config.bits
         if w.dtype != np.float64 or w.shape != (dim,):
             raise ClassifyError(f"{path}: weights must be a 1-D float64 array of length "
@@ -297,21 +302,22 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
             # BLAS ddot, as `wi @ vals` calls it, without matmul's dispatch
             z = scale * float(wi.dot(vals)) + bias
             g = _sigmoid(z) - ys[i]
-            if lr > 0.0:
-                if l2 > 0.0:
-                    scale *= 1.0 - lr * l2
-                    if scale < 1e-9:
-                        w *= scale
-                        scale = 1.0
-                        wi = w[idx]  # a copy: gather the rescaled weights
-                # the IEEE operations of w[idx] -= lr * g * vals / scale, in place
-                step_g = lr * g
-                t = vals * step_g
-                t /= scale
-                wi -= t
-                w[idx] = wi
-                bias -= step_g
+            if l2 > 0.0:
+                scale *= 1.0 - lr * l2
+                if scale < 1e-9:
+                    w *= scale
+                    scale = 1.0
+                    wi = w[idx]  # a copy: gather the rescaled weights
+            # the IEEE operations of w[idx] -= lr * g * vals / scale, in place
+            step_g = lr * g
+            t = vals * step_g
+            t /= scale
+            wi -= t
+            w[idx] = wi
+            bias -= step_g
     w *= scale  # in place: no second dense copy at the end of training
+    if not (np.isfinite(w).all() and math.isfinite(bias)):
+        raise ClassifyError(f"fit diverged to non-finite weights at learning_rate {learning_rate}")
     return LinearModel(weights=w, bias=bias, config=config)
 
 

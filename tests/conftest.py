@@ -8,7 +8,6 @@ import pytest
 from hypothesis import settings
 
 from augbench import translate
-from augbench.corpus import Corpus, Document
 from augbench.translate import MockProvider, PermanentTranslationError
 
 import digests

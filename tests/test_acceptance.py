@@ -15,11 +15,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.stats import chi2
 
 from augbench.analyze import (cross_validate_l1, fit_l1_logistic, standardize)
-from augbench.augment import (AugmentSpec, Thesaurus, bundled_stopwords,
+from augbench.augment import (AugmentSpec, bundled_stopwords,
                               bundled_thesaurus, augment_dataset, eligible_positions,
                               random_delete, random_insert, random_swap, synonym_replace)
 from augbench.classify import PredictionTable, TrainConfig, predict_corpus, train

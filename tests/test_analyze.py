@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from augbench.analyze import (AnalyzeError, FEATURE_NAMES, RATING_POINTS, _fit_many,
+from augbench.analyze import (AnalyzeError, FEATURE_NAMES, _fit_many,
                               build_feature_matrix, cross_validate_l1, fit_l1_logistic,
                               numeracy_probe, sentence_features, split_sentences,
                               standardize)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from augbench.augment import (AugmentError, AugmentSpec, AugTechnique, Thesaurus,
+from augbench.augment import (AugmentError, AugmentSpec, Thesaurus,
                               _is_punct_token, augment_dataset, bundled_stopwords,
                               bundled_thesaurus, detokenize, derive_seed, edit_count,
                               eligible_positions, random_delete, random_insert, random_swap,

@@ -298,12 +298,13 @@ class TestTrain:
         assert loaded.bias == model.bias
         assert loaded.config == model.config
 
-    @given(config=st.builds(
+    @given(config=st.tuples(
+               st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+               st.floats(min_value=0.0, allow_infinity=False),
+           ).filter(lambda rates: rates[0] * rates[1] < 1).flatmap(lambda rates: st.builds(
                TrainConfig, bits=st.integers(1, 16), epochs=st.integers(1, 10**6),
-               learning_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-               lr_decay=st.sampled_from(["linear", "constant"]),
-               l2=st.floats(min_value=0.0, allow_infinity=False),
-               seed=st.integers(-2**63, 2**64)),
+               learning_rate=st.just(rates[0]), lr_decay=st.sampled_from(["linear", "constant"]),
+               l2=st.just(rates[1]), seed=st.integers(-2**63, 2**64))),
            bias=st.floats(), weights_seed=st.integers(0, 2**32 - 1),
            special=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]),
                             max_size=4))
@@ -321,6 +322,13 @@ class TestTrain:
         assert loaded.config == config
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_fit_raises(self):
+        config = TrainConfig(bits=10, epochs=1, learning_rate=1e308, l2=0.0)
+        with pytest.raises(ClassifyError, match="^fit diverged to non-finite weights at "
+                                                "learning_rate 1e[+]308$"):
+            train(make_review_corpus(20, 0), config)
 
     def test_synthetic_corpus_learnable(self):
         corp = make_review_corpus(n_train=200, n_test=100, seed=3)

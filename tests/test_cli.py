@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import json
@@ -97,6 +98,22 @@ class TestUnreadableInputs:
         _fails_with(runner, ["predict", "--model", str(model), "--in", str(corpus_file),
                              "--out", str(tmp_path / "p.csv")],
                     f"{model}: weights must be a 1-D float64 array of length 2**bits = 262144")
+
+    @pytest.mark.parametrize("config, message", [
+        ({"bits": 0}, "bits must be at least 1, got 0"),
+        ({"bits": 31}, "bits must be at most 30, got 31"),
+        ({"learning_rate": 10.0, "l2": 0.1},
+         "learning_rate * l2 must be below 1, got 10.0 * 0.1"),
+    ])
+    def test_model_with_out_of_range_config_fails_naming_it(self, runner, tmp_path, config,
+                                                            message):
+        model = tmp_path / "bad.npz"
+        saved = {**dataclasses.asdict(TrainConfig(bits=4)), **config}
+        np.savez_compressed(model, weights=np.zeros(16), bias=np.float64(0.0),
+                            config=json.dumps(saved))
+        _fails_with(runner, ["analyze", "probe", "--model", str(model),
+                             "--out", str(tmp_path / "probe.csv")], f"{model}: {message}")
+        assert not (tmp_path / "probe.csv").exists()
 
 
 class TestAugmentCommand:
@@ -324,6 +341,20 @@ class TestTrainPredict:
                     f"{corpus}: synthetic document 'b' has unresolved parent 'zzz' at line 3")
         assert not model.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_fit_fails_and_saves_nothing(self, runner, corpus_file, tmp_path):
+        cfg = _write(tmp_path / "lr.yaml", "train_sizes: [20]\nseeds: [0, 1]\n"
+                                           "classifier: {learning_rate: 1.0e+308, l2: 0.0}\n")
+        model, out = tmp_path / "model.npz", tmp_path / "out"
+        _fails_with(runner, ["train", "--config", str(cfg), "--in", str(corpus_file),
+                             "--model-out", str(model)],
+                    "fit diverged to non-finite weights at learning_rate 1e+308")
+        assert not model.exists()
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--in", str(corpus_file),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.count("fit diverged to non-finite weights") == 2
+
     def test_predict_has_no_source_option(self, runner, corpus_file, tmp_path):
         # the CSV is doc_id,p_positive whatever its source would be called
         result = runner.invoke(main, ["predict", "--model", str(corpus_file), "--in",
@@ -441,6 +472,8 @@ class TestTrainPredict:
         ("classifier: {learning_rate: 0.0}\n", "learning_rate must be positive, got 0.0"),
         ("classifier: {learning_rate: -0.1}\n", "learning_rate must be positive, got -0.1"),
         ("classifier: {l2: -0.5}\n", "l2 must be finite and at least 0, got -0.5"),
+        ("classifier: {learning_rate: 10, l2: 0.1}\n",
+         "learning_rate * l2 must be below 1, got 10 * 0.1"),
         # only null or absent means "default"
         ("augment: []\n", "expected a mapping under augment:"),
         ("augment: {}\n", "augment needs a technique"),

@@ -9,10 +9,8 @@ from scipy.optimize import minimize_scalar
 
 from augbench import ensemble
 from augbench.classify import PredictionTable
-from augbench.corpus import Corpus, Document
-from augbench.ensemble import (CalibrationReport, EnsembleError, SimplexWeights,
-                               calibration_report, combine, fit_weights, log_loss,
-                               tta_generate)
+from augbench.ensemble import (EnsembleError, SimplexWeights, calibration_report, combine,
+                               fit_weights, log_loss, tta_generate)
 from augbench.translate import MockProvider, TranslationCache, backtranslate
 
 from synth import make_review_corpus

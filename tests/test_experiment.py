@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import signal
@@ -12,7 +13,7 @@ import pytest
 from augbench import classify, experiment
 from augbench.augment import AugmentError, AugmentSpec, derive_seed
 from augbench.classify import ClassifyError, TrainConfig, train
-from augbench.experiment import (ExperimentConfig, ExperimentError, ReportRow,
+from augbench.experiment import (ExperimentConfig, ExperimentError,
                                  run_low_resource_sweep, run_tta_pipeline)
 from augbench.corpus import Document, carve_validation
 from augbench.translate import MockProvider, ReplayProvider, TranslationCache
@@ -112,6 +113,19 @@ class TestLowResourceSweep:
         assert [r.n for r in report.rows] == [20]
         assert report.failures == [
             ("n=2,seed=0", "training needs at least 2 documents covering both labels")]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_fit_fails_only_its_run(self, monkeypatch):
+        def diverge_on_seed_1(corpus, config):
+            if config.seed == derive_seed(TrainConfig().seed, "train", 1):
+                config = dataclasses.replace(config, learning_rate=1e308, l2=0.0)
+            return train(corpus, config)
+
+        monkeypatch.setattr(experiment, "train", diverge_on_seed_1)
+        report = run_low_resource_sweep(_fast_config(), make_review_corpus(40, 10))
+        assert [r.seed for r in report.rows] == ["0", "2"]
+        assert report.failures == [
+            ("n=20,seed=1", "fit diverged to non-finite weights at learning_rate 1e+308")]
 
 
 class TestLanguageStudy:
@@ -529,6 +543,8 @@ class TestConfigParsing:
         ("classifier:\n  l2: -0.5\n", ClassifyError, "l2 must be finite and at least 0, got -0.5"),
         ("classifier:\n  l2: .nan\n", ClassifyError, "l2 must be finite and at least 0, got nan"),
         ("classifier:\n  l2: .inf\n", ClassifyError, "l2 must be finite and at least 0, got inf"),
+        ("classifier:\n  learning_rate: 0.5\n  l2: 3.0\n", ClassifyError,
+         "learning_rate * l2 must be below 1, got 0.5 * 3.0"),
         ("augment:\n  technique: bt\n  languages: [es]\n  copies: 3\n", AugmentError,
          "copies_per_original must be 1 for technique bt, got 3"),
         ("augment:\n  technique: bt\n  languages: [es, es]\n", AugmentError,

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from augbench.augment import AugmentSpec, augment_dataset, bundled_thesaurus, derive_seed
 from augbench.corpus import Corpus, Document
-from augbench.translate import (BacktranslationRecord, CacheError, HttpProvider, MockProvider,
+from augbench.translate import (CacheError, HttpProvider, MockProvider,
                                 PermanentTranslationError, ReplayProvider, TokenBucket,
                                 TransientTranslationError, TranslationCache, TranslationError,
                                 backtranslate, cache_key, paper_cache_path)
