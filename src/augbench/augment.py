@@ -9,7 +9,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import Corpus, Document, Origin
+from .corpus import Corpus, Document
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -289,7 +289,7 @@ def augment_dataset(
     translator=None,
     cache=None,
 ) -> AugmentRun:
-    """Append k synthetic documents per Original train document.
+    """Append k synthetic documents per original train document.
 
     Backtranslation makes one copy per language, or under round-robin one
     per document, its language assigned cyclically in corpus order.
@@ -358,6 +358,5 @@ def _make_synthetic(
         text=text,
         label=parent.label,
         split=parent.split,
-        origin=Origin(kind="synthetic", technique=spec.technique.value, lang=lang,
-                      parent=parent.id),
+        parent=parent.id, technique=spec.technique.value, lang=lang,
     )

@@ -274,7 +274,7 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     # (a parent, then its copies) while featurize's bounded memo holds their grams.
     families: dict[str, list[int]] = {}
     for i, d in enumerate(docs):
-        families.setdefault(d.origin.parent or d.id, []).append(i)
+        families.setdefault(d.parent or d.id, []).append(i)
     feats = [None] * len(docs)
     for members in families.values():
         for i in members:
@@ -290,31 +290,32 @@ def train(corpus: Corpus, config: Optional[TrainConfig] = None) -> LinearModel:
     total_steps = config.epochs * len(docs)
     step = 0
     learning_rate, linear, l2 = config.learning_rate, config.lr_decay == "linear", config.l2
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for i in order:
-            lr = learning_rate
-            if linear:
-                lr *= 1.0 - step / total_steps
-            step += 1
-            idx, vals = feats[i]
-            wi = w[idx]
-            # BLAS ddot, as `wi @ vals` calls it, without matmul's dispatch
-            z = scale * float(wi.dot(vals)) + bias
-            g = _sigmoid(z) - ys[i]
-            if l2 > 0.0:
+    # a diverging fit overflows to inf and nan; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            rng.shuffle(order)
+            for i in order:
+                lr = learning_rate
+                if linear:
+                    lr *= 1.0 - step / total_steps
+                step += 1
+                idx, vals = feats[i]
+                wi = w[idx]
+                # BLAS ddot, as `wi @ vals` calls it, without matmul's dispatch
+                z = scale * float(wi.dot(vals)) + bias
+                g = _sigmoid(z) - ys[i]
                 scale *= 1.0 - lr * l2
                 if scale < 1e-9:
                     w *= scale
                     scale = 1.0
                     wi = w[idx]  # a copy: gather the rescaled weights
-            # the IEEE operations of w[idx] -= lr * g * vals / scale, in place
-            step_g = lr * g
-            t = vals * step_g
-            t /= scale
-            wi -= t
-            w[idx] = wi
-            bias -= step_g
+                # the IEEE operations of w[idx] -= lr * g * vals / scale, in place
+                step_g = lr * g
+                t = vals * step_g
+                t /= scale
+                wi -= t
+                w[idx] = wi
+                bias -= step_g
     w *= scale  # in place: no second dense copy at the end of training
     if not (np.isfinite(w).all() and math.isfinite(bias)):
         raise ClassifyError(f"fit diverged to non-finite weights at learning_rate {learning_rate}")
@@ -448,7 +449,7 @@ def import_predictions(path: str | Path, source_id: str) -> PredictionTable:
     # process-wide, so it is lifted only while this file is read.
     field_limit = csv.field_size_limit(sys.maxsize)
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # drops a leading BOM
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["doc_id", "p_positive"]:

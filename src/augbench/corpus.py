@@ -27,60 +27,27 @@ class _BadDocument(CorpusError):
 
 
 @dataclass(frozen=True, slots=True)
-class Origin:
-    kind: str = "original"  # "original" | "synthetic"
-    technique: Optional[str] = None
-    lang: Optional[str] = None
-    parent: Optional[str] = None
-
-    def __post_init__(self):
-        for value in (self.technique, self.lang, self.parent):
-            if value is not None and not isinstance(value, str):
-                raise CorpusError(f"origin technique, lang and parent must be strings: {self}")
-        if self.kind == "original":
-            if self.technique is not None or self.lang is not None or self.parent is not None:
-                raise CorpusError("original documents carry no synthesis metadata")
-        elif self.kind == "synthetic":
-            if not self.technique or not self.parent:
-                raise CorpusError("synthetic documents need technique and parent")
-        else:
-            raise CorpusError(f"unknown origin kind: {self.kind!r}")
-
-    def to_json(self) -> dict:
-        if self.kind == "original":
-            return {"kind": "original"}
-        return {
-            "kind": "synthetic",
-            "technique": self.technique,
-            "lang": self.lang,
-            "parent": self.parent,
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "Origin":
-        """The origin `to_json` wrote, the shared `ORIGINAL` for every original;
-        every other mapping or value raises CorpusError."""
-        if not isinstance(obj, dict):
-            raise CorpusError(f"origin must be a mapping, got {obj!r}")
-        origin = cls(kind=obj.get("kind"), technique=obj.get("technique"),
-                     lang=obj.get("lang"), parent=obj.get("parent"))
-        return ORIGINAL if origin.kind == "original" else origin
-
-
-ORIGINAL = Origin()
-
-
-@dataclass(frozen=True, slots=True)
 class Document:
     id: str
     text: str
     label: str  # pos | neg | unsup
     split: str  # train | valid | test | unsup
-    origin: Origin = ORIGINAL
+    parent: Optional[str] = None  # the original a synthetic document was made from
+    technique: Optional[str] = None  # the augmentation that made it
+    lang: Optional[str] = None  # its backtranslation pivot
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not isinstance(self.text, str):
             raise CorpusError(f"document id and text must be strings, id is {self.id!r}")
+        for value in (self.technique, self.lang, self.parent):
+            if value is not None and not isinstance(value, str):
+                raise CorpusError(f"origin technique, lang and parent must be strings "
+                                  f"for document {self.id!r}")
+        if self.parent is None:
+            if self.technique is not None or self.lang is not None:
+                raise CorpusError("original documents carry no synthesis metadata")
+        elif not self.technique or not self.parent:
+            raise CorpusError("synthetic documents need technique and parent")
         if self.label not in LABELS:
             raise CorpusError(f"bad label {self.label!r} for document {self.id!r}")
         if self.split not in SPLITS:
@@ -92,7 +59,7 @@ class Document:
         # A lone surrogate (which a JSON "\ud800" escape decodes to) cannot be
         # written out as UTF-8, so no output could hold this document.
         try:
-            for value in (self.id, self.text, self.origin.technique, self.origin.lang):
+            for value in (self.id, self.text, self.technique, self.lang):
                 if value is not None:
                     value.encode("utf-8")
         except UnicodeEncodeError as e:
@@ -100,7 +67,7 @@ class Document:
 
     @property
     def is_original(self) -> bool:
-        return self.origin.kind == "original"
+        return self.parent is None
 
 
 class Corpus:
@@ -114,11 +81,11 @@ class Corpus:
                 raise _BadDocument(f"duplicate id {doc.id!r}", len(index))
             index[doc.id] = doc
         for position, doc in enumerate(self._docs):
-            if doc.origin.kind != "synthetic":
+            if doc.parent is None:
                 continue
-            pdoc = index.get(doc.origin.parent)
+            pdoc = index.get(doc.parent)
             if pdoc is None:
-                problem = f"has unresolved parent {doc.origin.parent!r}"
+                problem = f"has unresolved parent {doc.parent!r}"
             elif not pdoc.is_original:
                 problem = "has a synthetic parent"
             elif pdoc.label != doc.label:
@@ -177,6 +144,22 @@ def _shared(value, names: tuple[str, ...]):
     return names[names.index(value)] if value in names else value
 
 
+def _provenance(origin) -> dict:
+    """The parent, technique and lang of a line's `origin` object, as `export_jsonl`
+    writes it; `Document` checks what the kind does not settle."""
+    if not isinstance(origin, dict):
+        raise CorpusError(f"origin must be a mapping, got {origin!r}")
+    kind = origin.get("kind")
+    if kind not in ("original", "synthetic"):
+        raise CorpusError(f"unknown origin kind: {kind!r}")
+    fields = {key: origin.get(key) for key in ("parent", "technique", "lang")}
+    if kind == "original" and fields["parent"] is not None:
+        raise CorpusError("original documents carry no synthesis metadata")
+    if kind == "synthetic" and fields["parent"] is None:
+        raise CorpusError("synthetic documents need technique and parent")
+    return fields
+
+
 def ingest_jsonl(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL interchange format."""
     docs = []
@@ -195,7 +178,7 @@ def ingest_jsonl(path: str | Path) -> Corpus:
                         text=obj["text"],
                         label=_shared(obj["label"], LABELS),
                         split=_shared(obj["split"], SPLITS),
-                        origin=Origin.from_json(obj.get("origin", {"kind": "original"})),
+                        **_provenance(obj.get("origin", {"kind": "original"})),
                     )
                 except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as e:
                     raise CorpusError(f"{path}: malformed document at line {lineno}: {e}") from e
@@ -243,13 +226,15 @@ def export_jsonl(corpus: Corpus, path: str | Path) -> None:
                 "text": doc.text,
                 "label": doc.label,
                 "split": doc.split,
-                "origin": doc.origin.to_json(),
+                "origin": {"kind": "original"} if doc.is_original else {
+                    "kind": "synthetic", "technique": doc.technique, "lang": doc.lang,
+                    "parent": doc.parent},
             }
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def subsample_balanced(corpus: Corpus, n: int, seed: int) -> Corpus:
-    """Keep n label-balanced Original train documents; pass other splits through.
+    """Keep n label-balanced original train documents; pass other splits through.
 
     Positive count is ceil(n/2), negative floor(n/2).  Selection is a pure
     function of (corpus contents, n, seed).
@@ -272,7 +257,7 @@ def subsample_balanced(corpus: Corpus, n: int, seed: int) -> Corpus:
 
 
 def carve_validation(corpus: Corpus, valid_frac: float, seed: int) -> Corpus:
-    """Move a seeded, balanced fraction of Original train documents to the valid split."""
+    """Move a seeded, balanced fraction of original train documents to the valid split."""
     if not 0 < valid_frac < 1:
         raise CorpusError(f"valid_frac must be in (0,1), got {valid_frac}")
     moved: set[str] = set()

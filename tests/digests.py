@@ -136,7 +136,8 @@ def tta_outputs(out_dir: Path) -> str:
 
 
 def regression_fits() -> dict[str, str]:
-    """sha256 of the fit JSON `augbench analyze regress` writes, with the strength
+    """sha256 of `json.dumps(fit.as_dict(), indent=2, sort_keys=True)` (the fit JSON
+    `augbench analyze regress` writes, less its trailing newline), with the strength
     cross-validated, for both targets on one fixed design (83 rows: 83 % 5 != 0).
     Recorded with the per-fit scalar loop, before the lockstep solver."""
     corp = make_review_corpus(n_train=120, n_test=83, seed=11)

@@ -203,9 +203,9 @@ def test_03_invariant_property_suites():
                                   seed=seed)).corpus
             by_id = {d.id: d for d in out}
             for d in out:
-                if d.origin.kind != "synthetic":
+                if d.is_original:
                     continue
-                parent = by_id[d.origin.parent]
+                parent = by_id[d.parent]
                 assert d.label == parent.label and d.split == parent.split
                 generated += 1
 

@@ -390,9 +390,9 @@ class TestAugmentDataset:
         run = augment_dataset(corp, AugmentSpec(technique="sr", copies_per_original=2))
         by_id = {d.id: d for d in run.corpus}
         for doc in run.corpus:
-            if doc.origin.kind != "synthetic":
+            if doc.is_original:
                 continue
-            parent = by_id[doc.origin.parent]
+            parent = by_id[doc.parent]
             assert parent.is_original
             assert parent.label == doc.label
 
@@ -409,7 +409,7 @@ class TestAugmentDataset:
                            language_strategy="roundrobin")
         run = augment_dataset(corp, spec, translator=MockProvider(0),
                               cache=TranslationCache())
-        langs = [d.origin.lang for d in run.corpus if d.origin.kind == "synthetic"]
+        langs = [d.lang for d in run.corpus if not d.is_original]
         assert langs == ["es", "fr", "es", "fr", "es", "fr"]
 
     def test_synthetics_stable_under_corpus_growth(self):
@@ -418,9 +418,9 @@ class TestAugmentDataset:
         big = make_review_corpus(n_train=20, n_test=0)
         spec = AugmentSpec(technique="rs", alpha=0.2, seed=5)
         small_out = {d.id: d.text for d in augment_dataset(small, spec).corpus
-                     if d.origin.kind == "synthetic"}
+                     if not d.is_original}
         big_out = {d.id: d.text for d in augment_dataset(big, spec).corpus
-                   if d.origin.kind == "synthetic"}
+                   if not d.is_original}
         for doc_id, text in small_out.items():
             assert big_out[doc_id] == text
 

@@ -323,7 +323,7 @@ class TestTrain:
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the fit diverges quietly
     def test_diverged_fit_raises(self):
         config = TrainConfig(bits=10, epochs=1, learning_rate=1e308, l2=0.0)
         with pytest.raises(ClassifyError, match="^fit diverged to non-finite weights at "
@@ -685,6 +685,17 @@ class TestImportPredictions:
         path.write_text("doc_id,p_positive\na,0.1\n\nb,0.9\n", encoding="utf-8")
         t = import_predictions(path, "ext")
         assert [(d, t.get(d, "ext")) for d in t.doc_ids("ext")] == [("a", 0.1), ("b", 0.9)]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # pandas `to_csv(encoding="utf-8-sig")` and spreadsheets' "CSV UTF-8" write one
+        text = "doc_id,p_positive\na,0.1\nb,0.9\n"
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain = import_predictions(tmp_path / "plain.csv", "ext")
+        marked = import_predictions(tmp_path / "bom.csv", "ext")
+        assert [(d, marked.get(d, "ext")) for d in marked.doc_ids("ext")] == \
+               [(d, plain.get(d, "ext")) for d in plain.doc_ids("ext")] == [("a", 0.1), ("b", 0.9)]
 
     @pytest.mark.parametrize("rows, message", [
         ("a,0.1\nb\n", "malformed row 3"),

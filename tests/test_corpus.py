@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.corpus import (LABELS, ORIGINAL, SPLITS, Corpus, CorpusError, Document, Origin,
-                             carve_validation, export_jsonl, ingest_imdb_dir, ingest_jsonl,
-                             replacing, subsample_balanced)
+from augbench.augment import AugTechnique
+from augbench.corpus import (LABELS, SPLITS, Corpus, CorpusError, Document, carve_validation,
+                             export_jsonl, ingest_imdb_dir, ingest_jsonl, replacing,
+                             subsample_balanced)
 
 from synth import make_review_corpus
 
@@ -32,20 +33,27 @@ class TestDocument:
             Document(id="x", text="t", label=label, split=split)
         assert str(info.value) == message
 
-    def test_synthetic_needs_parent(self):
-        with pytest.raises(CorpusError):
-            Origin(kind="synthetic", technique="sr", parent=None)
+    @pytest.mark.parametrize("fields, message", [
+        ({"technique": "sr"}, "original documents carry no synthesis metadata"),
+        ({"lang": "es"}, "original documents carry no synthesis metadata"),
+        ({"parent": "p"}, "synthetic documents need technique and parent"),
+        ({"parent": "", "technique": "sr"}, "synthetic documents need technique and parent"),
+        ({"parent": "p", "technique": 5}, "origin technique, lang and parent must be strings"),
+    ])
+    def test_provenance_rules(self, fields, message):
+        with pytest.raises(CorpusError, match=message):
+            Document(id="x", text="t", label="pos", split="train", **fields)
 
     def test_synthetic_label_must_match_parent(self):
         parent = Document(id="p", text="t", label="pos", split="train")
         child = Document(id="c", text="t2", label="neg", split="train",
-                         origin=Origin(kind="synthetic", technique="sr", parent="p"))
+                         parent="p", technique="sr")
         with pytest.raises(CorpusError):
             Corpus([parent, child])
 
     def test_unresolved_parent_rejected(self):
         child = Document(id="c", text="t", label="pos", split="train",
-                         origin=Origin(kind="synthetic", technique="sr", parent="ghost"))
+                         parent="ghost", technique="sr")
         with pytest.raises(CorpusError):
             Corpus([child])
 
@@ -57,22 +65,21 @@ class TestDocument:
     def test_records_have_no_instance_dict(self):
         # a sweep holds every document for its whole run: slots, not a dict each
         doc = Document(id="c", text="t", label="pos", split="train",
-                       origin=Origin(kind="synthetic", technique="sr", parent="p"))
-        assert not hasattr(doc, "__dict__") and not hasattr(doc.origin, "__dict__")
-        assert not hasattr(ORIGINAL, "__dict__")
+                       parent="p", technique="sr")
+        assert not hasattr(doc, "__dict__")
 
     def test_corpus_holds_only_its_documents(self):
         # the id index that checks ids and parents is not kept
         docs = [Document(id="p", text="t", label="pos", split="train"),
                 Document(id="c", text="t2", label="pos", split="train",
-                         origin=Origin(kind="synthetic", technique="sr", parent="p"))]
+                         parent="p", technique="sr")]
         corp = Corpus(iter(docs))
         assert vars(corp) == {"_docs": docs}
         assert vars(corp.with_documents([])) == {"_docs": docs}
 
     @pytest.mark.parametrize("fields", [
         {"text": "a \ud800 b"}, {"id": "\udfff"},
-        {"origin": Origin(kind="synthetic", technique="sr", lang="e\ud801", parent="p")},
+        {"parent": "p", "technique": "sr", "lang": "e\ud801"},
     ])
     def test_lone_surrogate_rejected(self, fields):
         # no output could hold it: every format is written as UTF-8
@@ -130,8 +137,7 @@ class TestJsonl:
         assert [d.id for d in corp] == ["b", "a", "c"]
 
     def test_ingested_documents_share_their_metadata(self, tmp_path):
-        # every original is ORIGINAL, and every label and split is the module's
-        # own string, not one decoded per line
+        # every label and split is the module's own string, not one decoded per line
         path = tmp_path / "c.jsonl"
         lines = [
             {"id": "a", "text": "x", "label": "pos", "split": "train"},
@@ -145,7 +151,8 @@ class TestJsonl:
         ]
         path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
         corp = ingest_jsonl(path)
-        assert [d.origin is ORIGINAL for d in corp] == [True] * 4 + [False]
+        assert [(d.parent, d.technique, d.lang) for d in corp] == \
+               [(None, None, None)] * 4 + [("a", "bt", "es")]
         assert all(d.label is LABELS[LABELS.index(d.label)] for d in corp)
         assert all(d.split is SPLITS[SPLITS.index(d.split)] for d in corp)
         assert {d.split for d in corp} == set(SPLITS)
@@ -340,11 +347,21 @@ _labels = st.sampled_from([("pos", "train"), ("neg", "train"), ("pos", "test"),
 
 @st.composite
 def corpora(draw):
+    """Originals, then copies of labelled ones, each copy with its parent's label
+    and split, one of the five techniques and a pivot or none."""
     n = draw(st.integers(min_value=0, max_value=12))
     docs = []
     for i in range(n):
         label, split = draw(_labels)
         docs.append(Document(id=f"doc{i}", text=draw(_doc_text), label=label, split=split))
+    labelled = [d for d in docs if d.label != "unsup"]
+    if labelled:
+        for i in range(draw(st.integers(min_value=0, max_value=6))):
+            parent = draw(st.sampled_from(labelled))
+            docs.append(Document(
+                id=f"copy{i}", text=draw(_doc_text), label=parent.label, split=parent.split,
+                parent=parent.id, technique=draw(st.sampled_from([t.value for t in AugTechnique])),
+                lang=draw(st.sampled_from([None, "es", "fr", "de"]))))
     return Corpus(docs)
 
 
@@ -353,9 +370,7 @@ def corpora(draw):
 def test_jsonl_round_trip_is_identity(tmp_path_factory, corp):
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
     export_jsonl(corp, path)
-    back = ingest_jsonl(path)
-    assert [(d.id, d.text, d.label, d.split, d.origin) for d in back] == \
-           [(d.id, d.text, d.label, d.split, d.origin) for d in corp]
+    assert list(ingest_jsonl(path)) == list(corp)
 
 
 class TestSubsample:
@@ -399,7 +414,7 @@ class TestSubsample:
         parent = corp.split_docs("train")[0]
         corp = corp.with_documents([Document(
             id="syn", text="x", label=parent.label, split="train",
-            origin=Origin(kind="synthetic", technique="sr", parent=parent.id))])
+            parent=parent.id, technique="sr")])
         sub = subsample_balanced(corp, 10, seed=0)
         assert "syn" not in {d.id for d in sub.split_docs("train")}
 

@@ -114,7 +114,7 @@ class TestLowResourceSweep:
         assert report.failures == [
             ("n=2,seed=0", "training needs at least 2 documents covering both labels")]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the fit diverges quietly
     def test_diverged_fit_fails_only_its_run(self, monkeypatch):
         def diverge_on_seed_1(corpus, config):
             if config.seed == derive_seed(TrainConfig().seed, "train", 1):
@@ -391,13 +391,12 @@ class TestTtaPipeline:
 
     def test_scores_test_and_valid_originals_in_corpus_order(self):
         from augbench.classify import train
-        from augbench.corpus import Document, Origin
+        from augbench.corpus import Document
 
         corp = self._prepared()
         test_id = corp.split_docs("test")[0].id
         corp = corp.with_documents([Document(
-            "syn", "a copy", "pos", "test",
-            Origin("synthetic", technique="bt", lang="es", parent=test_id))])
+            "syn", "a copy", "pos", "test", parent=test_id, technique="bt", lang="es")])
         model = train(corp, TrainConfig(bits=12, epochs=2))
         result = run_tta_pipeline(corp, ["es"], MockProvider(0), TranslationCache(), model=model)
         want = [d.id for d in corp if d.is_original and d.split in ("test", "valid")]

@@ -331,13 +331,13 @@ def test_import_loads_neither_scipy_nor_requests():
 # a CHANGES.md line naming the setting and the two non-test callers that need
 # different values.
 SETTABLE_CEILINGS = {"click options": 41, "defaulted parameters": 32,
-                     "dataclass fields": 63}
+                     "dataclass fields": 61}
 
 
 # The total `wc -l` of src/augbench/*.py is capped at its count when the cap was
 # last set.  Raising it needs a CHANGES.md line naming what the added lines buy,
 # as raising a settable-value ceiling does; a change that removes lines lowers it.
-SOURCE_LINE_CEILING = 2958
+SOURCE_LINE_CEILING = 2943
 
 
 def test_source_lines_do_not_grow():
