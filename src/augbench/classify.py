@@ -247,6 +247,8 @@ class LinearModel:
         if w.dtype != np.float64 or w.shape != (dim,):
             raise ClassifyError(f"{path}: weights must be a 1-D float64 array of length "
                                 f"2**bits = {dim}, got {w.dtype} of shape {w.shape}")
+        if not (np.isfinite(w).all() and math.isfinite(model.bias)):  # as `train` checks
+            raise ClassifyError(f"{path}: weights and bias must be finite")
         return model
 
 
@@ -394,11 +396,16 @@ class PredictionTable:
         return list(self._columns.get(source_id, ()))
 
     def matrix(self, doc_ids: Sequence[str], sources: Sequence[str]) -> np.ndarray:
-        """Float64 doc x source array of probabilities, NaN where one is missing."""
+        """Float64 doc x source array of probabilities; ClassifyError naming up
+        to 10 of the (doc, source) pairs that have none, if any do."""
+        columns = [self._columns.get(source, {}) for source in sources]
+        gaps = [(d, s) for d in doc_ids for s, column in zip(sources, columns) if d not in column]
+        if gaps:
+            raise ClassifyError(f"missing predictions for {len(gaps)} (doc, source) pairs: "
+                                + ", ".join(f"({d!r}, {s!r})" for d, s in gaps[:10]))
         out = np.empty((len(doc_ids), len(sources)))
-        for j, source in enumerate(sources):
-            column = self._columns.get(source, {})
-            out[:, j] = [column.get(d, np.nan) for d in doc_ids]
+        for j, column in enumerate(columns):
+            out[:, j] = [column[d] for d in doc_ids]
         return out
 
     def merge(self, other: "PredictionTable") -> None:

@@ -163,13 +163,12 @@ def _provenance(origin) -> dict:
 def ingest_jsonl(path: str | Path) -> Corpus:
     """Load a corpus from the canonical JSONL interchange format."""
     docs = []
-    blanks = []  # the numbers of blank lines, to find a document's line
+    linenos = []  # each document's line
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
-                    blanks.append(lineno)
                     continue
                 try:
                     obj = json.loads(line)
@@ -183,17 +182,13 @@ def ingest_jsonl(path: str | Path) -> Corpus:
                 except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as e:
                     raise CorpusError(f"{path}: malformed document at line {lineno}: {e}") from e
                 docs.append(doc)
+                linenos.append(lineno)
     except UnicodeDecodeError as e:
         raise CorpusError(f"cannot decode {path} as UTF-8: {e}") from None
     try:
         return Corpus(docs)  # checks the ids and parents once
     except _BadDocument as e:
-        lineno = e.position + 1  # the line, were there no blank lines
-        for blank in blanks:
-            if blank > lineno:
-                break
-            lineno += 1
-        raise CorpusError(f"{path}: {e} at line {lineno}") from None
+        raise CorpusError(f"{path}: {e} at line {linenos[e.position]}") from None
 
 
 @contextlib.contextmanager

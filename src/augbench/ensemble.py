@@ -111,21 +111,12 @@ def tta_generate(
     return variants
 
 
-def _pred_matrix(preds: PredictionTable, sources: Sequence[str],
-                 doc_ids: Sequence[str]) -> np.ndarray:
-    mat = preds.matrix(doc_ids, sources)
-    gaps = np.argwhere(np.isnan(mat))
-    if len(gaps):
-        shown = ", ".join(f"({doc_ids[i]!r}, {sources[j]!r})" for i, j in gaps[:10])
-        raise EnsembleError(f"missing predictions for {len(gaps)} (doc, source) pairs: {shown}")
-    return mat
-
-
 def combine(preds: PredictionTable, weights: SimplexWeights,
             doc_ids: Sequence[str]) -> PredictionTable:
-    """Weighted average of sources per document; output source is "ensemble"."""
+    """Weighted average of sources per document; output source is "ensemble".
+    A (doc, source) pair without a prediction raises ClassifyError."""
     sources = list(weights.weights.keys())
-    mat = _pred_matrix(preds, sources, doc_ids)
+    mat = preds.matrix(doc_ids, sources)
     wvec = np.array([weights.weights[s] for s in sources])
     combined = mat @ wvec
     out = PredictionTable()
@@ -207,7 +198,7 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
     Ties within 1e-12 prefer fewer nonzero weights, then earlier source order
     (`preds.sources`), so a vertex optimum comes out as exact 1.0 and 0.0
     weights.  Deterministic.  It fits on every labeled document that any
-    source holds; one that a source lacks raises EnsembleError, as in
+    source holds; one that a source lacks raises ClassifyError, as in
     `combine`.
     """
     sources = preds.sources
@@ -217,7 +208,7 @@ def fit_weights(preds: PredictionTable, labels: Mapping[str, str]) -> SimplexWei
                if d in labels]
     if not doc_ids:
         raise EnsembleError("no labeled documents in any source")
-    mat = _pred_matrix(preds, sources, doc_ids)
+    mat = preds.matrix(doc_ids, sources)
     y = np.array([1.0 if labels[d] == "pos" else 0.0 for d in doc_ids])
 
     def loss(w: np.ndarray) -> float:

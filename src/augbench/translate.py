@@ -140,13 +140,10 @@ class TranslationCache:
 
     def put(self, key: bytes, source: str, target: str, provider: str, text: str,
             result: str) -> None:
-        """Store an entry and append it to the file, if any.  There, an entry
-        that is not valid UTF-8 (a lone surrogate) raises CacheError, which
-        skips its document, and a failed write an OSError naming the file,
-        which ends the command; neither stores anything."""
-        if self.path is None:
-            self._entries[key] = result
-            return
+        """Store an entry and append it to the file, if any.  An entry that is
+        not valid UTF-8 (a lone surrogate) raises CacheError, which skips its
+        document, in memory as on file; a failed write raises an OSError naming
+        the file, which ends the command.  Neither stores anything."""
         try:
             line = _ENTRY_LINE.format(
                 key.hex(), *map(_json_string, (provider, result, source, target)),
@@ -154,18 +151,19 @@ class TranslationCache:
         except UnicodeEncodeError as e:
             raise CacheError(
                 f"cannot cache entry {key.hex()}: not valid UTF-8 ({e.reason})") from None
-        try:
-            if self._fh is None:
-                self._fh = open(self.path, "a+b")  # readable too: `_mend_tail` preads
-            size = os.fstat(self._fh.fileno()).st_size
-            if size != self._end:  # first append, or the file changed since the last
-                size, line = self._mend_tail(size, line)
-            self._end = None  # unknown until this append succeeds
-            self._fh.write(line)
-            self._fh.flush()  # a kill leaves at most this line torn
-            self._end = size + len(line)
-        except OSError as e:  # name the cache, as `corpus.replacing` names its output
-            raise OSError(e.errno, e.strerror, os.fspath(self.path)) from None
+        if self.path is not None:
+            try:
+                if self._fh is None:
+                    self._fh = open(self.path, "a+b")  # readable too: `_mend_tail` preads
+                size = os.fstat(self._fh.fileno()).st_size
+                if size != self._end:  # first append, or the file changed since the last
+                    size, line = self._mend_tail(size, line)
+                self._end = None  # unknown until this append succeeds
+                self._fh.write(line)
+                self._fh.flush()  # a kill leaves at most this line torn
+                self._end = size + len(line)
+            except OSError as e:  # name the cache, as `corpus.replacing` names its output
+                raise OSError(e.errno, e.strerror, os.fspath(self.path)) from None
         self._entries[key] = result
 
     def _mend_tail(self, size: int, line: bytes) -> tuple[int, bytes]:

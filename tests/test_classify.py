@@ -288,6 +288,19 @@ class TestTrain:
                 f"{path}: weights must be a 1-D float64 array of length 2**bits = 1024")):
             LinearModel.load(path)
 
+    @pytest.mark.parametrize("special, bias", [
+        (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan), (0.0, np.inf),
+        (0.0, -np.inf),
+    ])
+    def test_load_rejects_non_finite_weights_or_bias(self, tmp_path, special, bias):
+        path = tmp_path / "model.npz"
+        weights = np.zeros(1 << 10)
+        weights[7] = special
+        LinearModel(weights=weights, bias=bias, config=TrainConfig(bits=10)).save(path)
+        with pytest.raises(ClassifyError, match=re.escape(
+                f"{path}: weights and bias must be finite")):
+            LinearModel.load(path)
+
     def test_save_load_round_trip(self, tmp_path):
         corp = _toy_corpus()
         model = train(corp, TrainConfig(bits=12))
@@ -305,8 +318,9 @@ class TestTrain:
                TrainConfig, bits=st.integers(1, 16), epochs=st.integers(1, 10**6),
                learning_rate=st.just(rates[0]), lr_decay=st.sampled_from(["linear", "constant"]),
                l2=st.just(rates[1]), seed=st.integers(-2**63, 2**64))),
-           bias=st.floats(), weights_seed=st.integers(0, 2**32 - 1),
-           special=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]),
+           bias=st.floats(allow_nan=False, allow_infinity=False),
+           weights_seed=st.integers(0, 2**32 - 1),
+           special=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
                             max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_save_load_round_trip_property(self, tmp_path_factory, config, bias,
@@ -636,11 +650,33 @@ def test_prediction_table_matches_pair_reference(ops):
         assert table.doc_ids(s) == ref.doc_ids(s)
         for d in _DOCS:
             assert table.get(d, s) == ref.rows.get((d, s))
-    docs = _DOCS + ["missing"]
-    want = np.array([[ref.rows.get((d, s), np.nan) for s in _SOURCES] for d in docs])
-    got = table.matrix(docs, _SOURCES)
-    assert got.dtype == np.float64
-    np.testing.assert_array_equal(got, want)
+    # every document with every source, then those that every source of `ref` holds
+    full = [d for d in _DOCS if all((d, s) in ref.rows for s in ref.sources)]
+    for docs, sources in ((_DOCS + ["missing"], _SOURCES), (full, ref.sources)):
+        gaps = [(d, s) for d in docs for s in sources if (d, s) not in ref.rows]
+        if gaps:
+            with pytest.raises(ClassifyError, match=re.escape(
+                    f"missing predictions for {len(gaps)} (doc, source) pairs: "
+                    + ", ".join(f"({d!r}, {s!r})" for d, s in gaps[:10])) + "$"):
+                table.matrix(docs, sources)
+            continue
+        got = table.matrix(docs, sources)
+        assert got.dtype == np.float64 and got.shape == (len(docs), len(sources))
+        np.testing.assert_array_equal(
+            got, np.array([[ref.rows[(d, s)] for s in sources] for d in docs]).reshape(got.shape))
+
+
+def test_prediction_matrix_gap_names_the_first_ten_pairs():
+    table = PredictionTable()
+    for d in ("a", "b", "c", "d", "e", "f", "g"):
+        table.add(d, "s1", 0.5)
+    table.add("a", "s2", 0.25)
+    table.add("a", "s3", 0.75)
+    with pytest.raises(ClassifyError, match=re.escape(
+            "missing predictions for 12 (doc, source) pairs: ('b', 's2'), ('b', 's3'), "
+            "('c', 's2'), ('c', 's3'), ('d', 's2'), ('d', 's3'), ('e', 's2'), ('e', 's3'), "
+            "('f', 's2'), ('f', 's3')") + "$"):
+        table.matrix(["a", "b", "c", "d", "e", "f", "g", "a"], ["s1", "s2", "s3"])
 
 
 class TestImportPredictions:

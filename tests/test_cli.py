@@ -115,6 +115,17 @@ class TestUnreadableInputs:
                              "--out", str(tmp_path / "probe.csv")], f"{model}: {message}")
         assert not (tmp_path / "probe.csv").exists()
 
+    # probe would write a nan for every rating, or 1.0 for every rating
+    @pytest.mark.parametrize("weight, bias", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_model_with_non_finite_weights_or_bias_fails_naming_it(self, runner, tmp_path,
+                                                                   weight, bias):
+        model = tmp_path / "bad.npz"
+        LinearModel(weights=np.full(16, weight), bias=bias, config=TrainConfig(bits=4)).save(model)
+        _fails_with(runner, ["analyze", "probe", "--model", str(model),
+                             "--out", str(tmp_path / "probe.csv")],
+                    f"{model}: weights and bias must be finite")
+        assert not (tmp_path / "probe.csv").exists()
+
 
 class TestAugmentCommand:
     def test_token_perturbation(self, runner, corpus_file, tmp_path):
@@ -146,6 +157,17 @@ class TestAugmentCommand:
                          "--in", str(corpus_file), "--out", str(out)])
         assert cache.exists()
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 60  # 2 legs x 30
+
+    def test_reply_utf8_cannot_hold_skips_its_document_without_cache(
+            self, runner, corpus_file, tmp_path, stub_server):
+        url, handler = stub_server
+        handler.script[:] = [{"translatedText": "bad \ud800 reply"}]  # the first forward leg
+        cfg = _write(tmp_path / "aug.yaml", "augment: {technique: bt, languages: [es]}\n")
+        result = _invoke(runner, ["augment", "--config", str(cfg), "--provider", "http",
+                                  "--endpoint", url, "--rps", "1e9",
+                                  "--in", str(corpus_file), "--out", str(tmp_path / "bt.jsonl")])
+        assert "generated 29 synthetic documents (0 unmodified, 1 skipped)" in result.output
+        assert len(ingest_jsonl(tmp_path / "bt.jsonl")) == 40 + 29
 
     @pytest.mark.parametrize("line", ['{"key": [1], "result": "x"}', '{"key": "k", "result": 5}'])
     def test_bad_cache_line_fails_with_message(self, runner, corpus_file, tmp_path, line):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from augbench import ensemble
-from augbench.classify import PredictionTable
+from augbench.classify import ClassifyError, PredictionTable
 from augbench.ensemble import (EnsembleError, SimplexWeights, calibration_report, combine,
                                fit_weights, log_loss, tta_generate)
 from augbench.translate import MockProvider, TranslationCache, backtranslate
@@ -130,7 +130,7 @@ class TestCombine:
 
     def test_missing_entries_listed(self):
         t = _table([("a", "s1", 0.2)])
-        with pytest.raises(EnsembleError, match="missing predictions"):
+        with pytest.raises(ClassifyError, match="missing predictions"):
             combine(t, SimplexWeights({"s1": 0.5, "s2": 0.5}), ["a"])
 
     @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
@@ -234,7 +234,7 @@ class TestFitWeights:
         t = _table([(d, "a", 0.5) for d in ("d1", "d2", "d3", "d4")]
                    + [(d, "b", 0.5) for d in ("d1", "d2")])
         labels = {"d1": "pos", "d2": "neg", "d3": "pos", "d4": "neg"}
-        with pytest.raises(EnsembleError, match=re.escape(
+        with pytest.raises(ClassifyError, match=re.escape(
                 "missing predictions for 2 (doc, source) pairs: ('d3', 'b'), ('d4', 'b')")):
             fit_weights(t, labels)
         # an unlabeled document a source lacks is not in the fitting set
@@ -247,7 +247,8 @@ class TestFitWeights:
 
     def test_no_common_labeled_docs(self):
         t = _table([("a", "s1", 0.5), ("b", "s2", 0.5)])
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ClassifyError, match=re.escape(
+                "missing predictions for 2 (doc, source) pairs: ('a', 's2'), ('b', 's1')")):
             fit_weights(t, {"a": "pos", "b": "neg"})
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from augbench.augment import AugmentSpec, augment_dataset, bundled_thesaurus, derive_seed
 from augbench.corpus import Corpus, Document
+from augbench.ensemble import tta_generate
 from augbench.translate import (CacheError, HttpProvider, MockProvider,
                                 PermanentTranslationError, ReplayProvider, TokenBucket,
                                 TransientTranslationError, TranslationCache, TranslationError,
@@ -35,6 +36,20 @@ class CountingProvider:
 
     def translate(self, text, source, target):
         self.calls += 1
+        return text
+
+
+class SurrogateProvider:
+    """Identity provider whose reply on one leg holds a lone surrogate."""
+
+    provider_id = "surrogate"
+
+    def __init__(self, leg):
+        self.leg = leg
+
+    def translate(self, text, source, target):
+        if (source == "en") == (self.leg == "forward"):
+            return text + " \ud800"
         return text
 
 
@@ -275,6 +290,20 @@ class TestCache:
             assert not path.exists()
             c.put(b"k2", "en", "es", "p", "x", "\U0001f600")  # a surrogate pair is fine
         assert TranslationCache(path).get(b"k2") == "\U0001f600"
+
+    @pytest.mark.parametrize("on_file", [False, True], ids=["memory", "file"])
+    @pytest.mark.parametrize("leg", ["forward", "backward"])
+    def test_lone_surrogate_reply_skips_its_document(self, tmp_path, leg, on_file):
+        # an in-memory cache refuses the reply as a file cache does
+        doc = Document(id="a", text="a good film", label="pos", split="train")
+        provider = SurrogateProvider(leg)
+        with TranslationCache(tmp_path / "cache.jsonl" if on_file else None) as cache:
+            run = augment_dataset(Corpus([doc]), AugmentSpec(technique="bt", languages=("es",)),
+                                  translator=provider, cache=cache)
+            assert run.generated == 0
+            [(doc_id, reason)] = run.skipped
+            assert doc_id == "a" and "not valid UTF-8" in reason
+            assert tta_generate([doc], ["es"], provider, cache) == [["a good film"]]
 
     def test_failed_append_ends_the_augmentation_naming_the_cache(self, tmp_path, full_disk):
         # a write that fails for every text is not one document's skip
