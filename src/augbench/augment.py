@@ -62,8 +62,11 @@ class Thesaurus:
 
     def __init__(self, entries: dict[str, list[str]] | None = None):
         self._entries: dict[str, list[str]] = {}
-        for word, syns in (entries or {}).items():
-            word = word.lower()
+        spellings: dict[str, str] = {}  # the headword as given, by its stored form
+        for given, syns in (entries or {}).items():
+            word = given.lower()
+            if (first := spellings.setdefault(word, given)) != given:
+                raise AugmentError(f"thesaurus headwords {first!r} and {given!r} repeat {word!r}")
             cleaned = []
             for s in syns:
                 s = s.lower()
@@ -76,10 +79,12 @@ class Thesaurus:
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Thesaurus":
-        """Read `word<TAB>syn1,syn2,...` lines; blank lines and # comments skipped."""
+        """Read `word<TAB>syn1,syn2,...` lines, skipping a leading byte-order mark,
+        blank lines and # comments; a headword repeated in any case raises AugmentError."""
         entries: dict[str, list[str]] = {}
+        linenos: dict[str, int] = {}  # the line of each headword, by its stored form
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.rstrip("\n")
                     if not line.strip() or line.startswith("#"):
@@ -87,8 +92,11 @@ class Thesaurus:
                     parts = line.split("\t")
                     if len(parts) != 2:
                         raise AugmentError(f"{path}: bad thesaurus line {lineno}: {line!r}")
-                    entries[parts[0].strip()] = [s.strip() for s in parts[1].split(",")
-                                                 if s.strip()]
+                    word = parts[0].strip()
+                    if (first := linenos.setdefault(word.lower(), lineno)) != lineno:
+                        raise AugmentError(f"{path}: thesaurus headword {word!r} on line "
+                                           f"{lineno} repeats line {first}")
+                    entries[word] = [s.strip() for s in parts[1].split(",") if s.strip()]
         except UnicodeDecodeError as e:
             raise AugmentError(f"cannot decode {path} as UTF-8: {e}") from None
         return cls(entries)
@@ -106,9 +114,9 @@ def bundled_thesaurus() -> Thesaurus:
 
 def read_stopwords(path: str | Path) -> frozenset[str]:
     """The whitespace-separated words of a UTF-8 file, lowercased as
-    `eligible_positions` needs."""
+    `eligible_positions` needs; a leading byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise AugmentError(f"cannot decode {path} as UTF-8: {e}") from None
     return frozenset(w.lower() for w in text.split())

@@ -262,13 +262,14 @@ class HttpProvider:
     POSTs {"q": text, "source": src, "target": tgt} (+ "api_key" when set) as
     application/json to an http:// or https:// `endpoint`; expects
     {"translatedText": "..."}.  Retries timeouts (30 s per request), connection
-    errors, 408, 429 and 5xx with backoff doubling from 0.5 s, waiting at least
-    a response's Retry-After seconds (both capped at 30 s); other statuses fail
-    at once.  No redirect is followed: a 3xx fails at once, as the text would
-    not be re-sent.  `max_retries` counts attempts in all and must be at least
-    1.  Each request opens and closes its own connection, so there is nothing
-    to close; HTTPS verifies against the system CA store, and the environment's
-    proxies apply.  `urllib.request` is imported only when a request is made.
+    errors, 408, 429 and 5xx, waiting before each retry only: the wait doubles
+    from 0.5 s and is at least a response's Retry-After seconds (both capped at
+    30 s).  Other statuses fail at once.  No redirect is followed: a 3xx fails
+    at once, as the text would not be re-sent.  `max_retries` counts attempts
+    in all and must be at least 1.  Each request opens and closes its own
+    connection, so there is nothing to close; HTTPS verifies against the system
+    CA store, and the environment's proxies apply.  `urllib.request` is imported
+    only when a request is made.
     """
 
     def __init__(
@@ -297,63 +298,53 @@ class HttpProvider:
         self._bucket = TokenBucket(rate_limit, sleep=sleep)
         self._opener = None  # built by the first request
 
-    def _backoff(self, attempt: int) -> float:
-        return min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** attempt))
-
     def translate(self, text: str, source: str, target: str) -> str:
         import urllib.request
         from http.client import HTTPException
-        from urllib.error import HTTPError, URLError
+        from urllib.error import URLError
 
         if self._opener is None:
-            # urlopen's HTTP handlers without HTTPRedirectHandler: a 3xx raises HTTPError
+            # urlopen's HTTP handlers without the redirect and error ones: every
+            # status, 3xx to 5xx too, comes back as a response
             self._opener = urllib.request.OpenerDirector()
             for make in (urllib.request.ProxyHandler, urllib.request.UnknownHandler,
-                         urllib.request.HTTPHandler, urllib.request.HTTPSHandler,
-                         urllib.request.HTTPDefaultErrorHandler,
-                         urllib.request.HTTPErrorProcessor):
+                         urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
                 self._opener.add_handler(make())
         body = {"q": text, "source": source, "target": target}
         if self.api_key:
             body["api_key"] = self.api_key
         request = urllib.request.Request(self.endpoint, data=json.dumps(body).encode("utf-8"),
                                          headers={"Content-Type": "application/json"})
-        last_err: Optional[str] = None
-        for attempt in range(self.max_retries):
+        backoff = _BACKOFF_BASE  # doubles after each retry, up to the cap
+        for attempt in range(1, self.max_retries + 1):
             self._bucket.acquire()
+            retry_after = ""
             try:
                 with self._opener.open(request, timeout=_TIMEOUT) as resp:
-                    status, headers, payload = resp.status, resp.headers, resp.read()
-            except HTTPError as e:  # a status outside 2xx
-                with e:  # it holds the connection open
-                    status, headers, payload = e.code, e.headers, b""
+                    if resp.status == 200:
+                        return self._translation(resp.read())
+                    if resp.status not in _RETRYABLE_STATUS and resp.status < 500:
+                        raise PermanentTranslationError(f"HTTP {resp.status} from {self.endpoint}")
+                    last_err = f"HTTP {resp.status}"
+                    retry_after = resp.headers.get("Retry-After", "").strip()
             except (URLError, TimeoutError, ConnectionError, HTTPException) as e:
                 last_err = str(e)
-                self._sleep(self._backoff(attempt))
-                continue
-            if status == 200:
-                try:
-                    translated = json.loads(payload)["translatedText"]
-                except (ValueError, KeyError, TypeError) as e:
-                    raise PermanentTranslationError(
-                        f"malformed response from {self.endpoint}: {e}"
-                    ) from e
-                if not isinstance(translated, str):
-                    raise PermanentTranslationError(
-                        f"malformed response from {self.endpoint}: translatedText "
-                        f"is {translated!r}, not a string")
-                return translated
-            if status in _RETRYABLE_STATUS or status >= 500:
-                last_err = f"HTTP {status}"
-                # an HTTP-date Retry-After is not read
-                retry_after = headers.get("Retry-After", "").strip()
-                wait = int(retry_after) if retry_after.isdecimal() else 0
-                self._sleep(min(_BACKOFF_CAP, max(self._backoff(attempt), wait)))
-                continue
-            raise PermanentTranslationError(f"HTTP {status} from {self.endpoint}")
-        raise TransientTranslationError(
-            f"gave up after {self.max_retries} attempts: {last_err}"
-        )
+            if attempt < self.max_retries:  # the one retry point
+                # an HTTP-date Retry-After is not read; float(), unlike int(), takes any length
+                wait = float(retry_after) if retry_after.isdecimal() else 0
+                self._sleep(min(_BACKOFF_CAP, max(backoff, wait)))
+                backoff = min(_BACKOFF_CAP, 2 * backoff)
+        raise TransientTranslationError(f"gave up after {self.max_retries} attempts: {last_err}")
+
+    def _translation(self, payload: bytes) -> str:
+        """The "translatedText" string of a 200 response's body."""
+        try:
+            translated = json.loads(payload)["translatedText"]
+            if not isinstance(translated, str):
+                raise TypeError(f"translatedText is {translated!r}, not a string")
+        except (ValueError, KeyError, TypeError) as e:
+            raise PermanentTranslationError(f"malformed response from {self.endpoint}: {e}") from e
+        return translated
 
 
 _NOISE_RATE = 0.1  # the share of a forward leg's tokens MockProvider replaces

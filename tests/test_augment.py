@@ -9,7 +9,7 @@ from augbench.augment import (AugmentError, AugmentSpec, Thesaurus,
                               _is_punct_token, augment_dataset, bundled_stopwords,
                               bundled_thesaurus, detokenize, derive_seed, edit_count,
                               eligible_positions, random_delete, random_insert, random_swap,
-                              synonym_replace, tokenize)
+                              read_stopwords, synonym_replace, tokenize)
 from augbench.translate import MockProvider, TranslationCache
 
 import digests
@@ -153,11 +153,39 @@ class TestThesaurus:
             Thesaurus.from_tsv(path)
         assert str(info.value) == f"{path}: bad thesaurus line 4: 'happy glad'"
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "th.tsv"
+        path.write_text("\ufeffgood\tfine\n", encoding="utf-8")
+        assert Thesaurus.from_tsv(path).lookup("good") == ["fine"]
+
+    @pytest.mark.parametrize("lines, message", [
+        (["good\tfine,nice", "good\tgreat", "Good\tsuperb"],
+         "thesaurus headword 'good' on line 2 repeats line 1"),
+        (["# word<TAB>synonyms", "good\tfine", "", "GOOD\tgreat"],
+         "thesaurus headword 'GOOD' on line 4 repeats line 2"),
+    ])
+    def test_repeated_headword_names_file_and_both_lines(self, tmp_path, lines, message):
+        path = tmp_path / "th.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(AugmentError) as info:
+            Thesaurus.from_tsv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_headword_in_two_spellings_rejected(self):
+        with pytest.raises(AugmentError, match="headwords 'good' and 'Good' repeat 'good'"):
+            Thesaurus({"good": ["fine"], "Good": ["great"]})
+
     def test_bundled_file_loads(self):
         th = bundled_thesaurus()
         assert "lamentable" in th.lookup("sad")
         assert "backward" in th.lookup("back")
         assert "funniness" in th.lookup("comedy")
+
+
+def test_stopwords_leading_byte_order_mark_dropped(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("\ufeffthe A\nof\n", encoding="utf-8")
+    assert read_stopwords(path) == {"the", "a", "of"}
 
 
 class TestEditCount:

@@ -337,7 +337,7 @@ SETTABLE_CEILINGS = {"click options": 41, "defaulted parameters": 32,
 # The total `wc -l` of src/augbench/*.py is capped at its count when the cap was
 # last set.  Raising it needs a CHANGES.md line naming what the added lines buy,
 # as raising a settable-value ceiling does; a change that removes lines lowers it.
-SOURCE_LINE_CEILING = 2934
+SOURCE_LINE_CEILING = 2933
 
 
 def test_source_lines_do_not_grow():

@@ -560,6 +560,14 @@ class TestHttpProvider:
         # backoffs 0.5, 1, 2, 4; an HTTP-date Retry-After is not read
         assert waits == [7, 30.0, 2.0, 4.0]
 
+    def test_retry_after_of_any_length_waits_the_cap(self, stub_server):
+        url, handler = stub_server
+        handler.script[:] = [(503, {"Retry-After": "9" * 5000})]  # past int()'s 4300 digits
+        waits = []
+        p = HttpProvider(url, rate_limit=1e9, sleep=waits.append)
+        assert p.translate("hi", "en", "es") == "HI"
+        assert waits == [30.0]
+
     def test_401_fails_after_one_attempt(self, stub_server):
         url, handler = stub_server
         handler.script[:] = [401]
@@ -602,7 +610,17 @@ class TestHttpProvider:
                          sleep=waits.append)
         with pytest.raises(TransientTranslationError, match="gave up after 2 attempts"):
             p.translate("hi", "en", "es")
-        assert waits == [0.5, 1.0]
+        assert waits == [0.5]  # none after the last attempt
+
+    def test_long_retry_budget_waits_at_most_the_cap(self):
+        # 0.5 * 2**1024 would overflow a float
+        waits = []
+        p = HttpProvider("http://127.0.0.1:1/translate", rate_limit=1e9, max_retries=1030,
+                         sleep=waits.append)
+        with pytest.raises(TransientTranslationError, match="gave up after 1030 attempts"):
+            p.translate("hi", "en", "es")
+        assert waits[:7] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0]
+        assert len(waits) == 1029 and set(waits[6:]) == {30.0}
 
     def test_rate_limit_enforced(self, stub_server):
         # 20 requests at 5/s with burst 1 needs >= 19/5 = 3.8 s
