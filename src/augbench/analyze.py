@@ -20,6 +20,7 @@ _ABBREVIATIONS = frozenset({
 _BOUNDARY = re.compile(r"[.!?]+(?=\s)")
 
 _TOL = 1e-10  # an L1 fit has converged when no step moves a weight further
+_FOLDS = 5  # `cross_validate_l1`'s folds
 _ONE = np.array(1.0)  # `_residual`'s 1.0
 _ONE.setflags(write=False)
 
@@ -237,10 +238,9 @@ def cross_validate_l1(
     X: np.ndarray,
     y: np.ndarray,
     grid: Sequence[float] = (0.0001, 0.001, 0.01, 0.1, 1.0),
-    folds: int = 5,
     se_multiplier: float = 0.0,
 ) -> float:
-    """Pick l1_strength by k-fold cross-validated log-loss; deterministic folds.
+    """Pick l1_strength by `_FOLDS`-fold cross-validated log-loss; deterministic folds.
 
     With se_multiplier == 0 the minimizer of the mean held-out loss wins.
     With se_multiplier = k > 0 this applies the k-standard-error rule: among
@@ -249,8 +249,8 @@ def cross_validate_l1(
     must be finite and >= 0.
     """
     X, y, _ = _checked(X, y, grid)
-    assignment = np.argsort(np.random.RandomState(0).permutation(len(y))) % folds
-    splits = [(assignment != f, assignment == f) for f in range(folds)]
+    assignment = np.argsort(np.random.RandomState(0).permutation(len(y))) % _FOLDS
+    splits = [(assignment != f, assignment == f) for f in range(_FOLDS)]
     splits = [(tr, te) for tr, te in splits if len(np.unique(y[tr])) >= 2 and te.any()]
     lams = list(dict.fromkeys(grid))
     if not splits or not lams:

@@ -78,7 +78,7 @@ class _FeatureMemo:
         return entries
 
 
-def featurize(text: str, bits: int = 18) -> dict[int, int]:
+def featurize(text: str, bits: int) -> dict[int, int]:
     """Hashed counts of lowercased 1-grams and 2-grams of the token sequence.
 
     An n-gram's index is the first 8 bytes of its blake2b digest, big-endian,

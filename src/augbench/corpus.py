@@ -132,7 +132,7 @@ def ingest_imdb_dir(root_path: str | Path) -> Corpus:
             if not f.is_file():
                 continue
             try:
-                text = f.read_text(encoding="utf-8")
+                text = f.read_text(encoding="utf-8-sig")
             except UnicodeDecodeError as e:
                 raise CorpusError(f"cannot decode {rel}/{f.name} as UTF-8: {e}") from e
             docs.append(Document(id=f"{rel}/{f.name}", text=text, label=label, split=split))
@@ -165,7 +165,7 @@ def ingest_jsonl(path: str | Path) -> Corpus:
     docs = []
     linenos = []  # each document's line
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -228,6 +228,12 @@ def export_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _originals(corpus: Corpus, label: str) -> list[Document]:
+    """The original train documents of `label`, sorted by id: the pool a seeded draw samples."""
+    return sorted((d for d in corpus.split_docs("train") if d.is_original and d.label == label),
+                  key=lambda d: d.id)
+
+
 def subsample_balanced(corpus: Corpus, n: int, seed: int) -> Corpus:
     """Keep n label-balanced original train documents; pass other splits through.
 
@@ -236,18 +242,15 @@ def subsample_balanced(corpus: Corpus, n: int, seed: int) -> Corpus:
     """
     if n <= 0:
         raise CorpusError(f"subsample size must be positive, got {n}")
-    pos = [d for d in corpus.split_docs("train") if d.is_original and d.label == "pos"]
-    neg = [d for d in corpus.split_docs("train") if d.is_original and d.label == "neg"]
-    need_pos = math.ceil(n / 2)
-    need_neg = n // 2
+    pos, neg = _originals(corpus, "pos"), _originals(corpus, "neg")
+    need_pos, need_neg = math.ceil(n / 2), n // 2
     if len(pos) < need_pos or len(neg) < need_neg:
         raise CorpusError(
             f"insufficient train documents: need {need_pos} pos / {need_neg} neg, "
             f"have {len(pos)} pos / {len(neg)} neg"
         )
     rng = random.Random(seed)
-    keep = set(d.id for d in rng.sample(sorted(pos, key=lambda d: d.id), need_pos))
-    keep |= set(d.id for d in rng.sample(sorted(neg, key=lambda d: d.id), need_neg))
+    keep = {d.id for d in rng.sample(pos, need_pos)} | {d.id for d in rng.sample(neg, need_neg)}
     return Corpus(d for d in corpus if d.split != "train" or d.id in keep)
 
 
@@ -258,12 +261,7 @@ def carve_validation(corpus: Corpus, valid_frac: float, seed: int) -> Corpus:
     moved: set[str] = set()
     rng = random.Random(seed)
     for label in ("pos", "neg"):
-        pool = sorted(
-            (d for d in corpus.split_docs("train") if d.is_original and d.label == label),
-            key=lambda d: d.id,
-        )
+        pool = _originals(corpus, label)
         k = max(1, round(valid_frac * len(pool))) if pool else 0
         moved.update(d.id for d in rng.sample(pool, k))
-    return Corpus(
-        replace(d, split="valid") if d.id in moved else d for d in corpus
-    )
+    return Corpus(replace(d, split="valid") if d.id in moved else d for d in corpus)

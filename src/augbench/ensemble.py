@@ -64,7 +64,7 @@ class SimplexWeights:
         """Weights from a `to_json` file; EnsembleError naming the file if it
         cannot be read or does not hold a `weights` mapping of simplex weights."""
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except (OSError, ValueError) as e:
             raise EnsembleError(f"{path}: cannot read weights: {e}") from e

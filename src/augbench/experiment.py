@@ -1,6 +1,7 @@
 """Low-resource sweep protocol, TTA pipeline, and report emission."""
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -9,6 +10,7 @@ import os
 import pickle
 import signal
 import statistics
+import sys
 import time
 import traceback
 from collections import deque
@@ -293,9 +295,13 @@ class _Worker:
     """`step()` run in a forked child, which sends its `_outcome` back over a
     pipe and leaves through `os._exit` on every path: no atexit handler runs
     and no inherited buffer or file is flushed.  Fork shares the prepared
-    corpus and the test rows with the child without pickling them."""
+    corpus and the test rows with the child without pickling them.  On Linux
+    the child is SIGKILLed when the thread that forked it ends (prctl(2)
+    `PR_SET_PDEATHSIG`), so a SIGKILLed sweep leaves no worker running: the
+    sweep forks from its only thread."""
 
     def __init__(self, step):
+        parent = os.getpid()
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -307,6 +313,13 @@ class _Worker:
             status = 1
             try:
                 os.close(read)
+                if sys.platform == "linux":  # prctl(2) option 1 is PR_SET_PDEATHSIG
+                    prctl = ctypes.CDLL(None, use_errno=True).prctl
+                    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+                    if prctl(1, signal.SIGKILL):
+                        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+                    if os.getppid() != parent:  # the parent died before the call
+                        os._exit(1)
                 data = pickle.dumps(_outcome(step))
                 while data:
                     data = data[os.write(write, data):]

@@ -235,7 +235,7 @@ class TokenBucket:
     """Blocking rate limiter: a token bucket with a burst of one, so each grant
     comes at least 1/`rate` seconds after the previous one."""
 
-    def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, rate: float, clock=time.monotonic, *, sleep):
         if not (rate > 0 and math.isfinite(rate)):  # a NaN rate would never wait
             raise ValueError(f"rate must be positive and finite, got {rate}")
         self.rate = rate
@@ -365,7 +365,7 @@ class MockProvider:
     the rotation.  Fully deterministic in (seed, language, text).
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed
         self.drift = bundled_thesaurus()
         self._drift_words = frozenset(self.drift.words())  # lowercase, as stored

@@ -13,35 +13,18 @@ from augbench.augment import (AugmentError, AugmentSpec, Thesaurus,
 from augbench.translate import MockProvider, TranslationCache
 
 import digests
+import reference
 from synth import make_review_corpus
 
 TABLE1 = "A sad human comedy played out on the back roads of life."
 STOP = bundled_stopwords()
 
 
-def _reference_tokenize(text):
-    """The original per-character tokenizer that `tokenize` must equal."""
-    tokens = []
-    for chunk in text.split():
-        run = ""
-        run_punct = False
-        for c in chunk:
-            p = not c.isalnum() and not c.isspace()
-            if run and p != run_punct:
-                tokens.append(run)
-                run = ""
-            run += c
-            run_punct = p
-        if run:
-            tokens.append(run)
-    return tokens
-
-
 class TestTokenize:
     @given(st.text())
     @settings(max_examples=500, deadline=None)
     def test_equals_reference_char_loop(self, text):
-        assert tokenize(text) == _reference_tokenize(text)
+        assert tokenize(text) == reference.tokenize(text)
 
     @pytest.mark.parametrize("text", [
         "snake_case_word", "__init__", "a_", "_", "a _ b",  # `_` is punctuation
@@ -52,7 +35,7 @@ class TestTokenize:
         "don't", "a,b", "_x_", "\u00b2!", "x\u0301.",         # chunks mixing words and punctuation
     ])
     def test_explicit_cases_equal_reference(self, text):
-        assert tokenize(text) == _reference_tokenize(text)
+        assert tokenize(text) == reference.tokenize(text)
 
     def test_unicode_premise_of_the_fast_path(self):
         # tokenize takes a chunk of str.split() that str.isalnum() accepts as one
@@ -86,21 +69,6 @@ class TestTokenize:
         assert rebuilt == stripped
 
 
-def _reference_is_punct_token(tok):
-    """The original per-character predicate that `_is_punct_token` must equal."""
-    return all(not c.isalnum() and not c.isspace() for c in tok)
-
-
-def _reference_detokenize(tokens):
-    """The original `+=` loop that `detokenize` must equal."""
-    out = ""
-    for tok in tokens:
-        if out and not _reference_is_punct_token(tok):
-            out += " "
-        out += tok
-    return out
-
-
 # Tokens that reach the predicate: empty, `_`, a combining mark alone and
 # after a letter or punctuation, non-ASCII digits and numerics, Unicode
 # whitespace, and synonyms of several words (a thesaurus file may hold them;
@@ -117,23 +85,23 @@ class TestPunctuationPredicate:
     @given(st.text())
     @settings(max_examples=500, deadline=None)
     def test_equals_reference(self, tok):
-        assert bool(_is_punct_token(tok)) == _reference_is_punct_token(tok)
+        assert bool(_is_punct_token(tok)) == reference.is_punct_token(tok)
 
     @pytest.mark.parametrize("tok", _PUNCT_CASES)
     def test_explicit_cases_equal_reference(self, tok):
-        assert bool(_is_punct_token(tok)) == _reference_is_punct_token(tok)
+        assert bool(_is_punct_token(tok)) == reference.is_punct_token(tok)
 
     @given(_tokens)
     @settings(max_examples=500, deadline=None)
     def test_detokenize_equals_reference(self, tokens):
-        assert detokenize(tokens) == _reference_detokenize(tokens)
+        assert detokenize(tokens) == reference.detokenize(tokens)
 
     @pytest.mark.parametrize("tokens", [
         [""], ["", "a"], ["", "", "a", "b"], ["a", "", "b"], ["", "."], [".", "a"],
         ["a", "b c", "!"], ["_", "x"],
     ])
     def test_detokenize_explicit_cases_equal_reference(self, tokens):
-        assert detokenize(tokens) == _reference_detokenize(tokens)
+        assert detokenize(tokens) == reference.detokenize(tokens)
 
 
 class TestThesaurus:

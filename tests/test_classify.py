@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import random
 import re
 import tempfile
 from pathlib import Path
@@ -19,6 +18,7 @@ from augbench.corpus import Corpus, Document
 from augbench.ensemble import calibration_report
 
 import digests
+import reference
 from synth import make_review_corpus
 
 
@@ -34,28 +34,28 @@ def _toy_corpus(n=20):
 
 class TestFeaturize:
     def test_empty_text(self):
-        assert featurize("") == {}
+        assert featurize("", 18) == {}
 
     def test_repeated_unigram_counted(self):
-        f = featurize("good good")
+        f = featurize("good good", 18)
         # "good" unigram appears twice; "good good" bigram once
         assert 2 in f.values()
         assert 1 in f.values()
 
     def test_identical_texts_identical_vectors(self):
-        assert featurize("A Great Movie") == featurize("a great movie")
+        assert featurize("A Great Movie", 18) == featurize("a great movie", 18)
 
     def test_indices_in_range(self):
         f = featurize("some longer text with more tokens", bits=10)
         assert all(0 <= i < 1024 for i in f)
 
     def test_hash_and_emission_order_fixed(self):
-        def index(gram, bits=18):
+        def index(gram):
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            return int.from_bytes(digest, "big") % (1 << bits)
+            return int.from_bytes(digest, "big") % (1 << 18)
 
         grams = ["the", "the film", "film", "film ,", ",", ", the", "the", "the end", "end"]
-        f = featurize("The film, the END")
+        f = featurize("The film, the END", 18)
         assert list(f) == list(dict.fromkeys(index(g) for g in grams))
         assert f[index("the")] == 2
 
@@ -69,31 +69,11 @@ class TestFeaturize:
         assert abs(len(buckets) - expected) / expected < 0.01
 
 
-def _gram_index(gram, bits):
-    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") & ((1 << bits) - 1)
-
-
 # Texts drawn from a small vocabulary share n-grams; free text mostly does not.
 _family_text = st.one_of(
     st.lists(st.sampled_from(["the", "The", "film", "FILM", "good", "bad", ",", "!", "_"]),
              max_size=20).map(" ".join),
     st.text(max_size=40))
-
-
-def _reference_featurize(text, bits):
-    """`featurize` without a memo: every n-gram hashed, keys in first-occurrence order."""
-    tokens = [t.lower() for t in tokenize(text)]
-    grams = []
-    for i, tok in enumerate(tokens):
-        grams.append(tok)
-        if i + 1 < len(tokens):
-            grams.append(tok + " " + tokens[i + 1])
-    counts = {}
-    for gram in grams:
-        idx = _gram_index(gram, bits)
-        counts[idx] = counts.get(idx, 0) + 1
-    return counts
 
 
 class TestGramMemo:
@@ -116,7 +96,7 @@ class TestGramMemo:
                 mp.setattr(classify, "_FEATURE_MEMO_LIMIT", limit)
             for text, bits in calls:
                 f = featurize(text, bits)
-                assert list(f.items()) == list(_reference_featurize(text, bits).items())
+                assert list(f.items()) == list(reference.featurize(text, bits).items())
                 # emptied at the start of a call once over the limit, so it
                 # holds at most the limit plus this text's chunks, tokens and
                 # bigrams, each at most one per token
@@ -125,41 +105,6 @@ class TestGramMemo:
                            + sum(len(successors) for _, _, successors in memo.tokens.values()))
                 assert entries == memo.size
                 assert entries <= classify._FEATURE_MEMO_LIMIT + 3 * len(tokenize(text))
-
-
-def _reference_train(corpus, config):
-    """`train` as it was before documents were featurized family by family:
-    in document order and without a memo."""
-    docs = [d for d in corpus.split_docs("train") if d.label in ("pos", "neg")]
-    feats = [feature_row(d.text, config.bits) for d in docs]
-    ys = [1.0 if d.label == "pos" else 0.0 for d in docs]
-    w = np.zeros(1 << config.bits, dtype=np.float64)
-    bias = 0.0
-    scale = 1.0
-    rng = random.Random(config.seed)
-    order = list(range(len(docs)))
-    total_steps = config.epochs * len(docs)
-    step = 0
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for i in order:
-            lr = config.learning_rate
-            if config.lr_decay == "linear":
-                lr *= 1.0 - step / total_steps
-            step += 1
-            idx, vals = feats[i]
-            z = scale * float(w[idx] @ vals) + bias
-            g = _sigmoid(z) - ys[i]
-            if config.l2 > 0.0 and lr > 0.0:
-                scale *= 1.0 - lr * config.l2
-                if scale < 1e-9:
-                    w *= scale
-                    scale = 1.0
-            if lr > 0.0:
-                w[idx] -= lr * g * vals / scale
-                bias -= lr * g
-    w *= scale
-    return w, bias
 
 
 @given(st.sampled_from(["sr", "ri", "rs", "rd"]), st.integers(1, 3),
@@ -175,7 +120,7 @@ def test_train_equals_document_order_reference(technique, copies, shuffle):
     mixed = Corpus(docs)
     config = TrainConfig(bits=12, epochs=2, seed=3)
     model = train(mixed, config)
-    w, bias = _reference_train(mixed, config)
+    w, bias = reference.train(mixed, config)
     assert model.weights.tobytes() == w.tobytes() and model.bias == bias
 
 
@@ -207,7 +152,7 @@ def test_train_equals_reference_with_and_without_rescale(lr_decay, rates, epochs
     # large l2 x learning_rate folds the scale into the weights mid-training
     assert (_rescales(config, len(corp)) > 0) == (l2 * learning_rate > 0.1)
     model = train(corp, config)
-    w, bias = _reference_train(corp, config)
+    w, bias = reference.train(corp, config)
     assert model.weights.tobytes() == w.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
 
@@ -216,7 +161,7 @@ def test_train_equals_reference_with_and_without_rescale(lr_decay, rates, epochs
 @example(0.0)
 @example(-745.2)
 def test_sigmoid_equals_its_float64_form(z):
-    # _reference_train shares _sigmoid; this pins it to numpy scalar arithmetic
+    # reference.train shares _sigmoid; this pins it to numpy scalar arithmetic
     if z >= 0:
         expected = 1.0 / (1.0 + np.exp(np.float64(-z)))
     else:
@@ -404,14 +349,6 @@ class TestPredictor:
             assert set(calls) == set(texts) and len(calls) <= len(texts)
 
 
-def _reference_predict(model, text):
-    """The original scalar loop: bias, then each w[i]*count left to right."""
-    score = model.bias
-    for idx, cnt in featurize(text, model.config.bits).items():
-        score += model.weights[idx] * cnt
-    return _sigmoid(score)
-
-
 class TestBitExactness:
     @pytest.fixture
     def random_model(self):
@@ -420,7 +357,7 @@ class TestBitExactness:
     def test_predict_equals_scalar_loop(self, random_model, micro_corpus):
         texts = [d.text for d in micro_corpus] + ["", "a", "good good good bad"]
         for text in texts:
-            assert predict(random_model, text) == _reference_predict(random_model, text)
+            assert predict(random_model, text) == reference.predict(random_model, text)
 
     @pytest.mark.parametrize("shared", [None, "arrays", "packed"])
     def test_predict_corpus_equals_scalar_loop(self, random_model, micro_corpus, shared):
@@ -432,7 +369,7 @@ class TestBitExactness:
         table = predict_corpus(random_model, micro_corpus, "s", rows=rows)
         assert len(table) == len(docs)
         for d in docs:
-            assert table.get(d.id, "s") == _reference_predict(random_model, d.text)
+            assert table.get(d.id, "s") == reference.predict(random_model, d.text)
 
     # `score_texts` reuses one terms buffer, so a row shorter than an earlier
     # one must sum only its own terms, not what the longer row left behind.
@@ -457,7 +394,7 @@ class TestBitExactness:
                        for i, t in enumerate(texts)])
         table = predict_corpus(model, corp, "s")
         for i, text in enumerate(texts):
-            want = _reference_predict(model, text)
+            want = reference.predict(model, text)
             assert np.float64(table.get(f"d{i}", "s")).tobytes() == np.float64(want).tobytes()
 
     def test_feature_row_follows_featurize_order(self):

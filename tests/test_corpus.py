@@ -120,6 +120,13 @@ class TestIngestImdb:
         corp = ingest_imdb_dir(imdb_dir)
         assert "train/pos/0_7.txt" in [d.id for d in corp]
 
+    def test_leading_byte_order_mark_dropped(self, imdb_dir):
+        review = imdb_dir / "train" / "pos" / "0_7.txt"
+        review.write_text("a great film, really 0", encoding="utf-8-sig")
+        assert review.read_bytes().startswith(b"\xef\xbb\xbf")
+        texts = {d.id: d.text for d in ingest_imdb_dir(imdb_dir)}
+        assert texts["train/pos/0_7.txt"] == "a great film, really 0"
+
 
 class TestJsonl:
     def test_file_order_preserved(self, tmp_path):
@@ -135,6 +142,12 @@ class TestJsonl:
         path.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
         corp = ingest_jsonl(path)
         assert [d.id for d in corp] == ["b", "a", "c"]
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path, small_corpus):
+        export_jsonl(small_corpus, tmp_path / "c.jsonl")
+        marked = tmp_path / "bom.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "c.jsonl").read_bytes())
+        assert list(ingest_jsonl(marked)) == list(small_corpus)
 
     def test_ingested_documents_share_their_metadata(self, tmp_path):
         # every label and split is the module's own string, not one decoded per line

@@ -88,6 +88,12 @@ class TestSimplexWeights:
         w.to_json(path, fitting_set="valid")
         assert SimplexWeights.from_json(path).weights == w.weights
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"weights": {"a": 0.25, "b": 0.75}}', encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert SimplexWeights.from_json(path).weights == {"a": 0.25, "b": 0.75}
+
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "w.json"
         SimplexWeights({"a": 1.0}).to_json(path, fitting_set="valid")

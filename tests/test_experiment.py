@@ -3,12 +3,14 @@ import logging
 import os
 import signal
 import statistics
+import tempfile
 import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from augbench import classify, experiment
 from augbench.augment import AugmentError, AugmentSpec, derive_seed
@@ -19,6 +21,7 @@ from augbench.corpus import Document, carve_validation
 from augbench.translate import MockProvider, ReplayProvider, TranslationCache
 
 import digests
+import reference
 from synth import TABLE2_LANGUAGES, make_review_corpus
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -154,6 +157,48 @@ class TestSweepWithForcedWorkers(TestLowResourceSweep, TestLanguageStudy):
     @pytest.fixture(autouse=True, params=[1, 2], ids=["in-process", "two-workers"])
     def forced(self, request, workers):
         workers(request.param)
+
+
+_ARMS = st.one_of(
+    st.none(),
+    st.builds(AugmentSpec, technique=st.sampled_from(["sr", "ri", "rs", "rd"]),
+              alpha=st.sampled_from([0.1, 0.3]), copies_per_original=st.integers(1, 3),
+              seed=st.integers(0, 9)),
+    st.builds(AugmentSpec, technique=st.just("bt"),
+              languages=st.lists(st.sampled_from(TABLE2_LANGUAGES), min_size=1, max_size=3,
+                                 unique=True),
+              language_strategy=st.sampled_from(["all", "roundrobin"]), seed=st.integers(0, 9)))
+
+
+@given(corpus_seed=st.integers(0, 9), n_train=st.integers(8, 30), n_test=st.integers(1, 12),
+       repeats=st.integers(0, 3),
+       sizes=st.lists(st.integers(1, 17), min_size=1, max_size=3, unique=True),
+       seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True), arm=_ARMS,
+       bits=st.sampled_from([10, 14, 18]), epochs=st.integers(1, 3),
+       lr_decay=st.sampled_from(["linear", "constant"]))
+# a test document whose token counts outgrow a byte: PackedRows widens its counts
+@example(corpus_seed=5, n_train=20, n_test=4, repeats=300, sizes=[8, 12], seeds=[0, 1],
+         arm=AugmentSpec(technique="bt", languages=("es", "fr")), bits=14, epochs=3,
+         lr_decay="linear")
+@settings(max_examples=20, deadline=None)
+def test_sweep_equals_the_reference_composition(corpus_seed, n_train, n_test, repeats, sizes,
+                                                seeds, arm, bits, epochs, lr_decay):
+    # A size above half the corpus fails its run in `subsample_balanced`, and
+    # one below 4 in training: the carve leaves too few documents.
+    corpus = make_review_corpus(n_train, n_test, seed=corpus_seed).with_documents(
+        [Document(id="test/pos/repeated", text="the film " * repeats + "ending", label="pos",
+                  split="test")])
+    config = ExperimentConfig(train_sizes=sizes, seeds=seeds, augment=arm,
+                              classifier=TrainConfig(bits=bits, epochs=epochs, lr_decay=lr_decay))
+    want = reference.sweep(config, corpus)
+    for count in (1, 2):
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+            mp.setattr(experiment, "_workers", lambda runs: count)
+            provider = MockProvider(arm.seed if arm else 0)
+            report = run_low_resource_sweep(config, corpus, provider, TranslationCache())
+            report.write_csv(Path(out) / "report.csv")
+            got = (Path(out) / "report.csv").read_text(encoding="utf-8"), report.failures
+        assert got == want, count
 
 
 def test_sweep_featurizes_each_test_text_once(micro_corpus, workers, monkeypatch):

@@ -4,7 +4,8 @@ Each kill comes from inside the run's own process at a fixed point, so no
 test races the run: once so many bytes have gone to the translation cache
 (at a line end, or inside a line, whose first part is on disk as a cut-short
 write would leave it), once the temp file of `report.csv` is open, or just
-after the first worker is forked.  The re-run is the plain command.
+after the first worker is forked.  The re-run is the plain command.  A killed
+run's worker dies with it.
 """
 import os
 import re
@@ -26,9 +27,10 @@ from synth import make_review_corpus
 #   cache N    at the write that would take the cache file past N bytes,
 #              after writing the bytes up to N
 #   report N   likewise for the temp file of report.csv
-#   worker 0   just after forking its first worker, printing the worker's pid
+#   worker S   just after forking its first worker, printing the worker's pid;
+#              each run's `_score` first sleeps S seconds
 _KILLED_RUN = """if True:
-    import builtins, os, signal, sys
+    import builtins, os, signal, sys, time
     from augbench import cli, corpus, experiment, translate
 
     where, limit, args = sys.argv[1], sys.argv[2], sys.argv[3:]
@@ -72,14 +74,18 @@ _KILLED_RUN = """if True:
     elif where == "report":
         corpus.open = opener(lambda path, mode: "report.csv" in path)
     else:
-        fork = experiment._Worker.__init__
+        fork, score = experiment._Worker.__init__, experiment._score
 
         def forked(self, step):
             fork(self, step)  # the worker never returns from it
             print(self.pid, flush=True)
             die()
 
-        experiment._Worker.__init__ = forked
+        def slow(*args):
+            time.sleep(float(limit))
+            return score(*args)
+
+        experiment._Worker.__init__, experiment._score = forked, slow
     cli.main(args)
 """
 
@@ -182,7 +188,7 @@ def test_kill_while_a_worker_trains_reruns_to_the_same_bytes(sweep, work):
     worker = int(killed.stdout.readline())
     try:
         assert killed.wait(timeout=60) == -signal.SIGKILL
-        # the orphaned worker trains its run and then dies on the broken pipe
+        # the orphaned worker dies with the run (see the next test)
         t0 = time.monotonic()
         while _alive(worker) and time.monotonic() - t0 < 60:
             time.sleep(0.001)
@@ -194,3 +200,23 @@ def test_kill_while_a_worker_trains_reruns_to_the_same_bytes(sweep, work):
     assert (work / "out" / "report.csv").read_bytes() == _EARLIER
     _rerun(work, sweep)
     assert list(work.rglob(".*.tmp")) == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux prctl and /proc, and one usable CPU trains in-process")
+def test_a_killed_run_takes_its_busy_worker_with_it(sweep, work):
+    # the worker would sleep 30 s before training: only the kill can end it soon
+    killed = subprocess.Popen(_command(sweep[0], "worker", "30"), cwd=work, env=_ENV,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    worker = int(killed.stdout.readline())
+    try:
+        assert killed.wait(timeout=60) == -signal.SIGKILL
+        t0 = time.monotonic()
+        while _alive(worker) and time.monotonic() - t0 < 1:
+            time.sleep(0.001)
+        assert not _alive(worker)
+    finally:
+        if _alive(worker):
+            os.kill(worker, signal.SIGKILL)
+        killed.communicate(timeout=60)
+    assert (work / "out" / "report.csv").read_bytes() == _EARLIER
